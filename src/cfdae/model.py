@@ -10,9 +10,11 @@ hidden layer, or to both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 
 @dataclass(frozen=True)
@@ -164,21 +166,22 @@ def _check_side(params: AutoencoderParams, side) -> np.ndarray | None:
     return side
 
 
-def forward_batch(params: AutoencoderParams, x: np.ndarray,
-                  side: np.ndarray | None = None) -> np.ndarray:
-    """Outputs for a batch of dense rows (missing entries already zeroed)."""
-    _, out = _affine_batch(params, np.atleast_2d(x), side)
-    return out
-
-
-def _affine_batch(params, x, side):
+def encode_batch(params: AutoencoderParams, x: np.ndarray,
+                 side: np.ndarray | None = None) -> np.ndarray:
+    """Hidden codes of a batch of dense rows, with the side columns the
+    decoder reads appended."""
     if x.shape[1] != params.n:
         raise ValueError(f"input dim {x.shape[1]} != network dim {params.n}")
     xin = np.hstack([x, side]) if params.p_in else x
     h = np.tanh(xin @ params.W1.T + params.b1)
-    hin = np.hstack([h, side]) if params.p_hidden else h
-    out = np.tanh(hin @ params.W2.T + params.b2)
-    return h, out
+    return np.hstack([h, side]) if params.p_hidden else h
+
+
+def forward_batch(params: AutoencoderParams, x: np.ndarray,
+                  side: np.ndarray | None = None) -> np.ndarray:
+    """Outputs for a batch of dense rows (missing entries already zeroed)."""
+    hin = encode_batch(params, np.atleast_2d(x), side)
+    return np.tanh(hin @ params.W2.T + params.b2)
 
 
 def forward(params: AutoencoderParams, x: SparseVector,
@@ -225,54 +228,145 @@ def _masks_row(x: SparseVector, mask: CorruptionMask):
     return known[None, :], corrupted[None, :]
 
 
+# A weight scale outside [1/_RESCALE, _RESCALE] is folded into its matrix,
+# so that neither the scale nor the stored matrix over- or underflows.
+_RESCALE = 1e32
+
+
+class LazyDecay:
+    """In-place minibatch SGD that keeps the L2 decay out of the weights.
+
+    While it steps, params.W1 and params.W2 hold matrices V with W = s*V,
+    so the decay W <- (1 - 2*lr*l2) W multiplies the scalar s and touches
+    no weight (the scaled-weights trick of Bottou, "Stochastic Gradient
+    Descent Tricks", 2012).  sq_norms tracks ||V||^2 from the rank-m
+    inner products of each step, so the L2 loss term needs no pass over
+    the weights either.  fold() multiplies the scales back in; after it
+    the arrays hold the true weights.
+    """
+
+    def __init__(self, params: AutoencoderParams, lr: float):
+        self.params = params
+        self.lr = lr
+        self.scales = [1.0, 1.0]
+        self.sq_norms = [0.0, 0.0]
+        self.fold()
+
+    def fold(self):
+        for k, w in enumerate((self.params.W1, self.params.W2)):
+            self._fold(k, w, self.scales[k])
+
+    def _fold(self, k: int, w: np.ndarray, scale: float):
+        if scale != 1.0:
+            w *= scale
+        self.scales[k] = 1.0
+        self.sq_norms[k] = float(np.vdot(w, w))
+
+    def step(self, l2: float, losses: np.ndarray, factors) -> bool:
+        """Apply one SGD step in place; False, with nothing changed, if the
+        losses or the step are not finite.
+
+        factors holds (a, delta, z) per weight matrix: its data gradient is
+        rank m, g = delta.T @ a, so <V, g> is sum(delta * z), z = a @ V.T
+        being the forward pass's pre-activation, and ||g||^2 is
+        sum((delta delta.T) * (a a.T)); neither reads V.
+        """
+        ips = [float(np.vdot(d, z)) for _, d, z in factors]
+        ggs = [float(np.vdot(d @ d.T, a @ a.T)) for a, d, _ in factors]
+        if not (np.all(np.isfinite(losses))
+                and all(map(math.isfinite, ips + ggs))):
+            return False
+        params = self.params
+        rate = self.lr / losses.size
+        decay = 1.0 - 2.0 * l2 * self.lr
+        for k, (v, (a, d, _)) in enumerate(zip((params.W1, params.W2),
+                                               factors)):
+            scale = self.scales[k] * decay
+            if not 1.0 / _RESCALE <= abs(scale) <= _RESCALE:
+                self._fold(k, v, scale)
+                ips[k] *= scale
+                scale = 1.0
+            step = rate / scale
+            # v -= step * d.T @ a, written through the transposed view
+            out = dgemm(-step, a.T, d.T, beta=1.0, c=v.T, trans_b=1,
+                        overwrite_c=1)
+            if not np.may_share_memory(out, v):  # v not C-contiguous float64
+                v[...] = out.T
+            self.scales[k] = scale
+            self.sq_norms[k] += step * (step * ggs[k] - 2.0 * ips[k])
+        params.b1 -= rate * factors[0][1].sum(axis=0)
+        params.b2 -= rate * factors[1][1].sum(axis=0)
+        return True
+
+
 def batch_loss(params, x_in, x_target, known, corrupted, weights,
                side=None) -> np.ndarray:
-    """Per-sample losses for a batch of dense rows.
+    """Per-sample losses for a batch of dense rows."""
+    return batch_loss_gradients(params, x_in, x_target, known, corrupted,
+                                weights, side)[0]
+
+
+def batch_loss_gradients(params, x_in, x_target, known, corrupted, weights,
+                         side=None, *, sgd: LazyDecay | None = None):
+    """Per-sample losses and the gradient summed over the batch.
 
     The two squared-error sums (over corrupted and over intact known
     entries) are accumulated separately and only then weighted, so the
     loss is exactly linear in the two weights.
+
+    With ``sgd``, params holds sgd's scaled matrices and the kernel takes
+    the SGD step itself, in place, at rate sgd.lr / batch size: it returns
+    (losses, None).  If the losses or the step are not finite it takes no
+    step, folds sgd, and returns the gradient at the true weights instead.
     """
-    _, out = _affine_batch(params, x_in, side)
-    sq = (out - x_target) ** 2
-    pred_sum = np.sum(sq, axis=1, where=corrupted)
-    recon_sum = np.sum(sq, axis=1, where=known & ~corrupted)
-    total = weights.prediction * pred_sum + weights.reconstruction * recon_sum
-    if weights.l2:
-        total = total + weights.l2 * (np.sum(params.W1 ** 2) + np.sum(params.W2 ** 2))
-    return total
-
-
-def batch_loss_gradients(params, x_in, x_target, known, corrupted, weights,
-                         side=None):
-    """Per-sample losses and the gradient summed over the batch."""
+    s1, s2 = (1.0, 1.0) if sgd is None else sgd.scales
     xin = np.hstack([x_in, side]) if params.p_in else x_in
-    h = np.tanh(xin @ params.W1.T + params.b1)
+    z1 = xin @ params.W1.T
+    h = np.tanh(s1 * z1 + params.b1)
     hin = np.hstack([h, side]) if params.p_hidden else h
-    out = np.tanh(hin @ params.W2.T + params.b2)
+    z2 = hin @ params.W2.T
+    out = s2 * z2
+    out += params.b2
+    np.tanh(out, out=out)
 
-    sq = (out - x_target) ** 2
-    pred_sum = np.sum(sq, axis=1, where=corrupted)
-    recon_sum = np.sum(sq, axis=1, where=known & ~corrupted)
+    err = out - x_target
+    sq = err * err
+    intact = known & ~corrupted
+    pred_sum = np.einsum("ij,ij->i", sq, corrupted)
+    recon_sum = np.einsum("ij,ij->i", sq, intact)
     losses = weights.prediction * pred_sum + weights.reconstruction * recon_sum
 
-    w = np.where(corrupted, weights.prediction, 0.0)
-    w = np.where(known & ~corrupted, weights.reconstruction, w)
-    delta2 = 2.0 * w * (out - x_target) * (1.0 - out ** 2)
-    g_w2 = delta2.T @ hin
-    g_b2 = delta2.sum(axis=0)
-    dh = delta2 @ params.W2[:, :params.hidden]
+    # delta2 = 2 w (out - target) (1 - out^2), in sq's buffer; w is each
+    # entry's error weight, looked up from 2 * corrupted + intact
+    delta2 = np.multiply(out, out, out=sq)
+    np.subtract(1.0, delta2, out=delta2)
+    delta2 *= err
+    table = np.array([0.0, 2.0 * weights.reconstruction,
+                      2.0 * weights.prediction])
+    delta2 *= table[2 * corrupted.view(np.uint8) + intact.view(np.uint8)]
+    dh = s2 * (delta2 @ params.W2[:, :params.hidden])
     delta1 = dh * (1.0 - h ** 2)
-    g_w1 = delta1.T @ xin
-    g_b1 = delta1.sum(axis=0)
 
     if weights.l2:
+        if sgd is None:
+            sq_w = np.sum(params.W1 ** 2) + np.sum(params.W2 ** 2)
+        else:
+            sq_w = s1 * s1 * sgd.sq_norms[0] + s2 * s2 * sgd.sq_norms[1]
+        losses = losses + weights.l2 * sq_w
+    if sgd is not None:
+        factors = ((xin, delta1, z1), (hin, delta2, z2))
+        if sgd.step(weights.l2, losses, factors):
+            return losses, None
+        sgd.fold()
+
+    g_w2 = delta2.T @ hin
+    g_w1 = delta1.T @ xin
+    if weights.l2:
         n_samples = x_in.shape[0]
-        losses = losses + weights.l2 * (np.sum(params.W1 ** 2) + np.sum(params.W2 ** 2))
         g_w1 += (2.0 * weights.l2 * n_samples) * params.W1
         g_w2 += (2.0 * weights.l2 * n_samples) * params.W2
-
-    return losses, Gradients(g_w1, g_b1, g_w2, g_b2)
+    return losses, Gradients(g_w1, delta1.sum(axis=0), g_w2,
+                             delta2.sum(axis=0))
 
 
 def loss(params: AutoencoderParams, x: SparseVector, x_tilde: SparseVector,

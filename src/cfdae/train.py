@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import DataError, RatingMatrix, RatingScale, SplitSpec
-from .model import (AutoencoderParams, LossWeights, batch_loss_gradients,
-                    forward_batch, init_params)
+from .model import (AutoencoderParams, LazyDecay, LossWeights,
+                    batch_loss_gradients, encode_batch, init_params)
 from .preprocess import (BiasTable, Scaler, SideInfoTable, inverse_transform,
                          transform)
 
@@ -128,15 +128,42 @@ class TrainState:
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a loss or gradient stops being finite."""
+    """Raised when a loss, gradient or parameter stops being finite.
 
-    def __init__(self, epoch: int, batch: int, grad_max: float):
+    param names the first of W1, b1, W2, b2 whose value, gradient or
+    squared norm is not finite ("loss" if none is).  grad_max is None when
+    the check at an epoch's end found the parameters non-finite, after the
+    step that made them so.  last_loss is the mean loss over the samples
+    stepped so far in the epoch, else the previous epoch's, else None.
+    """
+
+    def __init__(self, epoch: int, batch: int, grad_max: float | None,
+                 param: str = "loss", last_loss: float | None = None):
         self.epoch = epoch
         self.batch = batch
         self.grad_max = grad_max
+        self.param = param
+        self.last_loss = last_loss
+        grad = "not computed" if grad_max is None else grad_max
         super().__init__(
-            f"non-finite training signal at epoch {epoch}, batch {batch} "
-            f"(max |gradient| = {grad_max})")
+            f"non-finite training signal in {param} at epoch {epoch}, "
+            f"batch {batch} (max |gradient| = {grad}, last finite mean "
+            f"loss = {last_loss})")
+
+
+def _nonfinite_param(params: AutoencoderParams, grads=None) -> str:
+    """First parameter whose value, gradient or squared norm is not finite."""
+    for name in ("W1", "b1", "W2", "b2"):
+        arrays = [getattr(params, name)]
+        if grads is not None:
+            arrays.append(getattr(grads, name))
+        if not all(np.all(np.isfinite(a)) for a in arrays):
+            return name
+    for name in ("W1", "W2"):
+        w = getattr(params, name)
+        if not np.isfinite(np.vdot(w, w)):
+            return name
+    return "loss"
 
 
 def _entity_vectors(train: RatingMatrix, orientation: str, bias: BiasTable,
@@ -201,7 +228,9 @@ def train(train_data: RatingMatrix, cfg: TrainConfig, bias: BiasTable,
         rng = np.random.default_rng([cfg.seed, epoch])
         order = rng.permutation(pool)
         lr = learning_rate(cfg, epoch)
-        loss_sum = 0.0
+        sgd = LazyDecay(params, lr)
+        loss_sum, seen = 0.0, 0
+        last_loss = state.history[-1].mean_loss if state.history else None
         for batch, start in enumerate(range(0, order.size, cfg.batch_size)):
             sel = order[start:start + cfg.batch_size]
             m = sel.size
@@ -219,19 +248,20 @@ def train(train_data: RatingMatrix, cfg: TrainConfig, bias: BiasTable,
             x_in = np.where(known & ~corrupted, x_tgt, 0.0)
             batch_side = features[sel] if features is not None else None
             losses, grads = batch_loss_gradients(params, x_in, x_tgt, known,
-                                                 corrupted, weights, batch_side)
-            grad_max = grads.max_abs()
-            if not (np.all(np.isfinite(losses)) and np.isfinite(grad_max)):
-                raise TrainingDiverged(epoch, batch, grad_max)
-            step = lr / m
-            params.W1 -= step * grads.W1
-            params.b1 -= step * grads.b1
-            params.W2 -= step * grads.W2
-            params.b2 -= step * grads.b2
+                                                 corrupted, weights,
+                                                 batch_side, sgd=sgd)
+            if grads is not None:
+                raise TrainingDiverged(epoch, batch, grads.max_abs(),
+                                       _nonfinite_param(params, grads),
+                                       last_loss)
             loss_sum += float(losses.sum())
+            seen += m
+            last_loss = loss_sum / seen
+        sgd.fold()
         if not all(np.all(np.isfinite(a)) for a in
                    (params.W1, params.b1, params.W2, params.b2)):
-            raise TrainingDiverged(epoch, batch, grad_max)
+            raise TrainingDiverged(epoch, batch, None,
+                                   _nonfinite_param(params), last_loss)
 
         record = EpochRecord(epoch, loss_sum / order.size)
         state.history.append(record)
@@ -256,7 +286,8 @@ class MatrixCompleter:
     bias table (their mean is the global mean).
     """
 
-    _CHUNK = 256
+    _CHUNK = 256    # entities encoded together
+    _DECODE = 1024  # predictions decoded together
 
     def __init__(self, train_data: RatingMatrix, params: AutoencoderParams,
                  cfg: TrainConfig, bias: BiasTable, scaler: Scaler,
@@ -297,23 +328,33 @@ class MatrixCompleter:
         counterparts = items if self.orientation == "user" else users
 
         unit = np.zeros(entities.size)
-        uniq, inverse = np.unique(entities, return_inverse=True)
-        for lo in range(0, uniq.size, self._CHUNK):
-            chunk = uniq[lo:lo + self._CHUNK]
-            out = self._forward_entities(chunk)
-            hit = (inverse >= lo) & (inverse < lo + chunk.size)
-            unit[hit] = out[inverse[hit] - lo, counterparts[hit]]
+        # Hidden codes come from fixed blocks of entity ids and each output
+        # from its own row-wise dot product, so a prediction does not depend
+        # on which other entries are in the query.
+        order = np.argsort(entities, kind="stable")
+        cuts = np.flatnonzero(np.diff(entities[order] // self._CHUNK)) + 1
+        for queries in np.split(order, cuts) if order.size else []:
+            lo = entities[queries[0]] // self._CHUNK * self._CHUNK
+            hin = self._encode_block(lo)
+            for part in np.split(queries, np.arange(self._DECODE, queries.size,
+                                                    self._DECODE)):
+                cols = counterparts[part]
+                dots = np.einsum("ij,ij->i", hin[entities[part] - lo],
+                                 self.params.W2[cols])
+                unit[part] = np.tanh(dots + self.params.b2[cols])
         unit[self._counts[entities] == 0] = 0.0
         pred = inverse_transform(unit, entities, self.bias, self.scaler)
         return np.atleast_1d(pred)
 
-    def _forward_entities(self, entity_idx: np.ndarray) -> np.ndarray:
-        x = np.zeros((entity_idx.size, self._n_out))
-        for r, e in enumerate(entity_idx):
+    def _encode_block(self, lo: int) -> np.ndarray:
+        """Hidden codes (side columns appended) of entities lo..lo+_CHUNK-1."""
+        ids = np.arange(lo, min(lo + self._CHUNK, self._counts.size))
+        x = np.zeros((ids.size, self._n_out))
+        for r, e in enumerate(ids):
             idx, vals = self._vectors[e]
             x[r, idx] = vals
-        side = self._features[entity_idx] if self._features is not None else None
-        return forward_batch(self.params, x, side)
+        side = self._features[ids] if self._features is not None else None
+        return encode_batch(self.params, x, side)
 
 
 def complete_matrix(train_data: RatingMatrix, state: TrainState,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cfdae import (AutoencoderParams, CorruptionMask, LossWeights,
                    SparseVector, corrupt, decompose, forward, init_params,
                    loss, loss_gradients)
-from cfdae.model import batch_loss, batch_loss_gradients
+from cfdae.model import LazyDecay, batch_loss, batch_loss_gradients
 
 PARAM_FIELDS = ("W1", "b1", "W2", "b2")
 
@@ -397,6 +397,46 @@ def test_batch_matches_single_vector_path():
     for f in PARAM_FIELDS:
         np.testing.assert_allclose(getattr(grads, f), total[f],
                                    rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("lr,l2", [
+    pytest.param(0.3, 0.02, id="decay"),
+    pytest.param(2.0, 0.25, id="decay-to-zero"),
+    pytest.param(1.0, 1e20, id="scale-folded"),
+])
+def test_sgd_step_matches_explicit_update(lr, l2, order):
+    # three in-place lazy-decay steps against W -= lr/m * (full gradient)
+    rng = np.random.default_rng(5)
+    n, hidden, p, m = 9, 4, 2, 5
+    params = init_params(n, hidden, p_in=p, p_hidden=p, seed=3)
+    params.W1 = np.asarray(params.W1, order=order)
+    params.W2 = np.asarray(params.W2, order=order)
+    ref = params.copy()
+    arrays = [getattr(params, f) for f in PARAM_FIELDS]
+    weights = LossWeights(1.0, 0.5, l2)
+    sgd = LazyDecay(params, lr=lr)
+    for _ in range(3):
+        known = rng.random((m, n)) < 0.6
+        corrupted = known & (rng.random((m, n)) < 0.3)
+        x_tgt = np.where(known, rng.uniform(-1, 1, (m, n)), 0.0)
+        x_in = np.where(known & ~corrupted, x_tgt, 0.0)
+        args = (x_in, x_tgt, known, corrupted, weights,
+                rng.uniform(-1, 1, (m, p)))
+        want, grads = batch_loss_gradients(ref, *args)
+        got, stepped = batch_loss_gradients(params, *args, sgd=sgd)
+        assert stepped is None
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+        for f in PARAM_FIELDS:
+            setattr(ref, f, getattr(ref, f) - lr / m * getattr(grads, f))
+        for k, v in enumerate((params.W1, params.W2)):
+            assert sgd.sq_norms[k] == pytest.approx(np.vdot(v, v), rel=1e-9)
+    sgd.fold()
+    assert sgd.scales == [1.0, 1.0]
+    for f, arr in zip(PARAM_FIELDS, arrays):
+        assert getattr(params, f) is arr
+        np.testing.assert_allclose(arr, getattr(ref, f), rtol=1e-9,
+                                   atol=1e-12)
 
 
 # -------------------------------------------------------------- decompose

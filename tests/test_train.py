@@ -1,6 +1,7 @@
 """SGD loop, completer predictions, checkpoints, loss curve output."""
 
 import csv
+import importlib
 
 import numpy as np
 import pytest
@@ -12,7 +13,11 @@ from cfdae import (BiasTable, CorruptionMask, DataError, LossWeights,
                    init_params, learning_rate, load_checkpoint, loss,
                    save_checkpoint, split, train, transform,
                    write_loss_curve)
-from cfdae.train import EpochRecord
+from cfdae.model import batch_loss_gradients
+from cfdae.train import EpochRecord, MatrixCompleter
+
+# cfdae re-exports the function train(), which hides the submodule attribute
+train_module = importlib.import_module("cfdae.train")
 
 PARAM_FIELDS = ("W1", "b1", "W2", "b2")
 
@@ -227,15 +232,120 @@ def test_train_never_reads_test_entries(synthetic):
     assert train_part.reads > 0
 
 
-def test_training_diverges_cleanly(synthetic):
+@pytest.mark.parametrize("lr0,batch", [
+    pytest.param(1e308, 1, id="lr1e308"),
+    pytest.param(1e200, 1, id="lr1e200"),
+    pytest.param(1e30, 6, id="lr1e30"),
+])
+def test_training_diverges_cleanly(synthetic, lr0, batch):
+    # the batch is where an explicit-decay SGD loop, checking every loss
+    # and every entry of the gradient, first sees a non-finite value
     ratings, scale = synthetic
-    cfg = small_config(lr0=1e308, epochs=2, batch_size=1)
+    cfg = small_config(lr0=lr0, epochs=2, batch_size=1)
     bias, scaler = fitted(ratings, scale, cfg)
     with pytest.raises(TrainingDiverged) as err, \
             np.errstate(over="ignore", invalid="ignore"):
         train(ratings, cfg, bias, scaler)
-    assert err.value.epoch >= 0 and err.value.batch >= 0
-    assert "epoch" in str(err.value)
+    assert (err.value.epoch, err.value.batch) == (0, batch)
+    assert np.isfinite(err.value.grad_max) and err.value.grad_max > 0
+    assert np.isfinite(err.value.last_loss)
+    assert err.value.param in PARAM_FIELDS
+    message = str(err.value)
+    assert "epoch" in message and err.value.param in message
+    assert repr(err.value.last_loss) in message
+
+
+def test_epoch_end_check_names_a_nonfinite_bias(synthetic, monkeypatch):
+    # an infinite output bias saturates its unit, so no loss or gradient
+    # shows it; only the parameter check at the epoch's end does
+    ratings, scale = synthetic
+    cfg = small_config(epochs=2)
+    bias, scaler = fitted(ratings, scale, cfg)
+    calls = []
+
+    def spy(params, *args, **kwargs):
+        out = batch_loss_gradients(params, *args, **kwargs)
+        if not calls:
+            params.b2[0] = np.inf
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(train_module, "batch_loss_gradients", spy)
+    with pytest.raises(TrainingDiverged) as err:
+        train(ratings, cfg, bias, scaler)
+    assert (err.value.epoch, err.value.batch) == (0, len(calls) - 1)
+    assert err.value.grad_max is None and err.value.param == "b2"
+    assert np.isfinite(err.value.last_loss)
+    assert "not computed" in str(err.value)
+
+
+def test_train_steps_the_initial_arrays_in_place(synthetic, monkeypatch):
+    ratings, scale = synthetic
+    cfg = small_config(epochs=1)
+    bias, scaler = fitted(ratings, scale, cfg)
+    made = []
+
+    def spy(*args, **kwargs):
+        made.append(init_params(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(train_module, "init_params", spy)
+    state = train(ratings, cfg, bias, scaler)
+    fresh = init_params(ratings.n_users, cfg.hidden, seed=cfg.seed)
+    for f in PARAM_FIELDS:
+        assert getattr(state.params, f) is getattr(made[0], f)
+        assert not np.array_equal(getattr(state.params, f),
+                                  getattr(fresh, f))
+
+
+@pytest.mark.parametrize("orientation", ["item", "user"])
+def test_lazy_decay_matches_explicit_sgd(synthetic, monkeypatch, tmp_path,
+                                         orientation):
+    """train() against an SGD loop that decays every weight on each step."""
+    ratings, scale = synthetic
+    cfg = small_config(orientation=orientation, side_info="both", epochs=3,
+                       weight_decay=0.02)
+    bias, scaler = fitted(ratings, scale, cfg)
+    by_item = orientation == "item"
+    side = side_table(ratings.n_items if by_item else ratings.n_users, 3)
+    batches, hooked = [], []
+
+    def spy(params, *args, **kwargs):
+        batches.append((len(hooked), args))
+        return batch_loss_gradients(params, *args, **kwargs)
+
+    def hook(state):
+        hooked.append(state.params.copy())
+
+    monkeypatch.setattr(train_module, "batch_loss_gradients", spy)
+    state = train(ratings, cfg, bias, scaler, side=side, eval_hook=hook,
+                  checkpoint_dir=tmp_path)
+
+    n = ratings.n_users if by_item else ratings.n_items
+    ref = init_params(n, cfg.hidden, 3, 3, seed=cfg.seed)
+    per_epoch, sums, counts = [], np.zeros(cfg.epochs), np.zeros(cfg.epochs)
+    for k, (epoch, args) in enumerate(batches):
+        losses, grads = batch_loss_gradients(ref, *args)
+        step = learning_rate(cfg, epoch) / losses.size
+        for f in PARAM_FIELDS:
+            setattr(ref, f, getattr(ref, f) - step * getattr(grads, f))
+        sums[epoch] += losses.sum()
+        counts[epoch] += losses.size
+        if k + 1 == len(batches) or batches[k + 1][0] != epoch:
+            per_epoch.append(ref.copy())
+
+    assert len(per_epoch) == len(hooked) == cfg.epochs
+    np.testing.assert_allclose([r.mean_loss for r in state.history],
+                               sums / counts, rtol=1e-9, atol=0)
+    for epoch, want in enumerate(per_epoch):
+        saved = load_checkpoint(tmp_path / f"epoch_{epoch:03d}.npz")
+        for f in PARAM_FIELDS:
+            for got in (hooked[epoch], saved.state.params):
+                np.testing.assert_allclose(getattr(got, f), getattr(want, f),
+                                           rtol=1e-9, atol=0)
+    for f in PARAM_FIELDS:
+        np.testing.assert_array_equal(getattr(state.params, f),
+                                      getattr(hooked[-1], f))
 
 
 def test_eval_hook_records_rmse(synthetic):
@@ -372,6 +482,7 @@ def test_completer_index_validation(synthetic):
         completer.predict(0, -1)
     with pytest.raises(ValueError):
         completer.predict_many([0, 1], [0])
+    assert completer.predict_many([], []).shape == (0,)
 
 
 def test_completer_predict_many_consistent_with_scalar(synthetic):
@@ -386,6 +497,28 @@ def test_completer_predict_many_consistent_with_scalar(synthetic):
     batch = completer.predict_many(users, items)
     singles = [completer.predict(int(u), int(i)) for u, i in zip(users, items)]
     np.testing.assert_array_equal(batch, singles)
+
+
+@pytest.mark.parametrize("orientation", ["item", "user"])
+def test_completer_predictions_do_not_depend_on_the_query(synthetic,
+                                                          orientation):
+    # a prediction is the same bits alone, inside a batch, and in any order
+    ratings, scale = synthetic
+    cfg = small_config(orientation=orientation)
+    bias, scaler = fitted(ratings, scale, cfg)
+    n = ratings.n_users if orientation == "item" else ratings.n_items
+    rng = np.random.default_rng(3)
+    users = rng.integers(0, ratings.n_users, 25)
+    items = rng.integers(0, ratings.n_items, 25)
+    for seed in range(20):
+        params = init_params(n, cfg.hidden, seed=seed)
+        completer = MatrixCompleter(ratings, params, cfg, bias, scaler)
+        batch = completer.predict_many(users, items)
+        singles = [completer.predict(int(u), int(i))
+                   for u, i in zip(users, items)]
+        np.testing.assert_array_equal(batch, singles)
+        flipped = completer.predict_many(users[::-1], items[::-1])
+        np.testing.assert_array_equal(batch, flipped[::-1])
 
 
 # ------------------------------------------------------------- checkpoint
