@@ -15,7 +15,7 @@ from .evaluate import (BiasPredictor, ClusterStat, EvalReport, bias_baseline,
                        build_report, cluster_rmse, config_digest,
                        improvement_pct, rmse, seed_summary,
                        summarize_ratio_sweep, sweep_dae, sweep_training_ratio)
-from .model import (AutoencoderParams, CorruptionMask, Gradients, LossWeights,
+from .model import (AutoencoderParams, CorruptionMask, LossWeights,
                     SparseVector, corrupt, decompose, forward, init_params,
                     loss, loss_gradients)
 from .preprocess import (BiasTable, Scaler, SideInfoTable, build_side_info,
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AutoencoderParams", "BiasPredictor", "BiasTable", "Checkpoint",
     "ClusterStat", "CorruptionMask", "DataError", "EpochRecord", "EvalReport",
-    "Gradients", "IdMaps", "LossWeights", "MatrixCompleter", "RatingMatrix",
+    "IdMaps", "LossWeights", "MatrixCompleter", "RatingMatrix",
     "RatingScale", "Scaler", "SideInfoTable", "SparseVector", "SplitSpec",
     "TagMatrix", "TrainConfig", "TrainState", "TrainingDiverged",
     "bias_baseline", "build_report", "build_side_info", "cluster_rmse",

@@ -18,9 +18,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
-from .data import (DataError, SplitSpec, TagMatrix, RATING_FORMATS,
+from .data import (DataError, SplitSpec, RATING_FORMATS,
                    TAG_FORMATS, load_ratings, load_snapshot,
                    load_tag_snapshot, load_tags, save_snapshot,
                    save_tag_snapshot, split)
@@ -144,11 +142,7 @@ def _build_side(cfg: TrainConfig, data_dir: Path, svd_dim: int,
             log.warning("reducing SVD dimension from %d to %d for a %dx%d "
                         "tag matrix", svd_dim, k, tags.n_entities, tags.n_tags)
         svd_part = svd_embed(tags, k)
-    binary_part = None
-    if use_binary:
-        clipped = tags.counts.copy()
-        clipped.data = np.minimum(clipped.data, 1.0)
-        binary_part = TagMatrix(clipped, tags.tag_names)
+    binary_part = tags.binary() if use_binary else None
     if svd_part is None and binary_part is None:
         raise ValueError("side information enabled but --side-svd-dim is 0 "
                          "and --side-binary is not set")

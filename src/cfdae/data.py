@@ -235,6 +235,12 @@ class TagMatrix:
     def toarray(self) -> np.ndarray:
         return self.counts.toarray()
 
+    def binary(self) -> "TagMatrix":
+        """The same tags as 0/1 presence flags (counts clipped at 1)."""
+        clipped = self.counts.copy()
+        clipped.data = np.minimum(clipped.data, 1.0)
+        return TagMatrix(clipped, self.tag_names)
+
 
 def load_ratings(path, format="csv"):
     """Parse a ratings file into a zero-indexed sparse matrix.
@@ -367,12 +373,10 @@ def load_tags(path, format, ids: IdMaps, entity: str | None = None) -> TagMatrix
 
     rows: list[int] = []
     cols: list[int] = []
+    vocab: dict[str, int] = {}  # tag -> column, in order of first appearance
     dropped = 0
-    tag_names: tuple[str, ...] | None = None
 
     if format == "movielens_tags":
-        vocab: dict[str, int] = {}
-        names: list[str] = []
         with open(path, encoding="latin-1") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
@@ -388,22 +392,9 @@ def load_tags(path, format, ids: IdMaps, entity: str | None = None) -> TagMatrix
                     dropped += 1
                     continue
                 tag = "::".join(parts[2:-1]).strip().lower()
-                kt = vocab.get(tag)
-                if kt is None:
-                    kt = vocab[tag] = len(names)
-                    names.append(tag)
                 rows.append(ent)
-                cols.append(kt)
-        order = np.argsort(names)
-        remap = np.empty(len(names), dtype=np.int64)
-        remap[order] = np.arange(len(names))
-        cols = remap[np.asarray(cols, dtype=np.int64)] if cols else []
-        tag_names = tuple(names[k] for k in order)
-        n_tags = len(tag_names)
-        binary = False
+                cols.append(vocab.setdefault(tag, len(vocab)))
     elif format == "genre_flags":
-        vocab = {}
-        names = []
         with open(path, encoding="latin-1") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
@@ -421,19 +412,8 @@ def load_tags(path, format, ids: IdMaps, entity: str | None = None) -> TagMatrix
                     genre = genre.strip()
                     if not genre:
                         continue
-                    kt = vocab.get(genre)
-                    if kt is None:
-                        kt = vocab[genre] = len(names)
-                        names.append(genre)
                     rows.append(ent)
-                    cols.append(kt)
-        order = np.argsort(names)
-        remap = np.empty(len(names), dtype=np.int64)
-        remap[order] = np.arange(len(names))
-        cols = remap[np.asarray(cols, dtype=np.int64)] if cols else []
-        tag_names = tuple(names[k] for k in order)
-        n_tags = len(tag_names)
-        binary = True
+                    cols.append(vocab.setdefault(genre, len(vocab)))
     else:  # adjacency_csv
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -450,20 +430,27 @@ def load_tags(path, format, ids: IdMaps, entity: str | None = None) -> TagMatrix
                     continue
                 rows.extend((a, b))
                 cols.extend((b, a))
-        n_tags = n_entities
-        binary = True
 
     if dropped:
         log.warning("%s: dropped %d rows referencing unknown entities",
                     path, dropped)
 
+    tag_names = None
+    n_tags = n_entities
+    if format != "adjacency_csv":
+        names = list(vocab)
+        order = np.argsort(names)
+        remap = np.empty(len(names), dtype=np.int64)
+        remap[order] = np.arange(len(names))
+        cols = remap[np.asarray(cols, dtype=np.int64)] if cols else []
+        tag_names = tuple(names[k] for k in order)
+        n_tags = len(tag_names)
     data = np.ones(len(rows), dtype=np.float64)
     counts = sp.coo_matrix(
         (data, (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
         shape=(n_entities, n_tags)).tocsr()
-    if binary and counts.nnz:
-        counts.data = np.minimum(counts.data, 1.0)
-    return TagMatrix(counts, tag_names)
+    tags = TagMatrix(counts, tag_names)
+    return tags if format == "movielens_tags" else tags.binary()
 
 
 def split(ratings: RatingMatrix, spec: SplitSpec):

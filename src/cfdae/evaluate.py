@@ -45,12 +45,16 @@ def bias_baseline(train_data: RatingMatrix, orientation: str,
     return BiasPredictor(fit_bias(train_data, orientation), scale)
 
 
+def _squared_errors(predictor, test: RatingMatrix) -> np.ndarray:
+    """Squared error of each test entry, from one predict_many pass."""
+    if test.n_entries == 0:
+        raise ValueError("cannot score an empty test set")
+    return (predictor.predict_many(test.users, test.items) - test.ratings) ** 2
+
+
 def rmse(predictor, test: RatingMatrix) -> float:
     """Root mean squared error over exactly the test entries."""
-    if test.n_entries == 0:
-        raise ValueError("cannot compute RMSE on an empty test set")
-    pred = predictor.predict_many(test.users, test.items)
-    return float(np.sqrt(np.mean((pred - test.ratings) ** 2)))
+    return float(np.sqrt(np.mean(_squared_errors(predictor, test))))
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,13 @@ def cluster_rmse(predictor, test: RatingMatrix, train_data: RatingMatrix,
     into n_clusters near-equal groups, so the first bucket holds the
     least-rated fifth.  Buckets with no test entries report n_entries=0.
     """
+    return _cluster_stats(_squared_errors(predictor, test), test, train_data,
+                          by, n_clusters)
+
+
+def _cluster_stats(err2, test: RatingMatrix, train_data: RatingMatrix,
+                   by: str, n_clusters: int) -> list[ClusterStat]:
+    """cluster_rmse from the test entries' squared errors."""
     if by == "item":
         counts = train_data.col_counts()
         test_entities = test.items
@@ -80,15 +91,12 @@ def cluster_rmse(predictor, test: RatingMatrix, train_data: RatingMatrix,
         raise ValueError(f"unknown clustering entity {by!r}")
     if n_clusters < 1:
         raise ValueError("n_clusters must be at least 1")
-    if test.n_entries == 0:
-        raise ValueError("cannot cluster an empty test set")
 
     order = np.lexsort((np.arange(counts.size), counts))
     cluster_of = np.empty(counts.size, dtype=np.int64)
     for c, group in enumerate(np.array_split(order, n_clusters)):
         cluster_of[group] = c
 
-    err2 = (predictor.predict_many(test.users, test.items) - test.ratings) ** 2
     labels = cluster_of[test_entities]
     stats = []
     for c in range(n_clusters):
@@ -169,9 +177,10 @@ def config_digest(cfg: TrainConfig, split_spec: SplitSpec | None = None,
 def build_report(predictor, test: RatingMatrix, train_data: RatingMatrix,
                  by: str = "item", n_clusters: int = 5, digest: str = "",
                  seed: int = 0) -> EvalReport:
-    clusters = cluster_rmse(predictor, test, train_data, by, n_clusters)
-    return EvalReport(rmse(predictor, test), test.n_entries, tuple(clusters),
-                      digest, seed)
+    err2 = _squared_errors(predictor, test)
+    clusters = _cluster_stats(err2, test, train_data, by, n_clusters)
+    return EvalReport(float(np.sqrt(np.mean(err2))), test.n_entries,
+                      tuple(clusters), digest, seed)
 
 
 def write_cluster_csv(path, report: EvalReport):

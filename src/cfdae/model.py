@@ -121,18 +121,6 @@ class AutoencoderParams:
                                  self.W2.copy(), self.b2.copy())
 
 
-@dataclass
-class Gradients:
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-
-    def max_abs(self) -> float:
-        return max(float(np.max(np.abs(a))) if a.size else 0.0
-                   for a in (self.W1, self.b1, self.W2, self.b2))
-
-
 def init_params(n: int, hidden: int, p_in: int = 0, p_hidden: int = 0,
                 seed: int = 0) -> AutoencoderParams:
     """Uniform init on [-1/sqrt(fan_in), 1/sqrt(fan_in)]; zero biases."""
@@ -177,21 +165,44 @@ def encode_batch(params: AutoencoderParams, x: np.ndarray,
     return np.hstack([h, side]) if params.p_hidden else h
 
 
-def forward_batch(params: AutoencoderParams, x: np.ndarray,
-                  side: np.ndarray | None = None) -> np.ndarray:
-    """Outputs for a batch of dense rows (missing entries already zeroed)."""
-    hin = encode_batch(params, np.atleast_2d(x), side)
-    return np.tanh(hin @ params.W2.T + params.b2)
-
-
 def forward(params: AutoencoderParams, x: SparseVector,
             side_info=None) -> np.ndarray:
     """Dense output vector for one incomplete input vector."""
     side = _check_side(params, side_info)
-    if x.dim != params.n:
-        raise ValueError(f"input dim {x.dim} != network dim {params.n}")
     batch_side = side[None, :] if side is not None else None
-    return forward_batch(params, x.to_dense()[None, :], batch_side)[0]
+    hin = encode_batch(params, x.to_dense()[None, :], batch_side)
+    return np.tanh(hin @ params.W2.T + params.b2)[0]
+
+
+def draw_corrupted(n_known: int, mask_ratio: float,
+                   rng: np.random.Generator | None) -> np.ndarray:
+    """Positions of round(mask_ratio * n_known) of n_known known entries,
+    drawn uniformly without replacement; rng is unused when none are."""
+    if not 0.0 <= mask_ratio < 1.0:
+        raise ValueError("mask_ratio must be in [0, 1)")
+    n_corrupt = int(round(mask_ratio * n_known))
+    if n_corrupt == 0:
+        return np.empty(0, dtype=np.int64)
+    return rng.choice(n_known, size=n_corrupt, replace=False)
+
+
+def dense_rows(vectors, n: int, mask_ratio: float = 0.0,
+               rng: np.random.Generator | None = None):
+    """Dense rows of (indices, values) vectors.  With an rng, each row in
+    turn also corrupts draw_corrupted(n_known, mask_ratio, rng) of its
+    entries, giving the batch_loss_gradients batch (x_in, x_target, known,
+    corrupted)."""
+    x = np.zeros((len(vectors), n))
+    known = np.zeros(x.shape, dtype=bool)
+    corrupted = np.zeros(x.shape, dtype=bool)
+    for r, (idx, vals) in enumerate(vectors):
+        x[r, idx] = vals
+        if rng is not None:
+            known[r, idx] = True
+            corrupted[r, idx[draw_corrupted(idx.size, mask_ratio, rng)]] = True
+    if rng is None:
+        return x
+    return np.where(known & ~corrupted, x, 0.0), x, known, corrupted
 
 
 def corrupt(x: SparseVector, mask_ratio: float, rng: np.random.Generator):
@@ -200,32 +211,12 @@ def corrupt(x: SparseVector, mask_ratio: float, rng: np.random.Generator):
     Returns the corrupted vector (those entries removed from its known set)
     and the mask of corrupted indices.
     """
-    if not 0.0 <= mask_ratio < 1.0:
-        raise ValueError("mask_ratio must be in [0, 1)")
-    n_corrupt = int(round(mask_ratio * x.n_known))
-    if n_corrupt == 0:
-        return x, CorruptionMask(np.empty(0, dtype=np.int64))
-    hit = np.sort(rng.choice(x.n_known, size=n_corrupt, replace=False))
+    hit = np.sort(draw_corrupted(x.n_known, mask_ratio, rng))
+    if hit.size == 0:
+        return x, CorruptionMask(hit)
     keep = np.setdiff1d(np.arange(x.n_known), hit, assume_unique=True)
     corrupted = SparseVector(x.dim, x.indices[keep], x.values[keep])
     return corrupted, CorruptionMask(x.indices[hit])
-
-
-def _check_mask(x: SparseVector, x_tilde: SparseVector, mask: CorruptionMask):
-    if x_tilde.dim != x.dim:
-        raise ValueError("corrupted vector has a different dimension")
-    if not np.all(np.isin(mask.indices, x.indices)):
-        raise ValueError("mask contains indices that are not known in x")
-    if np.any(np.isin(mask.indices, x_tilde.indices)):
-        raise ValueError("corrupted indices must be absent from x_tilde")
-
-
-def _masks_row(x: SparseVector, mask: CorruptionMask):
-    known = np.zeros(x.dim, dtype=bool)
-    known[x.indices] = True
-    corrupted = np.zeros(x.dim, dtype=bool)
-    corrupted[mask.indices] = True
-    return known[None, :], corrupted[None, :]
 
 
 # A weight scale outside [1/_RESCALE, _RESCALE] is folded into its matrix,
@@ -299,16 +290,10 @@ class LazyDecay:
         return True
 
 
-def batch_loss(params, x_in, x_target, known, corrupted, weights,
-               side=None) -> np.ndarray:
-    """Per-sample losses for a batch of dense rows."""
-    return batch_loss_gradients(params, x_in, x_target, known, corrupted,
-                                weights, side)[0]
-
-
 def batch_loss_gradients(params, x_in, x_target, known, corrupted, weights,
                          side=None, *, sgd: LazyDecay | None = None):
-    """Per-sample losses and the gradient summed over the batch.
+    """Per-sample losses and, as an AutoencoderParams, the gradient summed
+    over the batch.
 
     The two squared-error sums (over corrupted and over intact known
     entries) are accumulated separately and only then weighted, so the
@@ -365,38 +350,46 @@ def batch_loss_gradients(params, x_in, x_target, known, corrupted, weights,
         n_samples = x_in.shape[0]
         g_w1 += (2.0 * weights.l2 * n_samples) * params.W1
         g_w2 += (2.0 * weights.l2 * n_samples) * params.W2
-    return losses, Gradients(g_w1, delta1.sum(axis=0), g_w2,
-                             delta2.sum(axis=0))
+    return losses, AutoencoderParams(g_w1, delta1.sum(axis=0), g_w2,
+                                     delta2.sum(axis=0))
+
+
+def _single_vector(params: AutoencoderParams, x: SparseVector,
+                   x_tilde: SparseVector, mask: CorruptionMask,
+                   weights: LossWeights, side_info):
+    """batch_loss_gradients on one checked corrupted vector."""
+    side = _check_side(params, side_info)
+    if x_tilde.dim != x.dim:
+        raise ValueError("corrupted vector has a different dimension")
+    if not np.all(np.isin(mask.indices, x.indices)):
+        raise ValueError("mask contains indices that are not known in x")
+    if np.any(np.isin(mask.indices, x_tilde.indices)):
+        raise ValueError("corrupted indices must be absent from x_tilde")
+    known = np.isin(np.arange(x.dim), x.indices)[None, :]
+    corrupted = np.isin(np.arange(x.dim), mask.indices)[None, :]
+    batch_side = side[None, :] if side is not None else None
+    return batch_loss_gradients(params, x_tilde.to_dense()[None, :],
+                                x.to_dense()[None, :], known, corrupted,
+                                weights, batch_side)
 
 
 def loss(params: AutoencoderParams, x: SparseVector, x_tilde: SparseVector,
          mask: CorruptionMask, weights: LossWeights, side_info=None) -> float:
     """Weighted masked squared error of one corrupted vector, plus L2."""
-    side = _check_side(params, side_info)
-    _check_mask(x, x_tilde, mask)
-    known, corrupted = _masks_row(x, mask)
-    batch_side = side[None, :] if side is not None else None
-    return float(batch_loss(params, x_tilde.to_dense()[None, :],
-                            x.to_dense()[None, :], known, corrupted,
-                            weights, batch_side)[0])
+    losses, _ = _single_vector(params, x, x_tilde, mask, weights, side_info)
+    return float(losses[0])
 
 
 def loss_gradients(params: AutoencoderParams, x: SparseVector,
                    x_tilde: SparseVector, mask: CorruptionMask,
-                   weights: LossWeights, side_info=None) -> Gradients:
+                   weights: LossWeights,
+                   side_info=None) -> AutoencoderParams:
     """Exact gradient of ``loss`` with respect to every parameter.
 
     No error flows from output units outside the known set; the L2 term
     contributes 2*l2*W to the weight matrices and nothing to the biases.
     """
-    side = _check_side(params, side_info)
-    _check_mask(x, x_tilde, mask)
-    known, corrupted = _masks_row(x, mask)
-    batch_side = side[None, :] if side is not None else None
-    _, grads = batch_loss_gradients(params, x_tilde.to_dense()[None, :],
-                                    x.to_dense()[None, :], known, corrupted,
-                                    weights, batch_side)
-    return grads
+    return _single_vector(params, x, x_tilde, mask, weights, side_info)[1]
 
 
 def decompose(params: AutoencoderParams, x: SparseVector):

@@ -9,7 +9,6 @@ tag counts, binary attribute columns, or their concatenation.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 
@@ -139,17 +138,6 @@ class SideInfoTable:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    def save_csv(self, path, ids=None):
-        """Write rows as ``entity,f0,...``; ``ids`` adds a raw-id column."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            header = ["entity"] + (["id"] if ids is not None else [])
-            header += [f"f{k}" for k in range(self.dim)]
-            writer.writerow(header)
-            for e in range(self.n_entities):
-                row = [e] + ([ids[e]] if ids is not None else [])
-                writer.writerow(row + [repr(float(v)) for v in self.features[e]])
 
 
 def svd_embed(tags: TagMatrix, k_prime: int, seed: int = 0) -> SideInfoTable:

@@ -19,7 +19,8 @@ import numpy as np
 
 from .data import DataError, RatingMatrix, RatingScale, SplitSpec
 from .model import (AutoencoderParams, LazyDecay, LossWeights,
-                    batch_loss_gradients, encode_batch, init_params)
+                    batch_loss_gradients, dense_rows, draw_corrupted,
+                    encode_batch, init_params)
 from .preprocess import (BiasTable, Scaler, SideInfoTable, inverse_transform,
                          transform)
 
@@ -59,14 +60,9 @@ class TrainConfig:
             raise ValueError(f"unknown side_info mode {self.side_info!r}")
         if self.hidden < 1:
             raise ValueError("hidden width must be at least 1")
-        if self.prediction_weight < 0 or self.reconstruction_weight < 0:
-            raise ValueError("loss weights must be nonnegative")
-        if self.prediction_weight == 0 and self.reconstruction_weight == 0:
-            raise ValueError("prediction and reconstruction weights are both zero")
-        if not 0.0 <= self.mask_ratio < 1.0:
-            raise ValueError("mask_ratio must be in [0, 1)")
-        if self.weight_decay is not None and self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
+        LossWeights(self.prediction_weight, self.reconstruction_weight,
+                    self.weight_decay or 0.0)
+        draw_corrupted(0, self.mask_ratio, None)
         if self.lr0 <= 0:
             raise ValueError("lr0 must be positive")
         if self.lr_decay < 0:
@@ -151,14 +147,20 @@ class TrainingDiverged(RuntimeError):
             f"loss = {last_loss})")
 
 
-def _nonfinite_param(params: AutoencoderParams, grads=None) -> str:
-    """First parameter whose value, gradient or squared norm is not finite."""
+def _nonfinite_array(*params: AutoencoderParams) -> str | None:
+    """First of W1, b1, W2, b2 that is not finite in one of params."""
     for name in ("W1", "b1", "W2", "b2"):
-        arrays = [getattr(params, name)]
-        if grads is not None:
-            arrays.append(getattr(grads, name))
-        if not all(np.all(np.isfinite(a)) for a in arrays):
+        if not all(np.all(np.isfinite(getattr(p, name))) for p in params):
             return name
+    return None
+
+
+def _nonfinite_param(params: AutoencoderParams,
+                     grads: AutoencoderParams) -> str:
+    """First parameter whose value, gradient or squared norm is not finite."""
+    name = _nonfinite_array(params, grads)
+    if name is not None:
+        return name
     for name in ("W1", "W2"):
         w = getattr(params, name)
         if not np.isfinite(np.vdot(w, w)):
@@ -233,35 +235,24 @@ def train(train_data: RatingMatrix, cfg: TrainConfig, bias: BiasTable,
         last_loss = state.history[-1].mean_loss if state.history else None
         for batch, start in enumerate(range(0, order.size, cfg.batch_size)):
             sel = order[start:start + cfg.batch_size]
-            m = sel.size
-            x_tgt = np.zeros((m, n))
-            known = np.zeros((m, n), dtype=bool)
-            corrupted = np.zeros((m, n), dtype=bool)
-            for r, e in enumerate(sel):
-                idx, unit = vectors[e]
-                x_tgt[r, idx] = unit
-                known[r, idx] = True
-                n_hit = int(round(cfg.mask_ratio * idx.size))
-                if n_hit:
-                    hit = rng.choice(idx.size, size=n_hit, replace=False)
-                    corrupted[r, idx[hit]] = True
-            x_in = np.where(known & ~corrupted, x_tgt, 0.0)
+            rows = dense_rows([vectors[e] for e in sel], n, cfg.mask_ratio,
+                              rng)
             batch_side = features[sel] if features is not None else None
-            losses, grads = batch_loss_gradients(params, x_in, x_tgt, known,
-                                                 corrupted, weights,
+            losses, grads = batch_loss_gradients(params, *rows, weights,
                                                  batch_side, sgd=sgd)
             if grads is not None:
-                raise TrainingDiverged(epoch, batch, grads.max_abs(),
+                grad_max = max(float(np.max(np.abs(g))) for g in
+                               (grads.W1, grads.b1, grads.W2, grads.b2))
+                raise TrainingDiverged(epoch, batch, grad_max,
                                        _nonfinite_param(params, grads),
                                        last_loss)
             loss_sum += float(losses.sum())
-            seen += m
+            seen += sel.size
             last_loss = loss_sum / seen
         sgd.fold()
-        if not all(np.all(np.isfinite(a)) for a in
-                   (params.W1, params.b1, params.W2, params.b2)):
-            raise TrainingDiverged(epoch, batch, None,
-                                   _nonfinite_param(params), last_loss)
+        bad = _nonfinite_array(params)
+        if bad is not None:
+            raise TrainingDiverged(epoch, batch, None, bad, last_loss)
 
         record = EpochRecord(epoch, loss_sum / order.size)
         state.history.append(record)
@@ -349,10 +340,7 @@ class MatrixCompleter:
     def _encode_block(self, lo: int) -> np.ndarray:
         """Hidden codes (side columns appended) of entities lo..lo+_CHUNK-1."""
         ids = np.arange(lo, min(lo + self._CHUNK, self._counts.size))
-        x = np.zeros((ids.size, self._n_out))
-        for r, e in enumerate(ids):
-            idx, vals = self._vectors[e]
-            x[r, idx] = vals
+        x = dense_rows([self._vectors[e] for e in ids], self._n_out)
         side = self._features[ids] if self._features is not None else None
         return encode_batch(self.params, x, side)
 
@@ -406,17 +394,22 @@ def save_checkpoint(path, state: TrainState, bias: BiasTable, scaler: Scaler,
         "side_features": side.features if side is not None else np.zeros((0, 0)),
         "side_n_svd": side.n_svd if side is not None else 0,
     }
-    np.savez_compressed(path, **arrays)
+    np.savez(path, **arrays)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Inverse of save_checkpoint; round-trips bit-exactly."""
+    """Inverse of save_checkpoint; round-trips bit-exactly.  Weights that
+    are not finite or whose shapes disagree raise DataError."""
     with np.load(path, allow_pickle=False) as z:
         version = int(z["format_version"])
         if version != CHECKPOINT_VERSION:
             raise DataError(f"unsupported checkpoint version {version}")
         cfg = TrainConfig.from_dict(json.loads(str(z["config_json"])))
         params = AutoencoderParams(z["w1"], z["b1"], z["w2"], z["b2"])
+        try:
+            params.validate()
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from None
         smin, smax, sdisc, sstep = z["scale"]
         scale = RatingScale(float(smin), float(smax), bool(sdisc), float(sstep))
         lo, hi = z["centered_range"]

@@ -238,10 +238,7 @@ def ml1m_corpus(ml1m):
 def _genre_side(tags: TagMatrix):
     """Low-rank embedding of the genre flags plus the raw binary columns."""
     k = min(15, tags.n_tags, tags.n_entities)
-    clipped = tags.counts.copy()
-    clipped.data = np.minimum(clipped.data, 1.0)
-    return build_side_info(svd_embed(tags, k),
-                           TagMatrix(clipped, tags.tag_names))
+    return build_side_info(svd_embed(tags, k), tags.binary())
 
 
 _RUNS: dict = {}

@@ -299,6 +299,28 @@ def test_evaluate_missing_checkpoint_exits_2(workspace, tmp_path):
                  "--data", str(workspace["data"])]) == 2
 
 
+def _with_nan(w):
+    w = w.copy()
+    w.flat[0] = np.nan
+    return w
+
+
+@pytest.mark.parametrize("key,change,message", [
+    pytest.param("w2", _with_nan, "finite", id="nan-w2"),
+    pytest.param("w1", lambda w: w[:, :-1], "narrower", id="narrow-w1"),
+    pytest.param("b1", lambda b: b[:-1], "disagree", id="short-b1"),
+])
+def test_evaluate_bad_weights_exit_2(workspace, tmp_path, capsys, key,
+                                     change, message):
+    with np.load(workspace["model"] / "checkpoint.npz") as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays[key] = change(arrays[key])
+    np.savez(tmp_path / "checkpoint.npz", **arrays)
+    assert main(["evaluate", "--model", str(tmp_path),
+                 "--data", str(workspace["data"])]) == 2
+    assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- predict
 
 def test_predict_known_pair(workspace, capsys):

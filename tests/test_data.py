@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfdae import (DataError, IdMaps, RatingMatrix, RatingScale, SplitSpec,
-                   infer_scale, load_ratings, load_snapshot,
+                   TagMatrix, infer_scale, load_ratings, load_snapshot,
                    load_tag_snapshot, load_tags, save_snapshot,
                    save_tag_snapshot, split)
 
@@ -176,6 +177,14 @@ def test_tag_occurrences_sum(tmp_path):
     path.write_text(lines + "1::5::scary::0\n")
     tags = load_tags(path, "movielens_tags", _ids(["1", "2", "3"], ["5"]))
     assert tags.toarray()[0, tags.tag_names.index("funny")] == 3.0
+
+
+def test_tag_matrix_binary_clips_counts():
+    tags = TagMatrix(sp.csr_matrix([[3.0, 0.0], [1.0, 2.0]]), ("a", "b"))
+    flags = tags.binary()
+    np.testing.assert_array_equal(flags.toarray(), [[1, 0], [1, 1]])
+    assert flags.tag_names == ("a", "b")
+    assert tags.toarray()[0, 0] == 3.0
 
 
 def test_adjacency_symmetric(tmp_path):

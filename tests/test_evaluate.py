@@ -203,6 +203,24 @@ def test_report_round_trips_through_json(tmp_path, synthetic):
     assert loaded["per_cluster"][0]["label"] == "0-20%"
 
 
+def test_report_predicts_each_test_entry_once(synthetic):
+    ratings, scale = synthetic
+    train_m, test_m = split(ratings, SplitSpec(0.8, 0))
+    baseline = bias_baseline(train_m, "item", scale)
+    calls = []
+
+    class Counting:
+        def predict_many(self, users, items):
+            calls.append(len(users))
+            return baseline.predict_many(users, items)
+
+    report = build_report(Counting(), test_m, train_m, by="item")
+    assert calls == [test_m.n_entries]
+    assert report.rmse == rmse(baseline, test_m)
+    assert list(report.per_cluster) == cluster_rmse(baseline, test_m,
+                                                    train_m, by="item")
+
+
 def test_write_cluster_csv(tmp_path):
     # None rmse must serialize as an empty cell
     report = EvalReport(1.0, 3, (ClusterStat("0-50%", 0.5, 2),

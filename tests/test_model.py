@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from cfdae import (AutoencoderParams, CorruptionMask, LossWeights,
                    SparseVector, corrupt, decompose, forward, init_params,
                    loss, loss_gradients)
-from cfdae.model import LazyDecay, batch_loss, batch_loss_gradients
+import cfdae
+from cfdae.model import LazyDecay, batch_loss_gradients, dense_rows
 
 PARAM_FIELDS = ("W1", "b1", "W2", "b2")
 
@@ -383,10 +384,8 @@ def test_batch_matches_single_vector_path():
         corrupted[r, mask.indices] = True
     x_in = np.where(known & ~corrupted, x_tgt, 0.0)
 
-    losses = batch_loss(params, x_in, x_tgt, known, corrupted, weights,
-                        side_rows)
-    _, grads = batch_loss_gradients(params, x_in, x_tgt, known, corrupted,
-                                    weights, side_rows)
+    losses, grads = batch_loss_gradients(params, x_in, x_tgt, known,
+                                         corrupted, weights, side_rows)
     total = {f: np.zeros_like(getattr(params, f)) for f in PARAM_FIELDS}
     for r, (x, x_tilde, mask) in enumerate(singles):
         single = loss(params, x, x_tilde, mask, weights, side_rows[r])
@@ -397,6 +396,35 @@ def test_batch_matches_single_vector_path():
     for f in PARAM_FIELDS:
         np.testing.assert_allclose(getattr(grads, f), total[f],
                                    rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("mask_ratio", [0.0, 0.3, 0.9])
+def test_training_rows_match_per_row_corrupt(mask_ratio):
+    # the batch builder draws each row's corruption exactly as corrupt()
+    # does, in row order, from the same stream
+    rng = np.random.default_rng(8)
+    n = 12
+    vectors = []
+    for n_known in (0, 1, 5, 12, 7):
+        idx = np.sort(rng.choice(n, n_known, replace=False))
+        vectors.append((idx, rng.uniform(-1, 1, n_known)))
+    built = np.random.default_rng(3)
+    x_in, x_tgt, known, corrupted = dense_rows(vectors, n, mask_ratio, built)
+    oracle = np.random.default_rng(3)
+    for r, (idx, vals) in enumerate(vectors):
+        x = SparseVector(n, idx, vals)
+        x_tilde, mask = corrupt(x, mask_ratio, oracle)
+        np.testing.assert_array_equal(np.flatnonzero(corrupted[r]),
+                                      mask.indices)
+        np.testing.assert_array_equal(np.flatnonzero(known[r]), idx)
+        np.testing.assert_array_equal(x_tgt[r], x.to_dense())
+        np.testing.assert_array_equal(x_in[r], x_tilde.to_dense())
+    assert built.random() == oracle.random()  # both streams at one point
+    np.testing.assert_array_equal(dense_rows(vectors, n), x_tgt)
+
+
+def test_package_exports_resolve():
+    assert [name for name in cfdae.__all__ if not hasattr(cfdae, name)] == []
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

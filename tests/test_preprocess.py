@@ -226,11 +226,3 @@ def test_zero_tag_entity_gets_zero_row():
                             _tag_matrix(counts > 0))
     assert np.all(table.features[1] == 0.0)
 
-
-def test_side_table_csv(tmp_path):
-    table = SideInfoTable(np.array([[0.5, -1.25], [2.0, 0.0]]), n_svd=2)
-    path = tmp_path / "side.csv"
-    table.save_csv(path, ids=["a", "b"])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "entity,id,f0,f1"
-    assert lines[1].split(",") == ["0", "a", "0.5", "-1.25"]

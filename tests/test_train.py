@@ -2,6 +2,7 @@
 
 import csv
 import importlib
+import zipfile
 
 import numpy as np
 import pytest
@@ -572,6 +573,26 @@ def test_checkpoint_optional_fields_absent(tmp_path, synthetic):
     assert ckpt.split is None
     assert ckpt.data_fingerprint is None
     assert ckpt.side is None
+
+
+def test_checkpoint_is_stored_and_compressed_ones_still_load(tmp_path,
+                                                             synthetic):
+    ratings, scale = synthetic
+    cfg = small_config(epochs=1)
+    bias, scaler = fitted(ratings, scale, cfg)
+    state = train(ratings, cfg, bias, scaler)
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, state, bias, scaler)
+    with zipfile.ZipFile(path) as zf:
+        assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_STORED}
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    np.savez_compressed(path, **arrays)
+    ckpt = load_checkpoint(path)
+    for f in PARAM_FIELDS:
+        np.testing.assert_array_equal(getattr(ckpt.state.params, f),
+                                      getattr(state.params, f))
+    assert ckpt.state.history == state.history
 
 
 def test_checkpoint_version_gate(tmp_path, synthetic):
