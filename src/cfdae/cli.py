@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .data import (DataError, SplitSpec, RATING_FORMATS,
-                   TAG_FORMATS, load_ratings, load_snapshot,
+                   TAG_FORMATS, atomic_write, load_ratings, load_snapshot,
                    load_tag_snapshot, load_tags, save_snapshot,
                    save_tag_snapshot, split)
 from .evaluate import (_write_rows, bias_baseline, build_report,
@@ -111,7 +111,7 @@ def _write_manifest(out_dir: Path, command: str, args, config: dict,
         "finished": _now(),
     }
     path = out_dir / f"manifest_{command}.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     return path
@@ -185,7 +185,7 @@ def cmd_ingest(args) -> int:
         inputs.append(args.tags)
         stats["tags"] = {"entity": entity, "n_tags": tags.n_tags,
                          "nnz": int(tags.counts.nnz)}
-    with open(out / "stats.json", "w", encoding="utf-8") as fh:
+    with atomic_write(out / "stats.json", encoding="utf-8") as fh:
         json.dump(stats, fh, indent=2)
         fh.write("\n")
     outputs.append(out / "stats.json")
@@ -281,7 +281,7 @@ def cmd_evaluate(args) -> int:
     payload["baseline_rmse"] = base_rmse
     payload["improvement_pct_vs_baseline"] = improvement_pct(base_rmse,
                                                              report.rmse)
-    with open(report_path, "w", encoding="utf-8") as fh:
+    with atomic_write(report_path, encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     clusters_path = out / "clusters.csv"

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import logging
+import os
+import secrets
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -22,6 +25,22 @@ SNAPSHOT_VERSION = 1
 
 class DataError(ValueError):
     """Malformed or inconsistent input data."""
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w", **kwargs):
+    """Open a new temporary file beside path and move it onto path when the
+    block ends, so that path holds either its old content or the whole new
+    one.  If the block raises, the temporary file is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x"), **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass(frozen=True)
@@ -479,19 +498,20 @@ def _take(ratings: RatingMatrix, idx: np.ndarray) -> RatingMatrix:
 
 def save_snapshot(path, ratings: RatingMatrix, scale: RatingScale, ids: IdMaps):
     """Write a lossless .npz snapshot of a loaded dataset."""
-    np.savez_compressed(
-        path,
-        format_version=SNAPSHOT_VERSION,
-        n_users=ratings.n_users,
-        n_items=ratings.n_items,
-        users=ratings.users,
-        items=ratings.items,
-        values=ratings.ratings,
-        scale=np.array([scale.min_rating, scale.max_rating,
-                        float(scale.is_discrete), scale.step]),
-        user_ids=np.asarray(ids.user_ids),
-        item_ids=np.asarray(ids.item_ids),
-    )
+    with atomic_write(path, "wb") as fh:
+        np.savez_compressed(
+            fh,
+            format_version=SNAPSHOT_VERSION,
+            n_users=ratings.n_users,
+            n_items=ratings.n_items,
+            users=ratings.users,
+            items=ratings.items,
+            values=ratings.ratings,
+            scale=np.array([scale.min_rating, scale.max_rating,
+                            float(scale.is_discrete), scale.step]),
+            user_ids=np.asarray(ids.user_ids),
+            item_ids=np.asarray(ids.item_ids),
+        )
 
 
 def load_snapshot(path):
@@ -515,17 +535,18 @@ def save_tag_snapshot(path, tags: TagMatrix, entity: str = "item"):
         raise DataError(f"unknown tag entity {entity!r}")
     coo = tags.counts.tocoo()
     names = np.asarray(tags.tag_names if tags.tag_names is not None else [])
-    np.savez_compressed(
-        path,
-        format_version=SNAPSHOT_VERSION,
-        shape=np.int64(tags.counts.shape),
-        row=coo.row.astype(np.int64),
-        col=coo.col.astype(np.int64),
-        data=coo.data.astype(np.float64),
-        tag_names=names,
-        has_names=tags.tag_names is not None,
-        entity=entity,
-    )
+    with atomic_write(path, "wb") as fh:
+        np.savez_compressed(
+            fh,
+            format_version=SNAPSHOT_VERSION,
+            shape=np.int64(tags.counts.shape),
+            row=coo.row.astype(np.int64),
+            col=coo.col.astype(np.int64),
+            data=coo.data.astype(np.float64),
+            tag_names=names,
+            has_names=tags.tag_names is not None,
+            entity=entity,
+        )
 
 
 def load_tag_snapshot(path):

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import RatingMatrix, RatingScale, SplitSpec, split
+from .data import RatingMatrix, RatingScale, SplitSpec, atomic_write, split
 from .preprocess import BiasTable, fit_bias, fit_scaler
 from .train import TrainConfig, complete_matrix, train
 
@@ -158,7 +158,7 @@ class EvalReport:
                 "config_digest": self.config_digest, "seed": self.seed}
 
     def save_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2)
             fh.write("\n")
 
@@ -184,7 +184,7 @@ def build_report(predictor, test: RatingMatrix, train_data: RatingMatrix,
 
 
 def write_cluster_csv(path, report: EvalReport):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["cluster", "rmse", "n_entries"])
         for c in report.per_cluster:
@@ -260,7 +260,7 @@ def sweep_dae(ratings: RatingMatrix, scale: RatingScale, recon_weights,
 
 
 def _write_rows(path, fieldnames, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         for row in rows:

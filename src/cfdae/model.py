@@ -154,14 +154,26 @@ def _check_side(params: AutoencoderParams, side) -> np.ndarray | None:
     return side
 
 
+def _active(params: AutoencoderParams, cols: np.ndarray | None):
+    """Indices of the weights that a batch on the coordinates cols reads:
+    W1's columns of cols and of the side inputs, and W2's (and b2's) rows
+    of cols.  Ellipsis, all of them, when cols is None."""
+    if cols is None:
+        return Ellipsis, Ellipsis
+    side = np.arange(params.n, params.W1.shape[1])
+    return (slice(None), np.concatenate([cols, side])), cols
+
+
 def encode_batch(params: AutoencoderParams, x: np.ndarray,
-                 side: np.ndarray | None = None) -> np.ndarray:
-    """Hidden codes of a batch of dense rows, with the side columns the
-    decoder reads appended."""
-    if x.shape[1] != params.n:
-        raise ValueError(f"input dim {x.shape[1]} != network dim {params.n}")
+                 side: np.ndarray | None = None,
+                 cols: np.ndarray | None = None) -> np.ndarray:
+    """Hidden codes of a batch of rows, dense over the coordinates cols
+    (all n when None), with the side columns the decoder reads appended."""
+    width = params.n if cols is None else cols.size
+    if x.shape[1] != width:
+        raise ValueError(f"input dim {x.shape[1]} != batch width {width}")
     xin = np.hstack([x, side]) if params.p_in else x
-    h = np.tanh(xin @ params.W1.T + params.b1)
+    h = np.tanh(xin @ params.W1[_active(params, cols)[0]].T + params.b1)
     return np.hstack([h, side]) if params.p_hidden else h
 
 
@@ -186,23 +198,43 @@ def draw_corrupted(n_known: int, mask_ratio: float,
     return rng.choice(n_known, size=n_corrupt, replace=False)
 
 
+# Per weight column, a batch of m rows costs about m + DENSE_COST units on
+# all n coordinates, and m + ACTIVE_COST on its active ones, whose weights
+# it gathers and scatters back.  So it runs on the active ones while they
+# are at most (m + DENSE_COST) / (m + ACTIVE_COST) of n: 0.35 at m = 32,
+# 0.65 at m = 256 (fitted to the SGD step and the encoder; see CHANGES.md).
+DENSE_COST, ACTIVE_COST = 60, 230
+
+
 def dense_rows(vectors, n: int, mask_ratio: float = 0.0,
                rng: np.random.Generator | None = None):
-    """Dense rows of (indices, values) vectors.  With an rng, each row in
-    turn also corrupts draw_corrupted(n_known, mask_ratio, rng) of its
-    entries, giving the batch_loss_gradients batch (x_in, x_target, known,
-    corrupted)."""
-    x = np.zeros((len(vectors), n))
+    """Rows of (indices, values) vectors, dense over the batch's active
+    coordinates cols: the sorted union of their indices, or None (all n)
+    when running on all n costs less (see DENSE_COST).
+
+    Returns (cols, x).  With an rng, each row in turn also corrupts
+    draw_corrupted(n_known, mask_ratio, rng) of its entries, and the
+    return is (cols, x_in, x_target, known, corrupted), the batch that
+    batch_loss_gradients takes with cols=cols.
+    """
+    m = len(vectors)
+    known_any = np.zeros(n, dtype=bool)
+    known_any[np.concatenate([idx for idx, _ in vectors])] = True
+    cols = np.flatnonzero(known_any)
+    if cols.size * (m + ACTIVE_COST) > n * (m + DENSE_COST):
+        cols = None
+    x = np.zeros((m, n if cols is None else cols.size))
     known = np.zeros(x.shape, dtype=bool)
     corrupted = np.zeros(x.shape, dtype=bool)
     for r, (idx, vals) in enumerate(vectors):
-        x[r, idx] = vals
+        pos = idx if cols is None else np.searchsorted(cols, idx)
+        x[r, pos] = vals
         if rng is not None:
-            known[r, idx] = True
-            corrupted[r, idx[draw_corrupted(idx.size, mask_ratio, rng)]] = True
+            known[r, pos] = True
+            corrupted[r, pos[draw_corrupted(pos.size, mask_ratio, rng)]] = True
     if rng is None:
-        return x
-    return np.where(known & ~corrupted, x, 0.0), x, known, corrupted
+        return cols, x
+    return cols, np.where(known & ~corrupted, x, 0.0), x, known, corrupted
 
 
 def corrupt(x: SparseVector, mask_ratio: float, rng: np.random.Generator):
@@ -257,47 +289,62 @@ class LazyDecay:
         """Apply one SGD step in place; False, with nothing changed, if the
         losses or the step are not finite.
 
-        factors holds (a, delta, z) per weight matrix: its data gradient is
-        rank m, g = delta.T @ a, so <V, g> is sum(delta * z), z = a @ V.T
-        being the forward pass's pre-activation, and ||g||^2 is
+        factors holds (at, w, a, delta, z) per weight matrix, w = V[at]
+        being the part of V that the batch read (see _active).  The data
+        gradient is zero outside that part and rank m inside it, g =
+        delta.T @ a, so only w's entries move: the decay of the rest lives
+        in the scale.  <V, g> is sum(delta * z), z = a @ w.T being the
+        forward pass's pre-activation, and ||g||^2 is
         sum((delta delta.T) * (a a.T)); neither reads V.
         """
-        ips = [float(np.vdot(d, z)) for _, d, z in factors]
-        ggs = [float(np.vdot(d @ d.T, a @ a.T)) for a, d, _ in factors]
+        ips = [float(np.vdot(d, z)) for *_, d, z in factors]
+        ggs = [float(np.vdot(d @ d.T, a @ a.T)) for *_, a, d, _ in factors]
         if not (np.all(np.isfinite(losses))
                 and all(map(math.isfinite, ips + ggs))):
             return False
         params = self.params
         rate = self.lr / losses.size
         decay = 1.0 - 2.0 * l2 * self.lr
-        for k, (v, (a, d, _)) in enumerate(zip((params.W1, params.W2),
-                                               factors)):
+        for k, (v, (at, w, a, d, _)) in enumerate(zip((params.W1, params.W2),
+                                                      factors)):
             scale = self.scales[k] * decay
             if not 1.0 / _RESCALE <= abs(scale) <= _RESCALE:
                 self._fold(k, v, scale)
                 ips[k] *= scale
                 scale = 1.0
+                w = v[at]
             step = rate / scale
-            # v -= step * d.T @ a, written through the transposed view
-            out = dgemm(-step, a.T, d.T, beta=1.0, c=v.T, trans_b=1,
-                        overwrite_c=1)
-            if not np.may_share_memory(out, v):  # v not C-contiguous float64
-                v[...] = out.T
+            # w -= step * d.T @ a, in place through whichever of w and w.T
+            # is Fortran-ordered
+            if w.flags.f_contiguous:
+                out = dgemm(-step, d, a, beta=1.0, c=w, trans_a=1,
+                            overwrite_c=1)
+            else:
+                out = dgemm(-step, a.T, d.T, beta=1.0, c=w.T, trans_b=1,
+                            overwrite_c=1).T
+            if not np.may_share_memory(out, v):  # gathered, or a copy
+                v[at] = out
             self.scales[k] = scale
             self.sq_norms[k] += step * (step * ggs[k] - 2.0 * ips[k])
-        params.b1 -= rate * factors[0][1].sum(axis=0)
-        params.b2 -= rate * factors[1][1].sum(axis=0)
+        (_, _, _, delta1, _), (at2, _, _, delta2, _) = factors
+        params.b1 -= rate * delta1.sum(axis=0)
+        params.b2[at2] -= rate * delta2.sum(axis=0)
         return True
 
 
 def batch_loss_gradients(params, x_in, x_target, known, corrupted, weights,
-                         side=None, *, sgd: LazyDecay | None = None):
+                         side=None, *, cols: np.ndarray | None = None,
+                         sgd: LazyDecay | None = None):
     """Per-sample losses and, as an AutoencoderParams, the gradient summed
     over the batch.
 
-    The two squared-error sums (over corrupted and over intact known
-    entries) are accumulated separately and only then weighted, so the
-    loss is exactly linear in the two weights.
+    The batch arrays are dense over the coordinates cols (all n when
+    None, as dense_rows returns them); the forward and backward passes
+    read only the weights of those coordinates, since missing inputs are
+    zero and missing outputs carry no error.  The two squared-error sums
+    (over corrupted and over intact known entries) are accumulated
+    separately and only then weighted, so the loss is exactly linear in
+    the two weights.
 
     With ``sgd``, params holds sgd's scaled matrices and the kernel takes
     the SGD step itself, in place, at rate sgd.lr / batch size: it returns
@@ -305,13 +352,15 @@ def batch_loss_gradients(params, x_in, x_target, known, corrupted, weights,
     step, folds sgd, and returns the gradient at the true weights instead.
     """
     s1, s2 = (1.0, 1.0) if sgd is None else sgd.scales
+    at1, at2 = _active(params, cols)
+    w1, w2 = params.W1[at1], params.W2[at2]
     xin = np.hstack([x_in, side]) if params.p_in else x_in
-    z1 = xin @ params.W1.T
+    z1 = xin @ w1.T
     h = np.tanh(s1 * z1 + params.b1)
     hin = np.hstack([h, side]) if params.p_hidden else h
-    z2 = hin @ params.W2.T
+    z2 = hin @ w2.T
     out = s2 * z2
-    out += params.b2
+    out += params.b2[at2]
     np.tanh(out, out=out)
 
     err = out - x_target
@@ -329,7 +378,7 @@ def batch_loss_gradients(params, x_in, x_target, known, corrupted, weights,
     table = np.array([0.0, 2.0 * weights.reconstruction,
                       2.0 * weights.prediction])
     delta2 *= table[2 * corrupted.view(np.uint8) + intact.view(np.uint8)]
-    dh = s2 * (delta2 @ params.W2[:, :params.hidden])
+    dh = s2 * (delta2 @ w2[:, :params.hidden])
     delta1 = dh * (1.0 - h ** 2)
 
     if weights.l2:
@@ -339,19 +388,21 @@ def batch_loss_gradients(params, x_in, x_target, known, corrupted, weights,
             sq_w = s1 * s1 * sgd.sq_norms[0] + s2 * s2 * sgd.sq_norms[1]
         losses = losses + weights.l2 * sq_w
     if sgd is not None:
-        factors = ((xin, delta1, z1), (hin, delta2, z2))
+        factors = ((at1, w1, xin, delta1, z1), (at2, w2, hin, delta2, z2))
         if sgd.step(weights.l2, losses, factors):
             return losses, None
         sgd.fold()
 
-    g_w2 = delta2.T @ hin
-    g_w1 = delta1.T @ xin
+    grads = AutoencoderParams(np.zeros_like(params.W1), delta1.sum(axis=0),
+                              np.zeros_like(params.W2), np.zeros(params.n))
+    grads.W1[at1] = delta1.T @ xin
+    grads.W2[at2] = delta2.T @ hin
+    grads.b2[at2] = delta2.sum(axis=0)
     if weights.l2:
         n_samples = x_in.shape[0]
-        g_w1 += (2.0 * weights.l2 * n_samples) * params.W1
-        g_w2 += (2.0 * weights.l2 * n_samples) * params.W2
-    return losses, AutoencoderParams(g_w1, delta1.sum(axis=0), g_w2,
-                                     delta2.sum(axis=0))
+        grads.W1 += (2.0 * weights.l2 * n_samples) * params.W1
+        grads.W2 += (2.0 * weights.l2 * n_samples) * params.W2
+    return losses, grads
 
 
 def _single_vector(params: AutoencoderParams, x: SparseVector,

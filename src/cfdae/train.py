@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, RatingMatrix, RatingScale, SplitSpec
+from .data import (DataError, RatingMatrix, RatingScale, SplitSpec,
+                   atomic_write)
 from .model import (AutoencoderParams, LazyDecay, LossWeights,
                     batch_loss_gradients, dense_rows, draw_corrupted,
                     encode_batch, init_params)
@@ -235,11 +236,12 @@ def train(train_data: RatingMatrix, cfg: TrainConfig, bias: BiasTable,
         last_loss = state.history[-1].mean_loss if state.history else None
         for batch, start in enumerate(range(0, order.size, cfg.batch_size)):
             sel = order[start:start + cfg.batch_size]
-            rows = dense_rows([vectors[e] for e in sel], n, cfg.mask_ratio,
-                              rng)
+            cols, *rows = dense_rows([vectors[e] for e in sel], n,
+                                     cfg.mask_ratio, rng)
             batch_side = features[sel] if features is not None else None
             losses, grads = batch_loss_gradients(params, *rows, weights,
-                                                 batch_side, sgd=sgd)
+                                                 batch_side, cols=cols,
+                                                 sgd=sgd)
             if grads is not None:
                 grad_max = max(float(np.max(np.abs(g))) for g in
                                (grads.W1, grads.b1, grads.W2, grads.b2))
@@ -340,9 +342,9 @@ class MatrixCompleter:
     def _encode_block(self, lo: int) -> np.ndarray:
         """Hidden codes (side columns appended) of entities lo..lo+_CHUNK-1."""
         ids = np.arange(lo, min(lo + self._CHUNK, self._counts.size))
-        x = dense_rows([self._vectors[e] for e in ids], self._n_out)
+        cols, x = dense_rows([self._vectors[e] for e in ids], self._n_out)
         side = self._features[ids] if self._features is not None else None
-        return encode_batch(self.params, x, side)
+        return encode_batch(self.params, x, side, cols)
 
 
 def complete_matrix(train_data: RatingMatrix, state: TrainState,
@@ -394,21 +396,23 @@ def save_checkpoint(path, state: TrainState, bias: BiasTable, scaler: Scaler,
         "side_features": side.features if side is not None else np.zeros((0, 0)),
         "side_n_svd": side.n_svd if side is not None else 0,
     }
-    np.savez(path, **arrays)
+    with atomic_write(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Inverse of save_checkpoint; round-trips bit-exactly.  Weights that
-    are not finite or whose shapes disagree raise DataError."""
+    """Inverse of save_checkpoint; round-trips bit-exactly.  A stored
+    config that does not parse or validate, and weights that are not
+    finite or whose shapes disagree, raise DataError."""
     with np.load(path, allow_pickle=False) as z:
         version = int(z["format_version"])
         if version != CHECKPOINT_VERSION:
             raise DataError(f"unsupported checkpoint version {version}")
-        cfg = TrainConfig.from_dict(json.loads(str(z["config_json"])))
         params = AutoencoderParams(z["w1"], z["b1"], z["w2"], z["b2"])
         try:
+            cfg = TrainConfig.from_dict(json.loads(str(z["config_json"])))
             params.validate()
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise DataError(f"{path}: {exc}") from None
         smin, smax, sdisc, sstep = z["scale"]
         scale = RatingScale(float(smin), float(smax), bool(sdisc), float(sstep))
@@ -436,7 +440,7 @@ def load_checkpoint(path) -> Checkpoint:
 
 def write_loss_curve(path, history: list[EpochRecord]):
     """CSV of the training curve: epoch,loss,rmse (rmse blank if absent)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         fh.write("epoch,loss,rmse\n")
         for rec in history:
             rmse = "" if rec.rmse is None else repr(rec.rmse)

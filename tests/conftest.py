@@ -61,6 +61,13 @@ def synthetic():
 
 
 @pytest.fixture
+def sparse_synthetic():
+    """So sparse that training batches and the completer's 256-entity
+    blocks know few enough coordinates to run on those alone."""
+    return make_synthetic(n_users=1000, n_items=800, density=0.002)
+
+
+@pytest.fixture
 def toy_ratings():
     """4 users x 5 items, hand-enumerable."""
     users = [0, 0, 0, 1, 1, 2, 2, 2, 3]

@@ -321,6 +321,28 @@ def test_evaluate_bad_weights_exit_2(workspace, tmp_path, capsys, key,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+@pytest.mark.parametrize("change,message", [
+    pytest.param(lambda c: json.dumps({**c, "mask_ratio": 1.5}),
+                 "mask_ratio", id="mask-ratio"),
+    pytest.param(lambda c: json.dumps({**c, "dropout": 0.1}),
+                 "unknown config keys", id="unknown-key"),
+    pytest.param(lambda c: json.dumps(c)[:-1], "Expecting", id="malformed"),
+])
+def test_bad_stored_config_exits_2(workspace, tmp_path, capsys, command,
+                                   change, message):
+    with np.load(workspace["model"] / "checkpoint.npz") as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays["config_json"] = change(json.loads(str(arrays["config_json"])))
+    np.savez(tmp_path / "checkpoint.npz", **arrays)
+    argv = [command, "--model", str(tmp_path), "--data",
+            str(workspace["data"])]
+    if command == "predict":
+        argv += ["--user", "1", "--item", "1"]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- predict
 
 def test_predict_known_pair(workspace, capsys):

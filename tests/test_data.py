@@ -10,6 +10,7 @@ from cfdae import (DataError, IdMaps, RatingMatrix, RatingScale, SplitSpec,
                    TagMatrix, infer_scale, load_ratings, load_snapshot,
                    load_tag_snapshot, load_tags, save_snapshot,
                    save_tag_snapshot, split)
+from cfdae.data import atomic_write
 
 
 # ------------------------------------------------------------- RatingScale
@@ -290,3 +291,18 @@ def test_snapshot_version_check(tmp_path, toy_ratings):
     np.savez(path, **arrays)
     with pytest.raises(DataError, match="version"):
         load_snapshot(path)
+
+
+def test_atomic_write_replaces_whole_or_not_at_all(tmp_path):
+    path = tmp_path / "artifact.json"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_write(path, encoding="utf-8") as fh:
+            fh.write("half of the new")
+            raise RuntimeError("killed part-way")
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
+    with atomic_write(path, encoding="utf-8") as fh:
+        fh.write("new\n")
+    assert path.read_text() == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]

@@ -401,26 +401,39 @@ def test_batch_matches_single_vector_path():
 @pytest.mark.parametrize("mask_ratio", [0.0, 0.3, 0.9])
 def test_training_rows_match_per_row_corrupt(mask_ratio):
     # the batch builder draws each row's corruption exactly as corrupt()
-    # does, in row order, from the same stream
+    # does, in row order, from the same stream, on all coordinates (n=12)
+    # and on the active ones (n=200)
     rng = np.random.default_rng(8)
-    n = 12
     vectors = []
     for n_known in (0, 1, 5, 12, 7):
-        idx = np.sort(rng.choice(n, n_known, replace=False))
+        idx = np.sort(rng.choice(12, n_known, replace=False))
         vectors.append((idx, rng.uniform(-1, 1, n_known)))
-    built = np.random.default_rng(3)
-    x_in, x_tgt, known, corrupted = dense_rows(vectors, n, mask_ratio, built)
-    oracle = np.random.default_rng(3)
-    for r, (idx, vals) in enumerate(vectors):
-        x = SparseVector(n, idx, vals)
-        x_tilde, mask = corrupt(x, mask_ratio, oracle)
-        np.testing.assert_array_equal(np.flatnonzero(corrupted[r]),
-                                      mask.indices)
-        np.testing.assert_array_equal(np.flatnonzero(known[r]), idx)
-        np.testing.assert_array_equal(x_tgt[r], x.to_dense())
-        np.testing.assert_array_equal(x_in[r], x_tilde.to_dense())
-    assert built.random() == oracle.random()  # both streams at one point
-    np.testing.assert_array_equal(dense_rows(vectors, n), x_tgt)
+    for n in (12, 200):
+        built = np.random.default_rng(3)
+        cols, *rows = dense_rows(vectors, n, mask_ratio, built)
+        assert (cols is None) == (n == 12)
+        at = np.arange(n) if cols is None else cols
+        x_in, x_tgt, known, corrupted = (_scatter(a, at, n) for a in rows)
+        oracle = np.random.default_rng(3)
+        for r, (idx, vals) in enumerate(vectors):
+            x = SparseVector(n, idx, vals)
+            x_tilde, mask = corrupt(x, mask_ratio, oracle)
+            np.testing.assert_array_equal(np.flatnonzero(corrupted[r]),
+                                          mask.indices)
+            np.testing.assert_array_equal(np.flatnonzero(known[r]), idx)
+            np.testing.assert_array_equal(x_tgt[r], x.to_dense())
+            np.testing.assert_array_equal(x_in[r], x_tilde.to_dense())
+        assert built.random() == oracle.random()  # both streams at one point
+        plain_cols, plain = dense_rows(vectors, n)
+        assert plain_cols is cols or np.array_equal(plain_cols, cols)
+        np.testing.assert_array_equal(plain, rows[1])
+
+
+def _scatter(a, cols, n):
+    """Rows dense over cols spread back onto all n coordinates."""
+    full = np.zeros((a.shape[0], n), dtype=a.dtype)
+    full[:, cols] = a
+    return full
 
 
 def test_package_exports_resolve():
@@ -465,6 +478,47 @@ def test_sgd_step_matches_explicit_update(lr, l2, order):
         assert getattr(params, f) is arr
         np.testing.assert_allclose(arr, getattr(ref, f), rtol=1e-9,
                                    atol=1e-12)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("lr,l2", [
+    pytest.param(0.3, 0.02, id="decay"),
+    pytest.param(2.0, 0.25, id="decay-to-zero"),
+    pytest.param(1.0, 1e20, id="scale-folded"),
+])
+def test_active_step_matches_dense_step(lr, l2, order):
+    # three steps on each batch's known coordinates against the same steps
+    # on all of them: only the order of BLAS sums may differ
+    rng = np.random.default_rng(6)
+    n, hidden, p, m = 30, 4, 2, 5
+    dense = init_params(n, hidden, p_in=p, p_hidden=p, seed=4)
+    dense.W1 = np.asarray(dense.W1, order=order)
+    dense.W2 = np.asarray(dense.W2, order=order)
+    active = dense.copy()
+    active.W1 = np.asarray(active.W1, order=order)
+    active.W2 = np.asarray(active.W2, order=order)
+    weights = LossWeights(1.0, 0.5, l2)
+    sgds = LazyDecay(dense, lr=lr), LazyDecay(active, lr=lr)
+    for _ in range(3):
+        vectors = [(np.sort(rng.choice(n, k, replace=False)),
+                    rng.uniform(-1, 1, k)) for k in rng.integers(1, 3, m)]
+        side = rng.uniform(-1, 1, (m, p))
+        cols, *rows = dense_rows(vectors, n, 0.4, np.random.default_rng(1))
+        assert cols is not None and cols.size < n
+        full = [_scatter(a, cols, n) for a in rows]
+        want, _ = batch_loss_gradients(dense, *full, weights, side,
+                                       sgd=sgds[0])
+        got, _ = batch_loss_gradients(active, *rows, weights, side,
+                                      cols=cols, sgd=sgds[1])
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        assert sgds[1].scales == sgds[0].scales
+        np.testing.assert_allclose(sgds[1].sq_norms, sgds[0].sq_norms,
+                                   rtol=1e-12)
+    for sgd in sgds:
+        sgd.fold()
+    for f in PARAM_FIELDS:
+        np.testing.assert_allclose(getattr(active, f), getattr(dense, f),
+                                   rtol=1e-12, atol=1e-300)
 
 
 # -------------------------------------------------------------- decompose

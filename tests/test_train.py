@@ -14,7 +14,7 @@ from cfdae import (BiasTable, CorruptionMask, DataError, LossWeights,
                    init_params, learning_rate, load_checkpoint, loss,
                    save_checkpoint, split, train, transform,
                    write_loss_curve)
-from cfdae.model import batch_loss_gradients
+from cfdae.model import batch_loss_gradients, encode_batch
 from cfdae.train import EpochRecord, MatrixCompleter
 
 # cfdae re-exports the function train(), which hides the submodule attribute
@@ -119,18 +119,20 @@ def test_learning_rate_schedule():
 
 # ------------------------------------------------------------ train loop
 
-def test_train_is_deterministic(synthetic):
-    ratings, scale = synthetic
-    cfg = small_config()
-    runs = []
-    for _ in range(2):
-        bias, scaler = fitted(ratings, scale, cfg)
-        runs.append(train(ratings, cfg, bias, scaler))
-    a, b = runs
-    for f in PARAM_FIELDS:
-        np.testing.assert_array_equal(getattr(a.params, f),
-                                      getattr(b.params, f))
-    assert [r.mean_loss for r in a.history] == [r.mean_loss for r in b.history]
+def test_train_is_deterministic(synthetic, sparse_synthetic):
+    # on all coordinates (synthetic) and on each batch's active ones
+    for ratings, scale in (synthetic, sparse_synthetic):
+        cfg = small_config()
+        runs = []
+        for _ in range(2):
+            bias, scaler = fitted(ratings, scale, cfg)
+            runs.append(train(ratings, cfg, bias, scaler))
+        a, b = runs
+        for f in PARAM_FIELDS:
+            np.testing.assert_array_equal(getattr(a.params, f),
+                                          getattr(b.params, f))
+        assert ([r.mean_loss for r in a.history]
+                == [r.mean_loss for r in b.history])
 
 
 def test_train_updates_parameters(synthetic):
@@ -233,16 +235,21 @@ def test_train_never_reads_test_entries(synthetic):
     assert train_part.reads > 0
 
 
-@pytest.mark.parametrize("lr0,batch", [
-    pytest.param(1e308, 1, id="lr1e308"),
-    pytest.param(1e200, 1, id="lr1e200"),
-    pytest.param(1e30, 6, id="lr1e30"),
+@pytest.mark.parametrize("data,orientation,lr0,batch", [
+    pytest.param("synthetic", "item", 1e308, 1, id="lr1e308"),
+    pytest.param("synthetic", "item", 1e200, 1, id="lr1e200"),
+    pytest.param("synthetic", "item", 1e30, 6, id="lr1e30"),
+    pytest.param("sparse_synthetic", "item", 1e308, 1, id="sparse-lr1e308"),
+    pytest.param("sparse_synthetic", "item", 1e30, 6, id="sparse-lr1e30"),
+    pytest.param("sparse_synthetic", "user", 1e10, 22, id="sparse-user-lr1e10"),
 ])
-def test_training_diverges_cleanly(synthetic, lr0, batch):
+def test_training_diverges_cleanly(request, data, orientation, lr0, batch):
     # the batch is where an explicit-decay SGD loop, checking every loss
-    # and every entry of the gradient, first sees a non-finite value
-    ratings, scale = synthetic
-    cfg = small_config(lr0=lr0, epochs=2, batch_size=1)
+    # and every entry of the gradient, first sees a non-finite value (on
+    # sparse_synthetic every batch runs on its active coordinates)
+    ratings, scale = request.getfixturevalue(data)
+    cfg = small_config(lr0=lr0, epochs=2, batch_size=1,
+                       orientation=orientation)
     bias, scaler = fitted(ratings, scale, cfg)
     with pytest.raises(TrainingDiverged) as err, \
             np.errstate(over="ignore", invalid="ignore"):
@@ -299,20 +306,33 @@ def test_train_steps_the_initial_arrays_in_place(synthetic, monkeypatch):
                                   getattr(fresh, f))
 
 
-@pytest.mark.parametrize("orientation", ["item", "user"])
-def test_lazy_decay_matches_explicit_sgd(synthetic, monkeypatch, tmp_path,
-                                         orientation):
-    """train() against an SGD loop that decays every weight on each step."""
-    ratings, scale = synthetic
-    cfg = small_config(orientation=orientation, side_info="both", epochs=3,
-                       weight_decay=0.02)
+def _on_all_coordinates(args, cols, n):
+    """A batch_loss_gradients batch on cols spread onto all n coordinates."""
+    if cols is None:
+        return args
+    spread = []
+    for a in args[:4]:
+        full = np.zeros((a.shape[0], n), dtype=a.dtype)
+        full[:, cols] = a
+        spread.append(full)
+    return (*spread, *args[4:])
+
+
+def _check_lazy_decay(ratings, scale, cfg, monkeypatch, tmp_path):
+    """train() against an SGD loop that decays every weight on each step,
+    over the oracle kernel on all coordinates; returns each batch's cols."""
     bias, scaler = fitted(ratings, scale, cfg)
-    by_item = orientation == "item"
-    side = side_table(ratings.n_items if by_item else ratings.n_users, 3)
-    batches, hooked = [], []
+    by_item = cfg.orientation == "item"
+    n = ratings.n_users if by_item else ratings.n_items
+    side = None
+    if cfg.side_info != "none":
+        side = side_table(ratings.n_items if by_item else ratings.n_users, 3)
+    batches, hooked, seen_cols = [], [], []
 
     def spy(params, *args, **kwargs):
-        batches.append((len(hooked), args))
+        seen_cols.append(kwargs["cols"])
+        batches.append((len(hooked),
+                        _on_all_coordinates(args, kwargs["cols"], n)))
         return batch_loss_gradients(params, *args, **kwargs)
 
     def hook(state):
@@ -322,8 +342,8 @@ def test_lazy_decay_matches_explicit_sgd(synthetic, monkeypatch, tmp_path,
     state = train(ratings, cfg, bias, scaler, side=side, eval_hook=hook,
                   checkpoint_dir=tmp_path)
 
-    n = ratings.n_users if by_item else ratings.n_items
-    ref = init_params(n, cfg.hidden, 3, 3, seed=cfg.seed)
+    ref = init_params(n, cfg.hidden, state.params.p_in, state.params.p_hidden,
+                      seed=cfg.seed)
     per_epoch, sums, counts = [], np.zeros(cfg.epochs), np.zeros(cfg.epochs)
     for k, (epoch, args) in enumerate(batches):
         losses, grads = batch_loss_gradients(ref, *args)
@@ -347,6 +367,65 @@ def test_lazy_decay_matches_explicit_sgd(synthetic, monkeypatch, tmp_path,
     for f in PARAM_FIELDS:
         np.testing.assert_array_equal(getattr(state.params, f),
                                       getattr(hooked[-1], f))
+    return seen_cols
+
+
+@pytest.mark.parametrize("orientation", ["item", "user"])
+def test_lazy_decay_matches_explicit_sgd(synthetic, monkeypatch, tmp_path,
+                                         orientation):
+    ratings, scale = synthetic
+    cfg = small_config(orientation=orientation, side_info="both", epochs=3,
+                       weight_decay=0.02)
+    seen_cols = _check_lazy_decay(ratings, scale, cfg, monkeypatch, tmp_path)
+    assert all(cols is None for cols in seen_cols)
+
+
+@pytest.mark.parametrize("side_info", ["none", "input_only", "hidden_only",
+                                       "both"])
+@pytest.mark.parametrize("orientation", ["item", "user"])
+def test_lazy_decay_matches_explicit_sgd_on_active_columns(
+        sparse_synthetic, monkeypatch, tmp_path, orientation, side_info):
+    ratings, scale = sparse_synthetic
+    cfg = small_config(orientation=orientation, side_info=side_info,
+                       epochs=3, weight_decay=0.02)
+    seen_cols = _check_lazy_decay(ratings, scale, cfg, monkeypatch, tmp_path)
+    assert all(cols is not None for cols in seen_cols)
+
+
+@pytest.mark.parametrize("data,active", [("synthetic", False),
+                                         ("sparse_synthetic", True)])
+def test_batches_choose_their_coordinates(request, monkeypatch, data,
+                                          active):
+    # the SGD step and the completer's encoder run on each batch's known
+    # coordinates on the sparse fixture, on all of them on the dense one
+    ratings, scale = request.getfixturevalue(data)
+    cfg = small_config(epochs=1)
+    bias, scaler = fitted(ratings, scale, cfg)
+    steps, blocks = [], []
+
+    def step_spy(*args, **kwargs):
+        steps.append(kwargs["cols"])
+        return batch_loss_gradients(*args, **kwargs)
+
+    def encode_spy(params, x, side, cols):
+        blocks.append(cols)
+        return encode_batch(params, x, side, cols)
+
+    monkeypatch.setattr(train_module, "batch_loss_gradients", step_spy)
+    monkeypatch.setattr(train_module, "encode_batch", encode_spy)
+    state = train(ratings, cfg, bias, scaler)
+    got = complete_matrix(ratings, state, bias, scaler).predict_many(
+        ratings.users, ratings.items)
+    assert steps and blocks
+    assert all((cols is not None) == active for cols in steps + blocks)
+    for k in range(0, ratings.n_entries, ratings.n_entries // 20):
+        user, item = ratings.users[k], ratings.items[k]
+        idx, raw = ratings.col(item)
+        unit = np.atleast_1d(transform(raw, item, bias, scaler))
+        out = forward(state.params, SparseVector(ratings.n_users, idx, unit))
+        centered = scaler.from_unit(out[user:user + 1])[0]
+        assert got[k] == pytest.approx(
+            scale.clamp(centered + bias.means[item]), abs=1e-12)
 
 
 def test_eval_hook_records_rmse(synthetic):
@@ -503,15 +582,24 @@ def test_completer_predict_many_consistent_with_scalar(synthetic):
 @pytest.mark.parametrize("orientation", ["item", "user"])
 def test_completer_predictions_do_not_depend_on_the_query(synthetic,
                                                           orientation):
+    _check_query_independence(*synthetic, orientation, inits=20)
+
+
+@pytest.mark.parametrize("orientation", ["item", "user"])
+def test_completer_predictions_do_not_depend_on_the_query_on_active_columns(
+        sparse_synthetic, orientation):
+    _check_query_independence(*sparse_synthetic, orientation, inits=5)
+
+
+def _check_query_independence(ratings, scale, orientation, inits):
     # a prediction is the same bits alone, inside a batch, and in any order
-    ratings, scale = synthetic
     cfg = small_config(orientation=orientation)
     bias, scaler = fitted(ratings, scale, cfg)
     n = ratings.n_users if orientation == "item" else ratings.n_items
     rng = np.random.default_rng(3)
     users = rng.integers(0, ratings.n_users, 25)
     items = rng.integers(0, ratings.n_items, 25)
-    for seed in range(20):
+    for seed in range(inits):
         params = init_params(n, cfg.hidden, seed=seed)
         completer = MatrixCompleter(ratings, params, cfg, bias, scaler)
         batch = completer.predict_many(users, items)
@@ -608,6 +696,43 @@ def test_checkpoint_version_gate(tmp_path, synthetic):
     np.savez_compressed(path, **arrays)
     with pytest.raises(DataError, match="version"):
         load_checkpoint(path)
+
+
+def test_failed_checkpoint_write_keeps_the_previous_one(tmp_path, synthetic,
+                                                        monkeypatch):
+    ratings, scale = synthetic
+    cfg = small_config(epochs=1)
+    bias, scaler = fitted(ratings, scale, cfg)
+    state = train(ratings, cfg, bias, scaler)
+    path = tmp_path / "checkpoint.npz"
+    save_checkpoint(path, state, bias, scaler)
+    before = path.read_bytes()
+
+    def fails_part_way(fh, **arrays):
+        fh.write(before[:100])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", fails_part_way)
+    saved_w1 = state.params.W1.copy()
+    state.params.W1 += 1.0
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, state, bias, scaler)
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.npz"]
+    assert path.read_bytes() == before
+    np.testing.assert_array_equal(load_checkpoint(path).state.params.W1,
+                                  saved_w1)
+
+
+def test_checkpoint_path_is_used_as_given(tmp_path, synthetic):
+    # np.savez given a path would append ".npz" to this one
+    ratings, scale = synthetic
+    cfg = small_config(epochs=1)
+    bias, scaler = fitted(ratings, scale, cfg)
+    state = train(ratings, cfg, bias, scaler)
+    save_checkpoint(tmp_path / "model", state, bias, scaler)
+    assert [p.name for p in tmp_path.iterdir()] == ["model"]
+    loaded = load_checkpoint(tmp_path / "model").state.params
+    np.testing.assert_array_equal(loaded.W2, state.params.W2)
 
 
 def test_write_loss_curve_parses_back(tmp_path):
