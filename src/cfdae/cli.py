@@ -12,16 +12,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
 import logging
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .data import (DataError, SplitSpec, RATING_FORMATS,
-                   TAG_FORMATS, atomic_write, load_ratings, load_snapshot,
+                   TAG_FORMATS, load_ratings, load_snapshot,
                    load_tag_snapshot, load_tags, save_snapshot,
-                   save_tag_snapshot, split)
+                   save_tag_snapshot, split, write_json)
 from .evaluate import (_write_rows, bias_baseline, build_report,
                        config_digest, improvement_pct, rmse,
                        summarize_ratio_sweep, sweep_dae,
@@ -33,10 +32,8 @@ from .train import (SIDE_MODES, TrainConfig, TrainingDiverged,
 
 log = logging.getLogger(__name__)
 
-_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
-_INT_KEYS = {"hidden", "epochs", "batch_size", "seed"}
-_FLOAT_KEYS = {"prediction_weight", "reconstruction_weight", "mask_ratio",
-               "lr0", "lr_decay"}
+# field name -> its annotation, a string such as "int" or "float | None"
+_CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 _ORIENT_ALIAS = {"u": "user", "i": "item"}
 
 
@@ -48,16 +45,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _coerce_config_value(key: str, text: str):
-    if key in _INT_KEYS:
-        return int(text)
-    if key in _FLOAT_KEYS:
-        return float(text)
-    if key == "weight_decay":
-        return None if text.lower() in ("auto", "none") else float(text)
-    if key in _CONFIG_KEYS:
-        return text
-    raise ValueError(f"unknown config key {key!r}")
+def _coerce_config_value(key: str, value):
+    """value as TrainConfig's field type; "auto"/"none" is None if optional."""
+    if key not in _CONFIG_TYPES:
+        raise ValueError(f"unknown config key {key!r}")
+    kind, _, optional = _CONFIG_TYPES[key].partition(" | ")
+    if optional == "None" and str(value).lower() in ("auto", "none"):
+        return None
+    return {"int": int, "float": float, "str": str}[kind](value)
 
 
 def _read_config_file(path) -> dict:
@@ -79,13 +74,10 @@ def _merged_config(args) -> TrainConfig:
     merged = TrainConfig().to_dict()
     if getattr(args, "config", None):
         merged.update(_read_config_file(args.config))
-    for key in _CONFIG_KEYS:
+    for key in _CONFIG_TYPES:
         value = getattr(args, key, None)
-        if value is None:
-            continue
-        if key == "weight_decay":
-            value = _coerce_config_value(key, value)
-        merged[key] = value
+        if value is not None:
+            merged[key] = _coerce_config_value(key, value)
     merged["orientation"] = _ORIENT_ALIAS.get(merged["orientation"],
                                               merged["orientation"])
     return TrainConfig.from_dict(merged)
@@ -111,9 +103,7 @@ def _write_manifest(out_dir: Path, command: str, args, config: dict,
         "finished": _now(),
     }
     path = out_dir / f"manifest_{command}.json"
-    with atomic_write(path, encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_json(path, manifest)
     return path
 
 
@@ -185,9 +175,7 @@ def cmd_ingest(args) -> int:
         inputs.append(args.tags)
         stats["tags"] = {"entity": entity, "n_tags": tags.n_tags,
                          "nnz": int(tags.counts.nnz)}
-    with atomic_write(out / "stats.json", encoding="utf-8") as fh:
-        json.dump(stats, fh, indent=2)
-        fh.write("\n")
+    write_json(out / "stats.json", stats)
     outputs.append(out / "stats.json")
     _write_manifest(out, "ingest", args,
                     {"format": args.format, "tag_format": args.tag_format,
@@ -281,9 +269,7 @@ def cmd_evaluate(args) -> int:
     payload["baseline_rmse"] = base_rmse
     payload["improvement_pct_vs_baseline"] = improvement_pct(base_rmse,
                                                              report.rmse)
-    with atomic_write(report_path, encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(report_path, payload)
     clusters_path = out / "clusters.csv"
     write_cluster_csv(clusters_path, report)
     _write_manifest(out, "evaluate", args,
@@ -496,10 +482,7 @@ def main(argv=None) -> int:
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -5,9 +5,11 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import json
 import logging
 import os
 import secrets
+import zipfile
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -41,6 +43,29 @@ def atomic_write(path, mode: str = "w", **kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path, obj):
+    """obj as indented JSON with a trailing newline, written atomically."""
+    with atomic_write(path, encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
+@contextlib.contextmanager
+def open_versioned_npz(path, version: int, kind: str):
+    """np.load of a .npz of this format_version; a damaged file, another
+    version or a missing or invalid member raise DataError naming path."""
+    try:
+        # np.load leaks a file it opened itself if the archive is damaged
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as z:
+            found = int(z["format_version"])
+            if found != version:
+                raise DataError(f"unsupported {kind} version {found}")
+            yield z
+    except (zipfile.BadZipFile, EOFError, KeyError, TypeError,
+            ValueError) as exc:
+        raise DataError(f"{path}: bad {kind} file: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -169,6 +194,16 @@ class RatingMatrix:
             raise IndexError(f"item index {item} out of range")
         lo, hi = self._col_ptr[item], self._col_ptr[item + 1]
         return self._col_users[lo:hi], self._col_ratings[lo:hi]
+
+    def vectors(self, by: str):
+        """The stored, read-only CSR arrays (ptr, idx, ratings) of every
+        user's row (by="user") or item's column (by="item"): entity e's
+        sorted counterparts are idx[ptr[e]:ptr[e + 1]]."""
+        if by == "user":
+            return self._row_ptr, self.items, self.ratings
+        if by == "item":
+            return self._col_ptr, self._col_users, self._col_ratings
+        raise ValueError(f"unknown orientation {by!r}")
 
     def row_counts(self) -> np.ndarray:
         return np.diff(self._row_ptr)
@@ -516,10 +551,7 @@ def save_snapshot(path, ratings: RatingMatrix, scale: RatingScale, ids: IdMaps):
 
 def load_snapshot(path):
     """Inverse of save_snapshot; round-trips bit-exactly."""
-    with np.load(path, allow_pickle=False) as z:
-        version = int(z["format_version"])
-        if version != SNAPSHOT_VERSION:
-            raise DataError(f"unsupported snapshot version {version}")
+    with open_versioned_npz(path, SNAPSHOT_VERSION, "snapshot") as z:
         matrix = RatingMatrix(int(z["n_users"]), int(z["n_items"]),
                               z["users"], z["items"], z["values"])
         smin, smax, sdisc, sstep = z["scale"]
@@ -551,10 +583,7 @@ def save_tag_snapshot(path, tags: TagMatrix, entity: str = "item"):
 
 def load_tag_snapshot(path):
     """Inverse of save_tag_snapshot; returns (TagMatrix, entity kind)."""
-    with np.load(path, allow_pickle=False) as z:
-        version = int(z["format_version"])
-        if version != SNAPSHOT_VERSION:
-            raise DataError(f"unsupported snapshot version {version}")
+    with open_versioned_npz(path, SNAPSHOT_VERSION, "tag snapshot") as z:
         shape = tuple(int(v) for v in z["shape"])
         counts = sp.coo_matrix((z["data"], (z["row"], z["col"])),
                                shape=shape).tocsr()

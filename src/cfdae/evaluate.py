@@ -15,7 +15,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import RatingMatrix, RatingScale, SplitSpec, atomic_write, split
+from .data import (RatingMatrix, RatingScale, SplitSpec, atomic_write, split,
+                   write_json)
 from .preprocess import BiasTable, fit_bias, fit_scaler
 from .train import TrainConfig, complete_matrix, train
 
@@ -81,14 +82,10 @@ def cluster_rmse(predictor, test: RatingMatrix, train_data: RatingMatrix,
 def _cluster_stats(err2, test: RatingMatrix, train_data: RatingMatrix,
                    by: str, n_clusters: int) -> list[ClusterStat]:
     """cluster_rmse from the test entries' squared errors."""
-    if by == "item":
-        counts = train_data.col_counts()
-        test_entities = test.items
-    elif by == "user":
-        counts = train_data.row_counts()
-        test_entities = test.users
-    else:
+    if by not in ("item", "user"):
         raise ValueError(f"unknown clustering entity {by!r}")
+    counts = np.diff(train_data.vectors(by)[0])
+    test_entities = test.items if by == "item" else test.users
     if n_clusters < 1:
         raise ValueError("n_clusters must be at least 1")
 
@@ -158,9 +155,7 @@ class EvalReport:
                 "config_digest": self.config_digest, "seed": self.seed}
 
     def save_json(self, path):
-        with atomic_write(path, encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
 
 def config_digest(cfg: TrainConfig, split_spec: SplitSpec | None = None,

@@ -206,35 +206,38 @@ def draw_corrupted(n_known: int, mask_ratio: float,
 DENSE_COST, ACTIVE_COST = 60, 230
 
 
-def dense_rows(vectors, n: int, mask_ratio: float = 0.0,
+def dense_rows(vectors, ids: np.ndarray, n: int, mask_ratio: float = 0.0,
                rng: np.random.Generator | None = None):
-    """Rows of (indices, values) vectors, dense over the batch's active
-    coordinates cols: the sorted union of their indices, or None (all n)
-    when running on all n costs less (see DENSE_COST).
+    """Rows ids of the CSR vectors (ptr, idx, vals), dense over the
+    batch's active coordinates cols: the sorted union of their indices,
+    or None (all n) when running on all n costs less (see DENSE_COST).
 
-    Returns (cols, x).  With an rng, each row in turn also corrupts
-    draw_corrupted(n_known, mask_ratio, rng) of its entries, and the
-    return is (cols, x_in, x_target, known, corrupted), the batch that
-    batch_loss_gradients takes with cols=cols.
+    Returns (cols, x, code), the batch that batch_loss_gradients takes
+    with cols=cols.  code is None without an rng; with one, each row in
+    turn corrupts draw_corrupted(n_known, mask_ratio, rng) of its entries
+    and code marks every entry unknown (0), intact (1) or corrupted (2).
     """
-    m = len(vectors)
+    ptr, idx, vals = vectors
+    counts = ptr[ids + 1] - ptr[ids]
+    starts = np.cumsum(counts) - counts  # of each row in the flat entries
+    at = np.arange(counts.sum()) + np.repeat(ptr[ids] - starts, counts)
+    row, col = np.repeat(np.arange(ids.size), counts), idx[at]
     known_any = np.zeros(n, dtype=bool)
-    known_any[np.concatenate([idx for idx, _ in vectors])] = True
+    known_any[col] = True
     cols = np.flatnonzero(known_any)
-    if cols.size * (m + ACTIVE_COST) > n * (m + DENSE_COST):
+    if cols.size * (ids.size + ACTIVE_COST) > n * (ids.size + DENSE_COST):
         cols = None
-    x = np.zeros((m, n if cols is None else cols.size))
-    known = np.zeros(x.shape, dtype=bool)
-    corrupted = np.zeros(x.shape, dtype=bool)
-    for r, (idx, vals) in enumerate(vectors):
-        pos = idx if cols is None else np.searchsorted(cols, idx)
-        x[r, pos] = vals
-        if rng is not None:
-            known[r, pos] = True
-            corrupted[r, pos[draw_corrupted(pos.size, mask_ratio, rng)]] = True
+    pos = col if cols is None else np.searchsorted(cols, col)
+    x = np.zeros((ids.size, n if cols is None else cols.size))
+    x[row, pos] = vals[at]
     if rng is None:
-        return cols, x
-    return cols, np.where(known & ~corrupted, x, 0.0), x, known, corrupted
+        return cols, x, None
+    code = np.zeros(x.shape, dtype=np.uint8)
+    code[row, pos] = 1
+    hit = np.concatenate([start + draw_corrupted(k, mask_ratio, rng)
+                          for start, k in zip(starts, counts)])
+    code[row[hit], pos[hit]] = 2
+    return cols, x, code
 
 
 def corrupt(x: SparseVector, mask_ratio: float, rng: np.random.Generator):
@@ -332,19 +335,20 @@ class LazyDecay:
         return True
 
 
-def batch_loss_gradients(params, x_in, x_target, known, corrupted, weights,
-                         side=None, *, cols: np.ndarray | None = None,
+def batch_loss_gradients(params, x, code, weights, side=None, *,
+                         cols: np.ndarray | None = None,
                          sgd: LazyDecay | None = None):
     """Per-sample losses and, as an AutoencoderParams, the gradient summed
     over the batch.
 
-    The batch arrays are dense over the coordinates cols (all n when
-    None, as dense_rows returns them); the forward and backward passes
-    read only the weights of those coordinates, since missing inputs are
-    zero and missing outputs carry no error.  The two squared-error sums
-    (over corrupted and over intact known entries) are accumulated
-    separately and only then weighted, so the loss is exactly linear in
-    the two weights.
+    x holds the known values and code marks each entry unknown (0), intact
+    (1) or corrupted (2); the input is x on the intact entries.  Both are
+    dense over the coordinates cols (all n when None, as dense_rows
+    returns them); the passes read only the weights of those coordinates,
+    since missing inputs are zero and missing outputs carry no error.  The
+    two squared-error sums (over corrupted and over intact known entries)
+    are accumulated separately and only then weighted, so the loss is
+    exactly linear in the two weights.
 
     With ``sgd``, params holds sgd's scaled matrices and the kernel takes
     the SGD step itself, in place, at rate sgd.lr / batch size: it returns
@@ -354,6 +358,8 @@ def batch_loss_gradients(params, x_in, x_target, known, corrupted, weights,
     s1, s2 = (1.0, 1.0) if sgd is None else sgd.scales
     at1, at2 = _active(params, cols)
     w1, w2 = params.W1[at1], params.W2[at2]
+    intact, corrupted = code == 1, code == 2
+    x_in = np.where(intact, x, 0.0)
     xin = np.hstack([x_in, side]) if params.p_in else x_in
     z1 = xin @ w1.T
     h = np.tanh(s1 * z1 + params.b1)
@@ -363,21 +369,20 @@ def batch_loss_gradients(params, x_in, x_target, known, corrupted, weights,
     out += params.b2[at2]
     np.tanh(out, out=out)
 
-    err = out - x_target
+    err = out - x
     sq = err * err
-    intact = known & ~corrupted
     pred_sum = np.einsum("ij,ij->i", sq, corrupted)
     recon_sum = np.einsum("ij,ij->i", sq, intact)
     losses = weights.prediction * pred_sum + weights.reconstruction * recon_sum
 
     # delta2 = 2 w (out - target) (1 - out^2), in sq's buffer; w is each
-    # entry's error weight, looked up from 2 * corrupted + intact
+    # entry's error weight, looked up from its code
     delta2 = np.multiply(out, out, out=sq)
     np.subtract(1.0, delta2, out=delta2)
     delta2 *= err
     table = np.array([0.0, 2.0 * weights.reconstruction,
                       2.0 * weights.prediction])
-    delta2 *= table[2 * corrupted.view(np.uint8) + intact.view(np.uint8)]
+    delta2 *= table[code]
     dh = s2 * (delta2 @ w2[:, :params.hidden])
     delta1 = dh * (1.0 - h ** 2)
 
@@ -399,7 +404,7 @@ def batch_loss_gradients(params, x_in, x_target, known, corrupted, weights,
     grads.W2[at2] = delta2.T @ hin
     grads.b2[at2] = delta2.sum(axis=0)
     if weights.l2:
-        n_samples = x_in.shape[0]
+        n_samples = x.shape[0]
         grads.W1 += (2.0 * weights.l2 * n_samples) * params.W1
         grads.W2 += (2.0 * weights.l2 * n_samples) * params.W2
     return losses, grads
@@ -416,12 +421,13 @@ def _single_vector(params: AutoencoderParams, x: SparseVector,
         raise ValueError("mask contains indices that are not known in x")
     if np.any(np.isin(mask.indices, x_tilde.indices)):
         raise ValueError("corrupted indices must be absent from x_tilde")
-    known = np.isin(np.arange(x.dim), x.indices)[None, :]
-    corrupted = np.isin(np.arange(x.dim), mask.indices)[None, :]
+    dims = np.arange(x.dim)[None, :]
+    code = np.isin(dims, x.indices).astype(np.uint8) + np.isin(dims, mask.indices)
+    dense = x.to_dense()[None, :]
+    if not np.array_equal(x_tilde.to_dense(), np.where(code == 1, dense, 0)[0]):
+        raise ValueError("x_tilde must be x with the mask's entries zeroed")
     batch_side = side[None, :] if side is not None else None
-    return batch_loss_gradients(params, x_tilde.to_dense()[None, :],
-                                x.to_dense()[None, :], known, corrupted,
-                                weights, batch_side)
+    return batch_loss_gradients(params, dense, code, weights, batch_side)
 
 
 def loss(params: AutoencoderParams, x: SparseVector, x_tilde: SparseVector,

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (DataError, RatingMatrix, RatingScale, SplitSpec,
-                   atomic_write)
+from .data import (RatingMatrix, RatingScale, SplitSpec, atomic_write,
+                   open_versioned_npz)
 from .model import (AutoencoderParams, LazyDecay, LossWeights,
                     batch_loss_gradients, dense_rows, draw_corrupted,
                     encode_batch, init_params)
@@ -171,14 +171,10 @@ def _nonfinite_param(params: AutoencoderParams,
 
 def _entity_vectors(train: RatingMatrix, orientation: str, bias: BiasTable,
                     scaler: Scaler):
-    """Per-entity (counterpart indices, unit values), read via row/col."""
-    n_entities = train.n_users if orientation == "user" else train.n_items
-    pull = train.row if orientation == "user" else train.col
-    vectors = []
-    for e in range(n_entities):
-        idx, raw = pull(e)
-        vectors.append((idx, np.atleast_1d(transform(raw, e, bias, scaler))))
-    return vectors
+    """Every entity's vector as CSR (ptr, counterpart indices, unit values)."""
+    ptr, idx, raw = train.vectors(orientation)
+    entities = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
+    return ptr, idx, transform(raw, entities, bias, scaler)
 
 
 def _side_features(cfg: TrainConfig, side: SideInfoTable | None,
@@ -212,11 +208,10 @@ def train(train_data: RatingMatrix, cfg: TrainConfig, bias: BiasTable,
         raise ValueError(f"bias table orientation {bias.orientation!r} does "
                          f"not match config orientation {cfg.orientation!r}")
     n = train_data.n_items if cfg.orientation == "user" else train_data.n_users
-    n_entities = train_data.n_users if cfg.orientation == "user" else train_data.n_items
-    features, p_in, p_hidden = _side_features(cfg, side, n_entities)
     vectors = _entity_vectors(train_data, cfg.orientation, bias, scaler)
-    pool = np.array([e for e in range(n_entities) if vectors[e][0].size],
-                    dtype=np.int64)
+    counts = np.diff(vectors[0])
+    features, p_in, p_hidden = _side_features(cfg, side, counts.size)
+    pool = np.flatnonzero(counts)
     if pool.size == 0:
         raise ValueError("no training vectors with known entries")
 
@@ -236,10 +231,9 @@ def train(train_data: RatingMatrix, cfg: TrainConfig, bias: BiasTable,
         last_loss = state.history[-1].mean_loss if state.history else None
         for batch, start in enumerate(range(0, order.size, cfg.batch_size)):
             sel = order[start:start + cfg.batch_size]
-            cols, *rows = dense_rows([vectors[e] for e in sel], n,
-                                     cfg.mask_ratio, rng)
+            cols, x, code = dense_rows(vectors, sel, n, cfg.mask_ratio, rng)
             batch_side = features[sel] if features is not None else None
-            losses, grads = batch_loss_gradients(params, *rows, weights,
+            losses, grads = batch_loss_gradients(params, x, code, weights,
                                                  batch_side, cols=cols,
                                                  sgd=sgd)
             if grads is not None:
@@ -293,12 +287,11 @@ class MatrixCompleter:
         self.scaler = scaler
         self.n_users = train_data.n_users
         self.n_items = train_data.n_items
-        n_entities = self.n_users if self.orientation == "user" else self.n_items
-        self._features, p_in, p_hidden = _side_features(cfg, side, n_entities)
+        self._vectors = _entity_vectors(train_data, self.orientation, bias, scaler)
+        self._counts = np.diff(self._vectors[0])
+        self._features, p_in, p_hidden = _side_features(cfg, side, self._counts.size)
         if params.p_in != p_in or params.p_hidden != p_hidden:
             raise ValueError("network side widths do not match side_info mode")
-        self._vectors = _entity_vectors(train_data, self.orientation, bias, scaler)
-        self._counts = np.array([idx.size for idx, _ in self._vectors])
         self._n_out = train_data.n_items if self.orientation == "user" else train_data.n_users
         if params.n != self._n_out:
             raise ValueError(f"network dim {params.n} does not match data "
@@ -336,13 +329,12 @@ class MatrixCompleter:
                                  self.params.W2[cols])
                 unit[part] = np.tanh(dots + self.params.b2[cols])
         unit[self._counts[entities] == 0] = 0.0
-        pred = inverse_transform(unit, entities, self.bias, self.scaler)
-        return np.atleast_1d(pred)
+        return inverse_transform(unit, entities, self.bias, self.scaler)
 
     def _encode_block(self, lo: int) -> np.ndarray:
         """Hidden codes (side columns appended) of entities lo..lo+_CHUNK-1."""
         ids = np.arange(lo, min(lo + self._CHUNK, self._counts.size))
-        cols, x = dense_rows([self._vectors[e] for e in ids], self._n_out)
+        cols, x, _ = dense_rows(self._vectors, ids, self._n_out)
         side = self._features[ids] if self._features is not None else None
         return encode_batch(self.params, x, side, cols)
 
@@ -404,16 +396,10 @@ def load_checkpoint(path) -> Checkpoint:
     """Inverse of save_checkpoint; round-trips bit-exactly.  A stored
     config that does not parse or validate, and weights that are not
     finite or whose shapes disagree, raise DataError."""
-    with np.load(path, allow_pickle=False) as z:
-        version = int(z["format_version"])
-        if version != CHECKPOINT_VERSION:
-            raise DataError(f"unsupported checkpoint version {version}")
+    with open_versioned_npz(path, CHECKPOINT_VERSION, "checkpoint") as z:
         params = AutoencoderParams(z["w1"], z["b1"], z["w2"], z["b2"])
-        try:
-            cfg = TrainConfig.from_dict(json.loads(str(z["config_json"])))
-            params.validate()
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{path}: {exc}") from None
+        cfg = TrainConfig.from_dict(json.loads(str(z["config_json"])))
+        params.validate()
         smin, smax, sdisc, sstep = z["scale"]
         scale = RatingScale(float(smin), float(smax), bool(sdisc), float(sstep))
         lo, hi = z["centered_range"]

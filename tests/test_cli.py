@@ -1,8 +1,10 @@
 """End-to-end command-line workflow, exit codes, and manifests."""
 
 import csv
+import dataclasses
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +228,26 @@ def test_weight_decay_flag_forms():
     assert _merged_config(parse(argv + ["0.01"])).weight_decay == 0.01
 
 
+def test_config_file_sets_every_field(tmp_path):
+    want = TrainConfig(orientation="user", hidden=7, prediction_weight=0.75,
+                       reconstruction_weight=0.25, mask_ratio=0.5,
+                       weight_decay=0.001, lr0=0.2, lr_decay=0.1, epochs=3,
+                       batch_size=5, seed=4, side_info="both")
+    assert all(getattr(want, f.name) != f.default
+               for f in dataclasses.fields(TrainConfig))
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("".join(f"{key} = {value}\n"
+                                for key, value in want.to_dict().items()))
+    got = _merged_config(parse(["train", "--data", "d", "--out", "o",
+                                "--config", str(cfg_file)]))
+    assert got == want
+    assert ({k: type(v) for k, v in got.to_dict().items()}
+            == {k: type(v) for k, v in want.to_dict().items()})
+    cfg_file.write_text("weight_decay = auto\n")
+    assert _merged_config(parse(["train", "--data", "d", "--out", "o",
+                                 "--config", str(cfg_file)])) == TrainConfig()
+
+
 def test_config_file_unknown_key_exits_1(workspace, tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("momentum = 0.9\n")
@@ -341,6 +363,45 @@ def test_bad_stored_config_exits_2(workspace, tmp_path, capsys, command,
         argv += ["--user", "1", "--item", "1"]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+def _truncate(path):
+    whole = path.read_bytes()
+    path.write_bytes(whole[:len(whole) // 2])
+
+
+def _as_text(path):
+    path.write_text("not an archive\n")
+
+
+def _drop(member):
+    def damage(path):
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files if k != member}
+        np.savez(path, **arrays)
+    return damage
+
+
+@pytest.mark.parametrize("command,target,member", [
+    pytest.param("evaluate", "model/checkpoint.npz", "bias_means",
+                 id="evaluate"),
+    pytest.param("train", "data/ratings.npz", "values", id="train"),
+])
+@pytest.mark.parametrize("damage", ["truncated", "text", "missing-member"])
+def test_damaged_npz_exits_2(workspace, tmp_path, capsys, command, target,
+                             member, damage):
+    for name in ("data", "model"):
+        shutil.copytree(workspace[name], tmp_path / name)
+    path = tmp_path / target
+    {"truncated": _truncate, "text": _as_text,
+     "missing-member": _drop(member)}[damage](path)
+    if command == "evaluate":
+        argv = ["evaluate", "--model", str(tmp_path / "model")]
+    else:
+        argv = ["train", "--out", str(tmp_path / "out"), "--hidden", "4",
+                "--epochs", "1"]
+    assert main(argv + ["--data", str(tmp_path / "data")]) == 2
+    assert str(path) in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- predict

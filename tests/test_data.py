@@ -69,6 +69,24 @@ def test_matrix_row_col_consistency(toy_ratings):
     assert by_col == entries
 
 
+@pytest.mark.parametrize("by", ["user", "item"])
+def test_matrix_vectors_are_the_stored_csr_arrays(toy_ratings, by):
+    ptr, idx, ratings = toy_ratings.vectors(by)
+    pull = toy_ratings.row if by == "user" else toy_ratings.col
+    n = toy_ratings.n_users if by == "user" else toy_ratings.n_items
+    assert ptr.size == n + 1 and ptr[-1] == toy_ratings.n_entries
+    for e in range(n):
+        want_idx, want = pull(e)
+        got_idx, got = idx[ptr[e]:ptr[e + 1]], ratings[ptr[e]:ptr[e + 1]]
+        np.testing.assert_array_equal(got_idx, want_idx)
+        np.testing.assert_array_equal(got, want)
+        assert np.shares_memory(got, want)  # views, not copies
+    for arr in (ptr, idx, ratings):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError, match="orientation"):
+        toy_ratings.vectors("rows")
+
+
 def test_matrix_counts_and_accessor_bounds(toy_ratings):
     np.testing.assert_array_equal(toy_ratings.row_counts(), [3, 2, 3, 1])
     np.testing.assert_array_equal(toy_ratings.col_counts(), [3, 2, 1, 2, 1])
@@ -291,6 +309,20 @@ def test_snapshot_version_check(tmp_path, toy_ratings):
     np.savez(path, **arrays)
     with pytest.raises(DataError, match="version"):
         load_snapshot(path)
+
+
+def test_damaged_snapshots_raise_data_error(tmp_path, toy_ratings):
+    ratings = tmp_path / "ratings.npz"
+    save_snapshot(ratings, toy_ratings, RatingScale(1.0, 5.0), IdMaps(
+        ("a", "b", "c", "d"), ("v", "w", "x", "y", "z")))
+    tags = tmp_path / "tags.npz"
+    save_tag_snapshot(tags, TagMatrix(sp.csr_matrix(np.eye(2))), "item")
+    for path, load in ((ratings, load_snapshot), (tags, load_tag_snapshot)):
+        whole = path.read_bytes()
+        path.write_bytes(whole[:len(whole) // 2])
+        with pytest.raises(DataError, match="bad .*snapshot file") as err:
+            load(path)
+        assert str(path) in str(err.value)
 
 
 def test_atomic_write_replaces_whole_or_not_at_all(tmp_path):

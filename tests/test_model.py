@@ -301,6 +301,12 @@ def test_loss_mask_consistency_checks():
     with pytest.raises(ValueError):
         # corrupted index still present in the corrupted vector
         loss(params, x, x, CorruptionMask([0]), LossWeights(1.0, 0.5))
+    for x_tilde in (SparseVector(4, [1], [0.25]), SparseVector(4, [], []),
+                    SparseVector(4, [1, 3], [-0.5, 0.1])):
+        with pytest.raises(ValueError, match="zeroed"):
+            # x_tilde is not x with the mask's entries zeroed
+            loss(params, x, x_tilde, CorruptionMask([0]),
+                 LossWeights(1.0, 0.5))
 
 
 # -------------------------------------------------------------- gradients
@@ -370,8 +376,7 @@ def test_batch_matches_single_vector_path():
     side_rows = rng.uniform(-1, 1, (batch, p))
 
     x_tgt = np.zeros((batch, n))
-    known = np.zeros((batch, n), dtype=bool)
-    corrupted = np.zeros((batch, n), dtype=bool)
+    code = np.zeros((batch, n), dtype=np.uint8)
     singles = []
     for r in range(batch):
         n_known = int(rng.integers(1, n + 1))
@@ -380,12 +385,11 @@ def test_batch_matches_single_vector_path():
         x_tilde, mask = corrupt(x, 0.4, rng)
         singles.append((x, x_tilde, mask))
         x_tgt[r, idx] = x.values
-        known[r, idx] = True
-        corrupted[r, mask.indices] = True
-    x_in = np.where(known & ~corrupted, x_tgt, 0.0)
+        code[r, idx] = 1
+        code[r, mask.indices] = 2
 
-    losses, grads = batch_loss_gradients(params, x_in, x_tgt, known,
-                                         corrupted, weights, side_rows)
+    losses, grads = batch_loss_gradients(params, x_tgt, code, weights,
+                                         side_rows)
     total = {f: np.zeros_like(getattr(params, f)) for f in PARAM_FIELDS}
     for r, (x, x_tilde, mask) in enumerate(singles):
         single = loss(params, x, x_tilde, mask, weights, side_rows[r])
@@ -408,25 +412,38 @@ def test_training_rows_match_per_row_corrupt(mask_ratio):
     for n_known in (0, 1, 5, 12, 7):
         idx = np.sort(rng.choice(12, n_known, replace=False))
         vectors.append((idx, rng.uniform(-1, 1, n_known)))
+    ids = np.array([3, 0, 4, 1, 2])
     for n in (12, 200):
         built = np.random.default_rng(3)
-        cols, *rows = dense_rows(vectors, n, mask_ratio, built)
+        cols, x_b, code_b = dense_rows(_csr(vectors), ids, n, mask_ratio,
+                                       built)
         assert (cols is None) == (n == 12)
+        assert code_b.dtype == np.uint8 and code_b.max() <= 2
         at = np.arange(n) if cols is None else cols
-        x_in, x_tgt, known, corrupted = (_scatter(a, at, n) for a in rows)
+        x_tgt, code = (_scatter(a, at, n) for a in (x_b, code_b))
         oracle = np.random.default_rng(3)
-        for r, (idx, vals) in enumerate(vectors):
+        for r, e in enumerate(ids):
+            idx, vals = vectors[e]
             x = SparseVector(n, idx, vals)
             x_tilde, mask = corrupt(x, mask_ratio, oracle)
-            np.testing.assert_array_equal(np.flatnonzero(corrupted[r]),
+            np.testing.assert_array_equal(np.flatnonzero(code[r] == 2),
                                           mask.indices)
-            np.testing.assert_array_equal(np.flatnonzero(known[r]), idx)
+            np.testing.assert_array_equal(np.flatnonzero(code[r]), idx)
             np.testing.assert_array_equal(x_tgt[r], x.to_dense())
-            np.testing.assert_array_equal(x_in[r], x_tilde.to_dense())
+            np.testing.assert_array_equal(np.where(code[r] == 1, x_tgt[r], 0),
+                                          x_tilde.to_dense())
         assert built.random() == oracle.random()  # both streams at one point
-        plain_cols, plain = dense_rows(vectors, n)
+        plain_cols, plain, plain_code = dense_rows(_csr(vectors), ids, n)
         assert plain_cols is cols or np.array_equal(plain_cols, cols)
-        np.testing.assert_array_equal(plain, rows[1])
+        assert plain_code is None
+        np.testing.assert_array_equal(plain, x_b)
+
+
+def _csr(vectors):
+    """(ptr, idx, vals) arrays of a list of (indices, values) vectors."""
+    ptr = np.cumsum([0] + [idx.size for idx, _ in vectors])
+    return (ptr, np.concatenate([idx for idx, _ in vectors]),
+            np.concatenate([vals for _, vals in vectors]))
 
 
 def _scatter(a, cols, n):
@@ -461,9 +478,8 @@ def test_sgd_step_matches_explicit_update(lr, l2, order):
         known = rng.random((m, n)) < 0.6
         corrupted = known & (rng.random((m, n)) < 0.3)
         x_tgt = np.where(known, rng.uniform(-1, 1, (m, n)), 0.0)
-        x_in = np.where(known & ~corrupted, x_tgt, 0.0)
-        args = (x_in, x_tgt, known, corrupted, weights,
-                rng.uniform(-1, 1, (m, p)))
+        code = known.astype(np.uint8) + corrupted
+        args = (x_tgt, code, weights, rng.uniform(-1, 1, (m, p)))
         want, grads = batch_loss_gradients(ref, *args)
         got, stepped = batch_loss_gradients(params, *args, sgd=sgd)
         assert stepped is None
@@ -503,7 +519,8 @@ def test_active_step_matches_dense_step(lr, l2, order):
         vectors = [(np.sort(rng.choice(n, k, replace=False)),
                     rng.uniform(-1, 1, k)) for k in rng.integers(1, 3, m)]
         side = rng.uniform(-1, 1, (m, p))
-        cols, *rows = dense_rows(vectors, n, 0.4, np.random.default_rng(1))
+        cols, *rows = dense_rows(_csr(vectors), np.arange(m), n, 0.4,
+                                 np.random.default_rng(1))
         assert cols is not None and cols.size < n
         full = [_scatter(a, cols, n) for a in rows]
         want, _ = batch_loss_gradients(dense, *full, weights, side,

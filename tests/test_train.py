@@ -36,7 +36,8 @@ def fitted(ratings, scale, cfg):
 
 
 class CountingMatrix(RatingMatrix):
-    """Counts every row/col read so tests can prove what was consulted."""
+    """Counts every row/col and bulk vectors read so tests can prove what
+    was consulted."""
 
     def __init__(self, source: RatingMatrix):
         super().__init__(source.n_users, source.n_items, source.users,
@@ -50,6 +51,10 @@ class CountingMatrix(RatingMatrix):
     def col(self, i):
         self.reads += 1
         return super().col(i)
+
+    def vectors(self, by):
+        self.reads += 1
+        return super().vectors(by)
 
 
 # ----------------------------------------------------------------- config
@@ -235,6 +240,32 @@ def test_train_never_reads_test_entries(synthetic):
     assert train_part.reads > 0
 
 
+@pytest.mark.parametrize("orientation", ["user", "item"])
+def test_entity_vectors_match_per_entity_reads(synthetic, orientation):
+    # one bulk read and one transform give, bit for bit, what a row/col
+    # read and a transform per entity give, empty entities included
+    ratings, scale = synthetic
+    keep = (ratings.users != 3) & (ratings.items != 5)
+    ratings = RatingMatrix(ratings.n_users, ratings.n_items,
+                           ratings.users[keep], ratings.items[keep],
+                           ratings.ratings[keep])
+    bias, scaler = fitted(ratings, scale, small_config(orientation=orientation))
+    watched = CountingMatrix(ratings)
+    ptr, idx, vals = train_module._entity_vectors(watched, orientation, bias,
+                                                  scaler)
+    assert watched.reads == 1
+    pull = ratings.row if orientation == "user" else ratings.col
+    n_entities = ratings.n_users if orientation == "user" else ratings.n_items
+    assert ptr.size == n_entities + 1
+    for e in range(n_entities):
+        want_idx, raw = pull(e)
+        want = np.atleast_1d(transform(raw, e, bias, scaler))
+        np.testing.assert_array_equal(idx[ptr[e]:ptr[e + 1]], want_idx)
+        assert vals[ptr[e]:ptr[e + 1]].tobytes() == want.tobytes()
+    empty = 3 if orientation == "user" else 5
+    assert ptr[empty] == ptr[empty + 1]
+
+
 @pytest.mark.parametrize("data,orientation,lr0,batch", [
     pytest.param("synthetic", "item", 1e308, 1, id="lr1e308"),
     pytest.param("synthetic", "item", 1e200, 1, id="lr1e200"),
@@ -311,11 +342,11 @@ def _on_all_coordinates(args, cols, n):
     if cols is None:
         return args
     spread = []
-    for a in args[:4]:
+    for a in args[:2]:  # x and code
         full = np.zeros((a.shape[0], n), dtype=a.dtype)
         full[:, cols] = a
         spread.append(full)
-    return (*spread, *args[4:])
+    return (*spread, *args[2:])
 
 
 def _check_lazy_decay(ratings, scale, cfg, monkeypatch, tmp_path):
