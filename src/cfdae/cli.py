@@ -236,22 +236,30 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    started = _now()
-    model_dir = Path(args.model)
-    ckpt_path = model_dir / "checkpoint.npz"
+def _load_model(args):
+    """The checkpoint under --model, the snapshot under --data that it was
+    trained on, and that snapshot split as the checkpoint records.
+
+    Returns (ckpt, scale, ids, train, test, [checkpoint path, ratings path]).
+    """
+    ckpt_path = Path(args.model) / "checkpoint.npz"
     if not ckpt_path.exists():
         raise DataError(f"{ckpt_path} not found")
     ckpt = load_checkpoint(ckpt_path)
-    cfg = ckpt.state.config
-    (ratings, scale, _ids), ratings_path = _load_data_dir(Path(args.data))
+    (ratings, scale, ids), ratings_path = _load_data_dir(Path(args.data))
     if ckpt.data_fingerprint and ckpt.data_fingerprint != ratings.fingerprint():
-        raise DataError("checkpoint was trained on different data than "
+        raise DataError(f"{ckpt_path} was trained on different data than "
                         f"{ratings_path}")
     if ckpt.split is None:
-        raise DataError("checkpoint records no train/test split")
+        raise DataError(f"{ckpt_path} records no train/test split")
     train_m, test_m = split(ratings, ckpt.split)
+    return ckpt, scale, ids, train_m, test_m, [ckpt_path, ratings_path]
 
+
+def cmd_evaluate(args) -> int:
+    started = _now()
+    ckpt, scale, _ids, train_m, test_m, inputs = _load_model(args)
+    cfg = ckpt.state.config
     completer = complete_matrix(train_m, ckpt.state, ckpt.bias, ckpt.scaler,
                                 ckpt.side)
     by = args.clusters or cfg.orientation
@@ -262,7 +270,7 @@ def cmd_evaluate(args) -> int:
     baseline = bias_baseline(train_m, cfg.orientation, scale)
     base_rmse = rmse(baseline, test_m)
 
-    out = Path(args.out) if args.out else model_dir
+    out = Path(args.out) if args.out else Path(args.model)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.json"
     payload = report.to_dict()
@@ -275,8 +283,7 @@ def cmd_evaluate(args) -> int:
     _write_manifest(out, "evaluate", args,
                     {"train": cfg.to_dict(), "clusters_by": by,
                      "n_clusters": args.n_clusters},
-                    [ckpt_path, ratings_path],
-                    [report_path, clusters_path], started)
+                    inputs, [report_path, clusters_path], started)
 
     print(f"test rmse {report.rmse:.4f} on {report.n_test} entries "
           f"(bias baseline {base_rmse:.4f})")
@@ -288,15 +295,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model_dir = Path(args.model)
-    ckpt_path = model_dir / "checkpoint.npz"
-    if not ckpt_path.exists():
-        raise DataError(f"{ckpt_path} not found")
-    ckpt = load_checkpoint(ckpt_path)
-    (ratings, scale, ids), _path = _load_data_dir(Path(args.data))
-    if ckpt.data_fingerprint and ckpt.data_fingerprint != ratings.fingerprint():
-        raise DataError("checkpoint was trained on different data")
-
+    ckpt, scale, ids, train_m, _test_m, _inputs = _load_model(args)
     u = ids.user_index.get(args.user)
     i = ids.item_index.get(args.item)
     if u is None or i is None:
@@ -306,9 +305,6 @@ def cmd_predict(args) -> int:
               "global training mean", file=sys.stderr)
         value = float(scale.clamp(ckpt.bias.global_mean))
     else:
-        if ckpt.split is None:
-            raise DataError("checkpoint records no train/test split")
-        train_m, _test_m = split(ratings, ckpt.split)
         completer = complete_matrix(train_m, ckpt.state, ckpt.bias,
                                     ckpt.scaler, ckpt.side)
         value = completer.predict(u, i)

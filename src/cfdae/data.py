@@ -182,14 +182,15 @@ class RatingMatrix:
         return self.n_entries / cells if cells else 0.0
 
     def row(self, user: int):
-        """Items rated by ``user`` and the ratings, as aligned arrays."""
+        """Items rated by ``user`` and the ratings, as aligned arrays: the
+        per-entity oracle for vectors() in tests and in benchmarks."""
         if not 0 <= user < self.n_users:
             raise IndexError(f"user index {user} out of range")
         lo, hi = self._row_ptr[user], self._row_ptr[user + 1]
         return self.items[lo:hi], self.ratings[lo:hi]
 
     def col(self, item: int):
-        """Users who rated ``item`` and the ratings, as aligned arrays."""
+        """Users who rated ``item`` and the ratings; an oracle like row."""
         if not 0 <= item < self.n_items:
             raise IndexError(f"item index {item} out of range")
         lo, hi = self._col_ptr[item], self._col_ptr[item + 1]

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemm
 
 
 @dataclass(frozen=True)
@@ -81,9 +80,9 @@ class LossWeights:
 
 @dataclass
 class AutoencoderParams:
-    """Encoder/decoder weights; widths absorb optional side-info columns."""
+    """Encoder/decoder weights; side info adds W1 rows and W2 columns."""
 
-    W1: np.ndarray  # (hidden, n + p_in)
+    W1: np.ndarray  # (n + p_in, hidden): one row per input coordinate
     b1: np.ndarray  # (hidden,)
     W2: np.ndarray  # (n, hidden + p_hidden)
     b2: np.ndarray  # (n,)
@@ -98,7 +97,7 @@ class AutoencoderParams:
 
     @property
     def p_in(self) -> int:
-        return self.W1.shape[1] - self.n
+        return self.W1.shape[0] - self.n
 
     @property
     def p_hidden(self) -> int:
@@ -108,7 +107,7 @@ class AutoencoderParams:
         k, n = self.hidden, self.n
         if self.W1.ndim != 2 or self.W2.ndim != 2:
             raise ValueError("weight matrices must be 2-D")
-        if self.W1.shape[0] != k or self.W2.shape[0] != n:
+        if self.W1.shape[1] != k or self.W2.shape[0] != n:
             raise ValueError("weight/bias shapes disagree")
         if self.p_in < 0 or self.p_hidden < 0:
             raise ValueError("weight matrices narrower than the data dimension")
@@ -132,7 +131,7 @@ def init_params(n: int, hidden: int, p_in: int = 0, p_hidden: int = 0,
     bound1 = 1.0 / np.sqrt(n + p_in)
     bound2 = 1.0 / np.sqrt(hidden + p_hidden)
     return AutoencoderParams(
-        W1=rng.uniform(-bound1, bound1, size=(hidden, n + p_in)),
+        W1=rng.uniform(-bound1, bound1, size=(hidden, n + p_in)).T.copy(),
         b1=np.zeros(hidden),
         W2=rng.uniform(-bound2, bound2, size=(n, hidden + p_hidden)),
         b2=np.zeros(n),
@@ -155,13 +154,13 @@ def _check_side(params: AutoencoderParams, side) -> np.ndarray | None:
 
 
 def _active(params: AutoencoderParams, cols: np.ndarray | None):
-    """Indices of the weights that a batch on the coordinates cols reads:
-    W1's columns of cols and of the side inputs, and W2's (and b2's) rows
-    of cols.  Ellipsis, all of them, when cols is None."""
+    """Rows of W1 and of W2 (and b2) that a batch on the coordinates cols
+    reads: W1's of cols and of the side inputs, W2's of cols.  Ellipsis,
+    all of them, when cols is None."""
     if cols is None:
         return Ellipsis, Ellipsis
-    side = np.arange(params.n, params.W1.shape[1])
-    return (slice(None), np.concatenate([cols, side])), cols
+    side = np.arange(params.n, params.W1.shape[0])
+    return np.concatenate([cols, side]), cols
 
 
 def encode_batch(params: AutoencoderParams, x: np.ndarray,
@@ -173,7 +172,7 @@ def encode_batch(params: AutoencoderParams, x: np.ndarray,
     if x.shape[1] != width:
         raise ValueError(f"input dim {x.shape[1]} != batch width {width}")
     xin = np.hstack([x, side]) if params.p_in else x
-    h = np.tanh(xin @ params.W1[_active(params, cols)[0]].T + params.b1)
+    h = np.tanh(xin @ params.W1[_active(params, cols)[0]] + params.b1)
     return np.hstack([h, side]) if params.p_hidden else h
 
 
@@ -198,11 +197,12 @@ def draw_corrupted(n_known: int, mask_ratio: float,
     return rng.choice(n_known, size=n_corrupt, replace=False)
 
 
-# Per weight column, a batch of m rows costs about m + DENSE_COST units on
-# all n coordinates, and m + ACTIVE_COST on its active ones, whose weights
-# it gathers and scatters back.  So it runs on the active ones while they
+# Per coordinate, a batch of m rows costs about m + DENSE_COST units on all
+# n coordinates, and m + ACTIVE_COST on its active ones, whose weight rows
+# it gathers and writes back.  So it runs on the active ones while they
 # are at most (m + DENSE_COST) / (m + ACTIVE_COST) of n: 0.35 at m = 32,
-# 0.65 at m = 256 (fitted to the SGD step and the encoder; see CHANGES.md).
+# 0.65 at m = 256.  The measured crossover lies higher, near 0.6 at m = 32
+# and 0.8-0.9 at m = 256 (see CHANGES.md), so these thresholds err dense.
 DENSE_COST, ACTIVE_COST = 60, 230
 
 
@@ -258,6 +258,10 @@ def corrupt(x: SparseVector, mask_ratio: float, rng: np.random.Generator):
 # so that neither the scale nor the stored matrix over- or underflows.
 _RESCALE = 1e32
 
+# The SGD update subtracts the gradient from blocks of this many weight
+# rows, so no temporary outgrows a block; 1024-2048 measured fastest.
+UPDATE_ROWS = 1024
+
 
 class LazyDecay:
     """In-place minibatch SGD that keeps the L2 decay out of the weights.
@@ -292,23 +296,23 @@ class LazyDecay:
         """Apply one SGD step in place; False, with nothing changed, if the
         losses or the step are not finite.
 
-        factors holds (at, w, a, delta, z) per weight matrix, w = V[at]
-        being the part of V that the batch read (see _active).  The data
-        gradient is zero outside that part and rank m inside it, g =
-        delta.T @ a, so only w's entries move: the decay of the rest lives
-        in the scale.  <V, g> is sum(delta * z), z = a @ w.T being the
-        forward pass's pre-activation, and ||g||^2 is
-        sum((delta delta.T) * (a a.T)); neither reads V.
+        factors holds (at, w, a, b, ip) per weight matrix, w = V[at] being
+        the rows of V that the batch read (see _active).  The data gradient
+        is zero outside them and rank m inside them, g = a.T @ b, so only
+        w's rows move: the decay of the rest lives in the scale.  ip is
+        <V, g>, which is sum(delta * z) for the layer's delta and its
+        pre-activation z, both from the forward pass, and ||g||^2 is
+        sum((a a.T) * (b b.T)); neither reads V.
         """
-        ips = [float(np.vdot(d, z)) for *_, d, z in factors]
-        ggs = [float(np.vdot(d @ d.T, a @ a.T)) for *_, a, d, _ in factors]
+        ips = [ip for *_, ip in factors]
+        ggs = [float(np.vdot(a @ a.T, b @ b.T)) for _, _, a, b, _ in factors]
         if not (np.all(np.isfinite(losses))
                 and all(map(math.isfinite, ips + ggs))):
             return False
         params = self.params
         rate = self.lr / losses.size
         decay = 1.0 - 2.0 * l2 * self.lr
-        for k, (v, (at, w, a, d, _)) in enumerate(zip((params.W1, params.W2),
+        for k, (v, (at, w, a, b, _)) in enumerate(zip((params.W1, params.W2),
                                                       factors)):
             scale = self.scales[k] * decay
             if not 1.0 / _RESCALE <= abs(scale) <= _RESCALE:
@@ -317,19 +321,15 @@ class LazyDecay:
                 scale = 1.0
                 w = v[at]
             step = rate / scale
-            # w -= step * d.T @ a, in place through whichever of w and w.T
-            # is Fortran-ordered
-            if w.flags.f_contiguous:
-                out = dgemm(-step, d, a, beta=1.0, c=w, trans_a=1,
-                            overwrite_c=1)
-            else:
-                out = dgemm(-step, a.T, d.T, beta=1.0, c=w.T, trans_b=1,
-                            overwrite_c=1).T
-            if not np.may_share_memory(out, v):  # gathered, or a copy
-                v[at] = out
+            b_step = step * b
+            for lo in range(0, w.shape[0], UPDATE_ROWS):
+                rows = slice(lo, lo + UPDATE_ROWS)
+                w[rows] -= a[:, rows].T @ b_step
+            if at is not Ellipsis:  # w is a gathered copy
+                v[at] = w
             self.scales[k] = scale
             self.sq_norms[k] += step * (step * ggs[k] - 2.0 * ips[k])
-        (_, _, _, delta1, _), (at2, _, _, delta2, _) = factors
+        (_, _, _, delta1, _), (at2, _, delta2, _, _) = factors
         params.b1 -= rate * delta1.sum(axis=0)
         params.b2[at2] -= rate * delta2.sum(axis=0)
         return True
@@ -361,7 +361,7 @@ def batch_loss_gradients(params, x, code, weights, side=None, *,
     intact, corrupted = code == 1, code == 2
     x_in = np.where(intact, x, 0.0)
     xin = np.hstack([x_in, side]) if params.p_in else x_in
-    z1 = xin @ w1.T
+    z1 = xin @ w1
     h = np.tanh(s1 * z1 + params.b1)
     hin = np.hstack([h, side]) if params.p_hidden else h
     z2 = hin @ w2.T
@@ -393,14 +393,15 @@ def batch_loss_gradients(params, x, code, weights, side=None, *,
             sq_w = s1 * s1 * sgd.sq_norms[0] + s2 * s2 * sgd.sq_norms[1]
         losses = losses + weights.l2 * sq_w
     if sgd is not None:
-        factors = ((at1, w1, xin, delta1, z1), (at2, w2, hin, delta2, z2))
+        factors = ((at1, w1, xin, delta1, float(np.vdot(delta1, z1))),
+                   (at2, w2, delta2, hin, float(np.vdot(delta2, z2))))
         if sgd.step(weights.l2, losses, factors):
             return losses, None
         sgd.fold()
 
     grads = AutoencoderParams(np.zeros_like(params.W1), delta1.sum(axis=0),
                               np.zeros_like(params.W2), np.zeros(params.n))
-    grads.W1[at1] = delta1.T @ xin
+    grads.W1[at1] = xin.T @ delta1
     grads.W2[at2] = delta2.T @ hin
     grads.b2[at2] = delta2.sum(axis=0)
     if weights.l2:
@@ -460,7 +461,7 @@ def decompose(params: AutoencoderParams, x: SparseVector):
         raise ValueError("decompose requires a network without side columns")
     if x.dim != params.n:
         raise ValueError(f"input dim {x.dim} != network dim {params.n}")
-    h = np.tanh(params.W1 @ x.to_dense() + params.b1)
+    h = np.tanh(x.to_dense() @ params.W1 + params.b1)
     u = np.concatenate([h, params.b2])
     v = np.hstack([params.W2, np.eye(params.n)])
     return u, v

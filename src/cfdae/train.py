@@ -366,7 +366,7 @@ def save_checkpoint(path, state: TrainState, bias: BiasTable, scaler: Scaler,
     arrays = {
         "format_version": CHECKPOINT_VERSION,
         "config_json": json.dumps(state.config.to_dict()),
-        "w1": state.params.W1,
+        "w1": state.params.W1.T,  # (hidden, n + p_in), in Fortran order
         "b1": state.params.b1,
         "w2": state.params.W2,
         "b2": state.params.b2,
@@ -397,7 +397,8 @@ def load_checkpoint(path) -> Checkpoint:
     config that does not parse or validate, and weights that are not
     finite or whose shapes disagree, raise DataError."""
     with open_versioned_npz(path, CHECKPOINT_VERSION, "checkpoint") as z:
-        params = AutoencoderParams(z["w1"], z["b1"], z["w2"], z["b2"])
+        params = AutoencoderParams(np.ascontiguousarray(z["w1"].T), z["b1"],
+                                   z["w2"], z["b2"])
         cfg = TrainConfig.from_dict(json.loads(str(z["config_json"])))
         params.validate()
         smin, smax, sdisc, sstep = z["scale"]

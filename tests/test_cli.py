@@ -304,16 +304,24 @@ def test_evaluate_prints_summary(workspace, capsys):
     assert "0-20%" in captured
 
 
-def test_evaluate_fingerprint_mismatch_exits_2(workspace, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_evaluate_fingerprint_mismatch_exits_2(workspace, tmp_path, capsys,
+                                               command):
     other_raw = tmp_path / "raw"
     other_raw.mkdir()
     ratings_csv, _movies = write_corpus(other_raw, seed=9)
     other_data = tmp_path / "data"
     assert main(["ingest", "--ratings", str(ratings_csv),
                  "--out", str(other_data)]) == 0
-    assert main(["evaluate", "--model", str(workspace["model"]),
-                 "--data", str(other_data)]) == 2
-    assert "different data" in capsys.readouterr().err
+    capsys.readouterr()
+    argv = [command, "--model", str(workspace["model"]),
+            "--data", str(other_data)]
+    if command == "predict":
+        argv += ["--user", "1", "--item", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "different data" in err
+    assert str(other_data / "ratings.npz") in err
 
 
 def test_evaluate_missing_checkpoint_exits_2(workspace, tmp_path):

@@ -9,6 +9,7 @@ from cfdae import (AutoencoderParams, CorruptionMask, LossWeights,
                    SparseVector, corrupt, decompose, forward, init_params,
                    loss, loss_gradients)
 import cfdae
+from cfdae import model
 from cfdae.model import LazyDecay, batch_loss_gradients, dense_rows
 
 PARAM_FIELDS = ("W1", "b1", "W2", "b2")
@@ -110,7 +111,7 @@ def test_params_widths():
     params = init_params(7, 3, p_in=2, p_hidden=4, seed=0)
     assert (params.n, params.hidden) == (7, 3)
     assert (params.p_in, params.p_hidden) == (2, 4)
-    assert params.W1.shape == (3, 9) and params.W2.shape == (7, 7)
+    assert params.W1.shape == (9, 3) and params.W2.shape == (7, 7)
     params.validate()
 
 
@@ -121,6 +122,22 @@ def test_init_bounds_and_zero_biases():
     assert np.abs(params.W1).max() <= 1.0 / np.sqrt(55)
     assert np.abs(params.W2).max() <= 1.0 / np.sqrt(23)
     assert not params.b1.any() and not params.b2.any()
+
+
+@pytest.mark.parametrize("n,hidden,p_in,p_hidden,seed", [
+    (7, 3, 2, 4, 0), (50, 20, 5, 3, 1), (6, 4, 0, 0, 42)])
+def test_init_w1_is_the_transposed_draw(n, hidden, p_in, p_hidden, seed):
+    # one row per input coordinate, holding the values of a (hidden,
+    # n + p_in) draw; W2's draw follows it in the same stream
+    params = init_params(n, hidden, p_in, p_hidden, seed=seed)
+    rng = np.random.default_rng(seed)
+    bound1, bound2 = 1.0 / np.sqrt(n + p_in), 1.0 / np.sqrt(hidden + p_hidden)
+    w1 = rng.uniform(-bound1, bound1, size=(hidden, n + p_in))
+    w2 = rng.uniform(-bound2, bound2, size=(n, hidden + p_hidden))
+    assert params.W1.shape == (n + p_in, hidden)
+    assert params.W1.flags.c_contiguous
+    np.testing.assert_array_equal(params.W1, w1.T)
+    np.testing.assert_array_equal(params.W2, w2)
 
 
 def test_init_deterministic():
@@ -135,7 +152,7 @@ def test_init_deterministic():
 # ---------------------------------------------------------------- forward
 
 def test_forward_zero_network_is_zero():
-    params = AutoencoderParams(np.zeros((3, 5)), np.zeros(3),
+    params = AutoencoderParams(np.zeros((5, 3)), np.zeros(3),
                                np.zeros((5, 3)), np.zeros(5))
     x = SparseVector(5, [0, 3], [0.7, -0.2])
     np.testing.assert_array_equal(forward(params, x), np.zeros(5))
@@ -143,7 +160,7 @@ def test_forward_zero_network_is_zero():
 
 def test_forward_matches_straight_line_formula():
     params, x, _side, _rng = _random_instance(5, side_mode="none")
-    expected = np.tanh(params.W2 @ np.tanh(params.W1 @ x.to_dense()
+    expected = np.tanh(params.W2 @ np.tanh(params.W1.T @ x.to_dense()
                                            + params.b1) + params.b2)
     np.testing.assert_allclose(forward(params, x), expected, atol=1e-15)
 
@@ -153,7 +170,7 @@ def test_forward_hidden_injection_term_by_term():
     # (decoder block) @ h + (side block) @ s + b2, evaluated explicitly
     params, x, side, _rng = _random_instance(8, side_mode="hidden_only", p=3)
     k = params.hidden
-    h = np.tanh(params.W1 @ x.to_dense() + params.b1)
+    h = np.tanh(params.W1.T @ x.to_dense() + params.b1)
     pre = params.W2[:, :k] @ h + params.W2[:, k:] @ side + params.b2
     np.testing.assert_allclose(forward(params, x, side), np.tanh(pre),
                                atol=1e-15)
@@ -162,8 +179,8 @@ def test_forward_hidden_injection_term_by_term():
 def test_forward_input_injection_term_by_term():
     params, x, side, _rng = _random_instance(9, side_mode="both", p=2)
     n = params.n
-    h = np.tanh(params.W1[:, :n] @ x.to_dense()
-                + params.W1[:, n:] @ side + params.b1)
+    h = np.tanh(params.W1[:n].T @ x.to_dense()
+                + params.W1[n:].T @ side + params.b1)
     pre = (params.W2[:, :params.hidden] @ h
            + params.W2[:, params.hidden:] @ side + params.b2)
     np.testing.assert_allclose(forward(params, x, side), np.tanh(pre),
@@ -245,7 +262,7 @@ def test_corrupt_ratio_bounds():
 
 def test_loss_frozen_hand_value():
     # zero network outputs 0 everywhere; errors are the targets themselves
-    params = AutoencoderParams(np.zeros((2, 4)), np.zeros(2),
+    params = AutoencoderParams(np.zeros((4, 2)), np.zeros(2),
                                np.zeros((4, 2)), np.zeros(4))
     x = SparseVector(4, [0, 1], [0.5, -0.5])
     x_tilde = SparseVector(4, [1], [-0.5])
@@ -255,7 +272,7 @@ def test_loss_frozen_hand_value():
 
 
 def test_loss_zero_for_perfect_reconstruction():
-    params = AutoencoderParams(np.zeros((2, 4)), np.zeros(2),
+    params = AutoencoderParams(np.zeros((4, 2)), np.zeros(2),
                                np.zeros((4, 2)), np.zeros(4))
     x = SparseVector(4, [0, 2], [0.0, 0.0])
     value = loss(params, x, x, CorruptionMask([]), LossWeights(1.0, 0.5))
@@ -284,7 +301,7 @@ def test_loss_exactly_linear_in_weights():
 
 
 def test_loss_l2_counts_weights_not_biases():
-    params = AutoencoderParams(np.full((2, 3), 2.0), np.full(2, 100.0),
+    params = AutoencoderParams(np.full((3, 2), 2.0), np.full(2, 100.0),
                                np.full((3, 2), 1.0), np.full(3, 100.0))
     x = SparseVector(3, [], [])
     value = loss(params, x, x, CorruptionMask([]), LossWeights(1.0, 1.0, 0.5))
@@ -457,19 +474,35 @@ def test_package_exports_resolve():
     assert [name for name in cfdae.__all__ if not hasattr(cfdae, name)] == []
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
+# Weight order x update block size: None keeps UPDATE_ROWS, which holds
+# these test matrices in one block; 7 rows splits each of them into two to
+# five blocks, the last one partial.
+ORDER_ROWS = [pytest.param("C", None, id="C"), pytest.param("F", None, id="F"),
+              pytest.param("C", 7, id="C-rows7"),
+              pytest.param("F", 7, id="F-rows7")]
+
+
+def _set_update_rows(monkeypatch, rows, params):
+    if rows is not None:
+        monkeypatch.setattr(model, "UPDATE_ROWS", rows)
+        for w in (params.W1, params.W2):
+            assert w.shape[0] > rows and w.shape[0] % rows
+
+
+@pytest.mark.parametrize("order,rows", ORDER_ROWS)
 @pytest.mark.parametrize("lr,l2", [
     pytest.param(0.3, 0.02, id="decay"),
     pytest.param(2.0, 0.25, id="decay-to-zero"),
     pytest.param(1.0, 1e20, id="scale-folded"),
 ])
-def test_sgd_step_matches_explicit_update(lr, l2, order):
+def test_sgd_step_matches_explicit_update(lr, l2, order, rows, monkeypatch):
     # three in-place lazy-decay steps against W -= lr/m * (full gradient)
     rng = np.random.default_rng(5)
     n, hidden, p, m = 9, 4, 2, 5
     params = init_params(n, hidden, p_in=p, p_hidden=p, seed=3)
     params.W1 = np.asarray(params.W1, order=order)
     params.W2 = np.asarray(params.W2, order=order)
+    _set_update_rows(monkeypatch, rows, params)
     ref = params.copy()
     arrays = [getattr(params, f) for f in PARAM_FIELDS]
     weights = LossWeights(1.0, 0.5, l2)
@@ -496,13 +529,13 @@ def test_sgd_step_matches_explicit_update(lr, l2, order):
                                    atol=1e-12)
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("order,rows", ORDER_ROWS)
 @pytest.mark.parametrize("lr,l2", [
     pytest.param(0.3, 0.02, id="decay"),
     pytest.param(2.0, 0.25, id="decay-to-zero"),
     pytest.param(1.0, 1e20, id="scale-folded"),
 ])
-def test_active_step_matches_dense_step(lr, l2, order):
+def test_active_step_matches_dense_step(lr, l2, order, rows, monkeypatch):
     # three steps on each batch's known coordinates against the same steps
     # on all of them: only the order of BLAS sums may differ
     rng = np.random.default_rng(6)
@@ -513,6 +546,7 @@ def test_active_step_matches_dense_step(lr, l2, order):
     active = dense.copy()
     active.W1 = np.asarray(active.W1, order=order)
     active.W2 = np.asarray(active.W2, order=order)
+    _set_update_rows(monkeypatch, rows, dense)
     weights = LossWeights(1.0, 0.5, l2)
     sgds = LazyDecay(dense, lr=lr), LazyDecay(active, lr=lr)
     for _ in range(3):
@@ -550,7 +584,7 @@ def test_decompose_reproduces_forward():
 
 
 def test_decompose_zero_params():
-    params = AutoencoderParams(np.zeros((2, 4)), np.zeros(2),
+    params = AutoencoderParams(np.zeros((4, 2)), np.zeros(2),
                                np.zeros((4, 2)), np.zeros(4))
     u, v = decompose(params, SparseVector(4, [0], [0.5]))
     assert not u.any()

@@ -658,6 +658,7 @@ def test_checkpoint_round_trip(tmp_path, synthetic):
     ckpt = load_checkpoint(path)
 
     assert ckpt.state.config == cfg
+    assert ckpt.state.params.W1.flags.c_contiguous
     for f in PARAM_FIELDS:
         np.testing.assert_array_equal(getattr(ckpt.state.params, f),
                                       getattr(state.params, f))
@@ -712,6 +713,46 @@ def test_checkpoint_is_stored_and_compressed_ones_still_load(tmp_path,
         np.testing.assert_array_equal(getattr(ckpt.state.params, f),
                                       getattr(state.params, f))
     assert ckpt.state.history == state.history
+
+
+@pytest.mark.parametrize("side_info", ["none", "both"])
+def test_checkpoint_in_the_earlier_layout_loads(tmp_path, synthetic,
+                                                side_info):
+    # w1 is stored as (hidden, n + p_in), the transpose of W1; a file that
+    # holds it C-ordered, as earlier versions wrote it, loads to W1 = w1.T
+    # and predicts what that w1 computes
+    ratings, scale = synthetic
+    cfg = small_config(epochs=1, side_info=side_info)
+    bias, scaler = fitted(ratings, scale, cfg)
+    side = side_table(ratings.n_items, 3) if side_info != "none" else None
+    state = train(ratings, cfg, bias, scaler, side=side)
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, state, bias, scaler, side=side)
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    width = ratings.n_users + (3 if side is not None else 0)
+    assert arrays["w1"].shape == (cfg.hidden, width)
+    w1 = np.random.default_rng(7).uniform(-0.3, 0.3, (cfg.hidden, width))
+    arrays["w1"] = w1
+    np.savez(path, **arrays)
+
+    ckpt = load_checkpoint(path)
+    params = ckpt.state.params
+    assert params.W1.flags.c_contiguous
+    np.testing.assert_array_equal(params.W1, w1.T)
+    completer = complete_matrix(ratings, ckpt.state, ckpt.bias, ckpt.scaler,
+                                side=ckpt.side)
+    for user, item in [(0, 0), (5, 3), (ratings.n_users - 1, 7)]:
+        idx, raw = ratings.col(item)
+        x = np.zeros(ratings.n_users)
+        x[idx] = transform(raw, item, bias, scaler)
+        s = [] if side is None else side.features[item]
+        h = np.tanh(w1 @ np.concatenate([x, s]) + params.b1)
+        out = np.tanh(params.W2 @ np.concatenate([h, s]) + params.b2)[user]
+        want = scale.clamp(scaler.from_unit(np.array([out]))[0]
+                           + bias.means[item])
+        assert completer.predict(user, item) == pytest.approx(want,
+                                                              abs=1e-12)
 
 
 def test_checkpoint_version_gate(tmp_path, synthetic):
