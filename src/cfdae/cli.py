@@ -313,6 +313,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     started = _now()
     cfg = _merged_config(args)
     data_dir = Path(args.data)

@@ -153,26 +153,24 @@ def _check_side(params: AutoencoderParams, side) -> np.ndarray | None:
     return side
 
 
-def _active(params: AutoencoderParams, cols: np.ndarray | None):
+def _active(params: AutoencoderParams, cols: np.ndarray):
     """Rows of W1 and of W2 (and b2) that a batch on the coordinates cols
-    reads: W1's of cols and of the side inputs, W2's of cols.  Ellipsis,
-    all of them, when cols is None."""
-    if cols is None:
-        return Ellipsis, Ellipsis
+    reads: W1's of cols and of the side inputs, W2's of cols."""
     side = np.arange(params.n, params.W1.shape[0])
     return np.concatenate([cols, side]), cols
 
 
-def encode_batch(params: AutoencoderParams, x: np.ndarray,
-                 side: np.ndarray | None = None,
-                 cols: np.ndarray | None = None) -> np.ndarray:
-    """Hidden codes of a batch of rows, dense over the coordinates cols
-    (all n when None), with the side columns the decoder reads appended."""
-    width = params.n if cols is None else cols.size
-    if x.shape[1] != width:
-        raise ValueError(f"input dim {x.shape[1]} != batch width {width}")
-    xin = np.hstack([x, side]) if params.p_in else x
-    h = np.tanh(xin @ params.W1[_active(params, cols)[0]] + params.b1)
+def encode_batch(params: AutoencoderParams, x,
+                 side: np.ndarray | None = None) -> np.ndarray:
+    """Hidden codes of a batch of rows over all n coordinates, x a dense
+    array or a scipy sparse array, with the side columns the decoder reads
+    appended."""
+    if x.shape[1] != params.n:
+        raise ValueError(f"input dim {x.shape[1]} != network dim {params.n}")
+    z = x @ params.W1[:params.n]
+    if params.p_in:
+        z += side @ params.W1[params.n:]
+    h = np.tanh(z + params.b1)
     return np.hstack([h, side]) if params.p_hidden else h
 
 
@@ -197,25 +195,15 @@ def draw_corrupted(n_known: int, mask_ratio: float,
     return rng.choice(n_known, size=n_corrupt, replace=False)
 
 
-# Per coordinate, a batch of m rows costs about m + DENSE_COST units on all
-# n coordinates, and m + ACTIVE_COST on its active ones, whose weight rows
-# it gathers and writes back.  So it runs on the active ones while they
-# are at most (m + DENSE_COST) / (m + ACTIVE_COST) of n: 0.35 at m = 32,
-# 0.65 at m = 256.  The measured crossover lies higher, near 0.6 at m = 32
-# and 0.8-0.9 at m = 256 (see CHANGES.md), so these thresholds err dense.
-DENSE_COST, ACTIVE_COST = 60, 230
-
-
-def dense_rows(vectors, ids: np.ndarray, n: int, mask_ratio: float = 0.0,
-               rng: np.random.Generator | None = None):
-    """Rows ids of the CSR vectors (ptr, idx, vals), dense over the
-    batch's active coordinates cols: the sorted union of their indices,
-    or None (all n) when running on all n costs less (see DENSE_COST).
+def dense_rows(vectors, ids: np.ndarray, n: int, mask_ratio: float,
+               rng: np.random.Generator):
+    """Rows ids of the CSR vectors (ptr, idx, vals), corrupted, dense over
+    the batch's active coordinates cols: the sorted union of their indices.
 
     Returns (cols, x, code), the batch that batch_loss_gradients takes
-    with cols=cols.  code is None without an rng; with one, each row in
-    turn corrupts draw_corrupted(n_known, mask_ratio, rng) of its entries
-    and code marks every entry unknown (0), intact (1) or corrupted (2).
+    with cols=cols.  Each row in turn corrupts draw_corrupted(n_known,
+    mask_ratio, rng) of its entries, and code marks every entry unknown
+    (0), intact (1) or corrupted (2).
     """
     ptr, idx, vals = vectors
     counts = ptr[ids + 1] - ptr[ids]
@@ -225,13 +213,9 @@ def dense_rows(vectors, ids: np.ndarray, n: int, mask_ratio: float = 0.0,
     known_any = np.zeros(n, dtype=bool)
     known_any[col] = True
     cols = np.flatnonzero(known_any)
-    if cols.size * (ids.size + ACTIVE_COST) > n * (ids.size + DENSE_COST):
-        cols = None
-    pos = col if cols is None else np.searchsorted(cols, col)
-    x = np.zeros((ids.size, n if cols is None else cols.size))
+    pos = np.searchsorted(cols, col)
+    x = np.zeros((ids.size, cols.size))
     x[row, pos] = vals[at]
-    if rng is None:
-        return cols, x, None
     code = np.zeros(x.shape, dtype=np.uint8)
     code[row, pos] = 1
     hit = np.concatenate([start + draw_corrupted(k, mask_ratio, rng)
@@ -325,8 +309,7 @@ class LazyDecay:
             for lo in range(0, w.shape[0], UPDATE_ROWS):
                 rows = slice(lo, lo + UPDATE_ROWS)
                 w[rows] -= a[:, rows].T @ b_step
-            if at is not Ellipsis:  # w is a gathered copy
-                v[at] = w
+            v[at] = w
             self.scales[k] = scale
             self.sq_norms[k] += step * (step * ggs[k] - 2.0 * ips[k])
         (_, _, _, delta1, _), (at2, _, delta2, _, _) = factors
@@ -336,19 +319,18 @@ class LazyDecay:
 
 
 def batch_loss_gradients(params, x, code, weights, side=None, *,
-                         cols: np.ndarray | None = None,
-                         sgd: LazyDecay | None = None):
+                         cols: np.ndarray, sgd: LazyDecay | None = None):
     """Per-sample losses and, as an AutoencoderParams, the gradient summed
     over the batch.
 
     x holds the known values and code marks each entry unknown (0), intact
     (1) or corrupted (2); the input is x on the intact entries.  Both are
-    dense over the coordinates cols (all n when None, as dense_rows
-    returns them); the passes read only the weights of those coordinates,
-    since missing inputs are zero and missing outputs carry no error.  The
-    two squared-error sums (over corrupted and over intact known entries)
-    are accumulated separately and only then weighted, so the loss is
-    exactly linear in the two weights.
+    dense over the sorted coordinates cols, as dense_rows returns them;
+    the passes read only the weights of those coordinates, since missing
+    inputs are zero and missing outputs carry no error.  The two
+    squared-error sums (over corrupted and over intact known entries) are
+    accumulated separately and only then weighted, so the loss is exactly
+    linear in the two weights.
 
     With ``sgd``, params holds sgd's scaled matrices and the kernel takes
     the SGD step itself, in place, at rate sgd.lr / batch size: it returns
@@ -428,7 +410,8 @@ def _single_vector(params: AutoencoderParams, x: SparseVector,
     if not np.array_equal(x_tilde.to_dense(), np.where(code == 1, dense, 0)[0]):
         raise ValueError("x_tilde must be x with the mask's entries zeroed")
     batch_side = side[None, :] if side is not None else None
-    return batch_loss_gradients(params, dense, code, weights, batch_side)
+    return batch_loss_gradients(params, dense, code, weights, batch_side,
+                                cols=np.arange(x.dim))
 
 
 def loss(params: AutoencoderParams, x: SparseVector, x_tilde: SparseVector,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .data import (RatingMatrix, RatingScale, SplitSpec, atomic_write,
                    open_versioned_npz)
@@ -287,15 +288,18 @@ class MatrixCompleter:
         self.scaler = scaler
         self.n_users = train_data.n_users
         self.n_items = train_data.n_items
-        self._vectors = _entity_vectors(train_data, self.orientation, bias, scaler)
-        self._counts = np.diff(self._vectors[0])
+        ptr, idx, vals = _entity_vectors(train_data, self.orientation, bias,
+                                         scaler)
+        self._counts = np.diff(ptr)
         self._features, p_in, p_hidden = _side_features(cfg, side, self._counts.size)
         if params.p_in != p_in or params.p_hidden != p_hidden:
             raise ValueError("network side widths do not match side_info mode")
-        self._n_out = train_data.n_items if self.orientation == "user" else train_data.n_users
-        if params.n != self._n_out:
+        n_out = train_data.n_items if self.orientation == "user" else train_data.n_users
+        if params.n != n_out:
             raise ValueError(f"network dim {params.n} does not match data "
-                             f"dim {self._n_out}")
+                             f"dim {n_out}")
+        self._vectors = csr_array((vals, idx, ptr),
+                                  shape=(self._counts.size, n_out))
 
     def predict(self, user: int, item: int) -> float:
         return float(self.predict_many([user], [item])[0])
@@ -332,11 +336,13 @@ class MatrixCompleter:
         return inverse_transform(unit, entities, self.bias, self.scaler)
 
     def _encode_block(self, lo: int) -> np.ndarray:
-        """Hidden codes (side columns appended) of entities lo..lo+_CHUNK-1."""
-        ids = np.arange(lo, min(lo + self._CHUNK, self._counts.size))
-        cols, x, _ = dense_rows(self._vectors, ids, self._n_out)
-        side = self._features[ids] if self._features is not None else None
-        return encode_batch(self.params, x, side, cols)
+        """Hidden codes (side columns appended) of entities lo..lo+_CHUNK-1,
+        encoded from their rows of the CSR training vectors.  The product
+        runs on the block in CSC form, which reads each encoder row once
+        per block, not once per known entry, and sums in the same order."""
+        block = slice(lo, lo + self._CHUNK)
+        side = self._features[block] if self._features is not None else None
+        return encode_batch(self.params, self._vectors[block].tocsc(), side)
 
 
 def complete_matrix(train_data: RatingMatrix, state: TrainState,

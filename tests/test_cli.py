@@ -476,3 +476,13 @@ def test_sweep_dae_cli(workspace, tmp_path):
     assert invalid[0]["reconstruction_weight"] == "0.0"
     assert invalid[0]["mask_ratio"] == "0.0"
     assert invalid[0]["rmse"] == ""
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_exits_1(workspace, tmp_path, capsys, jobs):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--kind", "ratio", "--data", str(workspace["data"]),
+                 "--out", str(out), "--ratios", "0.5", "--seeds", "0",
+                 "--hidden", "4", "--epochs", "1", "--jobs", jobs]) == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()

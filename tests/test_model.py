@@ -406,7 +406,7 @@ def test_batch_matches_single_vector_path():
         code[r, mask.indices] = 2
 
     losses, grads = batch_loss_gradients(params, x_tgt, code, weights,
-                                         side_rows)
+                                         side_rows, cols=np.arange(n))
     total = {f: np.zeros_like(getattr(params, f)) for f in PARAM_FIELDS}
     for r, (x, x_tilde, mask) in enumerate(singles):
         single = loss(params, x, x_tilde, mask, weights, side_rows[r])
@@ -422,8 +422,8 @@ def test_batch_matches_single_vector_path():
 @pytest.mark.parametrize("mask_ratio", [0.0, 0.3, 0.9])
 def test_training_rows_match_per_row_corrupt(mask_ratio):
     # the batch builder draws each row's corruption exactly as corrupt()
-    # does, in row order, from the same stream, on all coordinates (n=12)
-    # and on the active ones (n=200)
+    # does, in row order, from the same stream, over the union of the
+    # rows' known coordinates, whether that is all of n (12) or few (200)
     rng = np.random.default_rng(8)
     vectors = []
     for n_known in (0, 1, 5, 12, 7):
@@ -434,10 +434,10 @@ def test_training_rows_match_per_row_corrupt(mask_ratio):
         built = np.random.default_rng(3)
         cols, x_b, code_b = dense_rows(_csr(vectors), ids, n, mask_ratio,
                                        built)
-        assert (cols is None) == (n == 12)
+        np.testing.assert_array_equal(
+            cols, np.unique(np.concatenate([vectors[e][0] for e in ids])))
         assert code_b.dtype == np.uint8 and code_b.max() <= 2
-        at = np.arange(n) if cols is None else cols
-        x_tgt, code = (_scatter(a, at, n) for a in (x_b, code_b))
+        x_tgt, code = (_scatter(a, cols, n) for a in (x_b, code_b))
         oracle = np.random.default_rng(3)
         for r, e in enumerate(ids):
             idx, vals = vectors[e]
@@ -450,10 +450,6 @@ def test_training_rows_match_per_row_corrupt(mask_ratio):
             np.testing.assert_array_equal(np.where(code[r] == 1, x_tgt[r], 0),
                                           x_tilde.to_dense())
         assert built.random() == oracle.random()  # both streams at one point
-        plain_cols, plain, plain_code = dense_rows(_csr(vectors), ids, n)
-        assert plain_cols is cols or np.array_equal(plain_cols, cols)
-        assert plain_code is None
-        np.testing.assert_array_equal(plain, x_b)
 
 
 def _csr(vectors):
@@ -482,6 +478,16 @@ ORDER_ROWS = [pytest.param("C", None, id="C"), pytest.param("F", None, id="F"),
               pytest.param("F", 7, id="F-rows7")]
 
 
+# Learning rate, L2 weight, and whether the weight scale ends three steps
+# folded.  The decay 1 - 2*lr*l2 is 0.988 per step, exactly 0 (the scale
+# folds on every step), and 1e-12, which takes the scale below 1/_RESCALE
+# and folds it on the third step while the gradient step still dominates
+# the decayed weights.
+STEP_DECAYS = [pytest.param(0.3, 0.02, False, id="decay"),
+               pytest.param(2.0, 0.25, True, id="decay-to-zero"),
+               pytest.param(1.0, 0.5 - 5e-13, True, id="scale-folded")]
+
+
 def _set_update_rows(monkeypatch, rows, params):
     if rows is not None:
         monkeypatch.setattr(model, "UPDATE_ROWS", rows)
@@ -490,12 +496,9 @@ def _set_update_rows(monkeypatch, rows, params):
 
 
 @pytest.mark.parametrize("order,rows", ORDER_ROWS)
-@pytest.mark.parametrize("lr,l2", [
-    pytest.param(0.3, 0.02, id="decay"),
-    pytest.param(2.0, 0.25, id="decay-to-zero"),
-    pytest.param(1.0, 1e20, id="scale-folded"),
-])
-def test_sgd_step_matches_explicit_update(lr, l2, order, rows, monkeypatch):
+@pytest.mark.parametrize("lr,l2,folded", STEP_DECAYS)
+def test_sgd_step_matches_explicit_update(lr, l2, folded, order, rows,
+                                          monkeypatch):
     # three in-place lazy-decay steps against W -= lr/m * (full gradient)
     rng = np.random.default_rng(5)
     n, hidden, p, m = 9, 4, 2, 5
@@ -513,14 +516,16 @@ def test_sgd_step_matches_explicit_update(lr, l2, order, rows, monkeypatch):
         x_tgt = np.where(known, rng.uniform(-1, 1, (m, n)), 0.0)
         code = known.astype(np.uint8) + corrupted
         args = (x_tgt, code, weights, rng.uniform(-1, 1, (m, p)))
-        want, grads = batch_loss_gradients(ref, *args)
-        got, stepped = batch_loss_gradients(params, *args, sgd=sgd)
+        want, grads = batch_loss_gradients(ref, *args, cols=np.arange(n))
+        got, stepped = batch_loss_gradients(params, *args, cols=np.arange(n),
+                                            sgd=sgd)
         assert stepped is None
         np.testing.assert_allclose(got, want, rtol=1e-9)
         for f in PARAM_FIELDS:
             setattr(ref, f, getattr(ref, f) - lr / m * getattr(grads, f))
         for k, v in enumerate((params.W1, params.W2)):
             assert sgd.sq_norms[k] == pytest.approx(np.vdot(v, v), rel=1e-9)
+    assert (sgd.scales == [1.0, 1.0]) == folded
     sgd.fold()
     assert sgd.scales == [1.0, 1.0]
     for f, arr in zip(PARAM_FIELDS, arrays):
@@ -530,12 +535,9 @@ def test_sgd_step_matches_explicit_update(lr, l2, order, rows, monkeypatch):
 
 
 @pytest.mark.parametrize("order,rows", ORDER_ROWS)
-@pytest.mark.parametrize("lr,l2", [
-    pytest.param(0.3, 0.02, id="decay"),
-    pytest.param(2.0, 0.25, id="decay-to-zero"),
-    pytest.param(1.0, 1e20, id="scale-folded"),
-])
-def test_active_step_matches_dense_step(lr, l2, order, rows, monkeypatch):
+@pytest.mark.parametrize("lr,l2,folded", STEP_DECAYS)
+def test_active_step_matches_dense_step(lr, l2, folded, order, rows,
+                                        monkeypatch):
     # three steps on each batch's known coordinates against the same steps
     # on all of them: only the order of BLAS sums may differ
     rng = np.random.default_rng(6)
@@ -555,16 +557,17 @@ def test_active_step_matches_dense_step(lr, l2, order, rows, monkeypatch):
         side = rng.uniform(-1, 1, (m, p))
         cols, *rows = dense_rows(_csr(vectors), np.arange(m), n, 0.4,
                                  np.random.default_rng(1))
-        assert cols is not None and cols.size < n
+        assert cols.size < n
         full = [_scatter(a, cols, n) for a in rows]
         want, _ = batch_loss_gradients(dense, *full, weights, side,
-                                       sgd=sgds[0])
+                                       cols=np.arange(n), sgd=sgds[0])
         got, _ = batch_loss_gradients(active, *rows, weights, side,
                                       cols=cols, sgd=sgds[1])
         np.testing.assert_allclose(got, want, rtol=1e-12)
         assert sgds[1].scales == sgds[0].scales
         np.testing.assert_allclose(sgds[1].sq_norms, sgds[0].sq_norms,
                                    rtol=1e-12)
+    assert (sgds[1].scales == [1.0, 1.0]) == folded
     for sgd in sgds:
         sgd.fold()
     for f in PARAM_FIELDS:

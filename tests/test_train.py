@@ -14,7 +14,7 @@ from cfdae import (BiasTable, CorruptionMask, DataError, LossWeights,
                    init_params, learning_rate, load_checkpoint, loss,
                    save_checkpoint, split, train, transform,
                    write_loss_curve)
-from cfdae.model import batch_loss_gradients, encode_batch
+from cfdae.model import batch_loss_gradients, dense_rows
 from cfdae.train import EpochRecord, MatrixCompleter
 
 # cfdae re-exports the function train(), which hides the submodule attribute
@@ -339,8 +339,6 @@ def test_train_steps_the_initial_arrays_in_place(synthetic, monkeypatch):
 
 def _on_all_coordinates(args, cols, n):
     """A batch_loss_gradients batch on cols spread onto all n coordinates."""
-    if cols is None:
-        return args
     spread = []
     for a in args[:2]:  # x and code
         full = np.zeros((a.shape[0], n), dtype=a.dtype)
@@ -349,15 +347,48 @@ def _on_all_coordinates(args, cols, n):
     return (*spread, *args[2:])
 
 
-def _check_lazy_decay(ratings, scale, cfg, monkeypatch, tmp_path):
-    """train() against an SGD loop that decays every weight on each step,
-    over the oracle kernel on all coordinates; returns each batch's cols."""
+def _spy_on_unions(monkeypatch, ratings, orientation):
+    """Records, for each batch that train() builds, the sorted union of
+    its entities' known coordinates, read from the rating matrix."""
+    pull = ratings.col if orientation == "item" else ratings.row
+    unions = []
+
+    def rows_spy(vectors, ids, *args):
+        unions.append(np.unique(np.concatenate([pull(e)[0] for e in ids])))
+        return dense_rows(vectors, ids, *args)
+
+    monkeypatch.setattr(train_module, "dense_rows", rows_spy)
+    return unions
+
+
+def _assert_steps_on_unions(seen_cols, unions):
+    assert seen_cols and len(seen_cols) == len(unions)
+    for cols, union in zip(seen_cols, unions):
+        np.testing.assert_array_equal(cols, union)
+
+
+@pytest.mark.parametrize("data,orientation,side_info", [
+    *(pytest.param("synthetic", o, "both", id=f"synthetic-{o}-both")
+      for o in ("item", "user")),
+    *(pytest.param("sparse_synthetic", o, s, id=f"{o}-{s}")
+      for o in ("item", "user")
+      for s in ("none", "input_only", "hidden_only", "both")),
+])
+def test_lazy_decay_matches_explicit_sgd_on_active_columns(
+        request, monkeypatch, tmp_path, data, orientation, side_info):
+    # train() against an SGD loop that decays every weight on each step,
+    # over the oracle kernel on all coordinates; every step runs on its
+    # batch's known coordinates
+    ratings, scale = request.getfixturevalue(data)
+    cfg = small_config(orientation=orientation, side_info=side_info,
+                       epochs=3, weight_decay=0.02)
     bias, scaler = fitted(ratings, scale, cfg)
     by_item = cfg.orientation == "item"
     n = ratings.n_users if by_item else ratings.n_items
     side = None
     if cfg.side_info != "none":
         side = side_table(ratings.n_items if by_item else ratings.n_users, 3)
+    unions = _spy_on_unions(monkeypatch, ratings, orientation)
     batches, hooked, seen_cols = [], [], []
 
     def spy(params, *args, **kwargs):
@@ -373,11 +404,12 @@ def _check_lazy_decay(ratings, scale, cfg, monkeypatch, tmp_path):
     state = train(ratings, cfg, bias, scaler, side=side, eval_hook=hook,
                   checkpoint_dir=tmp_path)
 
+    _assert_steps_on_unions(seen_cols, unions)
     ref = init_params(n, cfg.hidden, state.params.p_in, state.params.p_hidden,
                       seed=cfg.seed)
     per_epoch, sums, counts = [], np.zeros(cfg.epochs), np.zeros(cfg.epochs)
     for k, (epoch, args) in enumerate(batches):
-        losses, grads = batch_loss_gradients(ref, *args)
+        losses, grads = batch_loss_gradients(ref, *args, cols=np.arange(n))
         step = learning_rate(cfg, epoch) / losses.size
         for f in PARAM_FIELDS:
             setattr(ref, f, getattr(ref, f) - step * getattr(grads, f))
@@ -398,57 +430,27 @@ def _check_lazy_decay(ratings, scale, cfg, monkeypatch, tmp_path):
     for f in PARAM_FIELDS:
         np.testing.assert_array_equal(getattr(state.params, f),
                                       getattr(hooked[-1], f))
-    return seen_cols
 
 
-@pytest.mark.parametrize("orientation", ["item", "user"])
-def test_lazy_decay_matches_explicit_sgd(synthetic, monkeypatch, tmp_path,
-                                         orientation):
-    ratings, scale = synthetic
-    cfg = small_config(orientation=orientation, side_info="both", epochs=3,
-                       weight_decay=0.02)
-    seen_cols = _check_lazy_decay(ratings, scale, cfg, monkeypatch, tmp_path)
-    assert all(cols is None for cols in seen_cols)
-
-
-@pytest.mark.parametrize("side_info", ["none", "input_only", "hidden_only",
-                                       "both"])
-@pytest.mark.parametrize("orientation", ["item", "user"])
-def test_lazy_decay_matches_explicit_sgd_on_active_columns(
-        sparse_synthetic, monkeypatch, tmp_path, orientation, side_info):
-    ratings, scale = sparse_synthetic
-    cfg = small_config(orientation=orientation, side_info=side_info,
-                       epochs=3, weight_decay=0.02)
-    seen_cols = _check_lazy_decay(ratings, scale, cfg, monkeypatch, tmp_path)
-    assert all(cols is not None for cols in seen_cols)
-
-
-@pytest.mark.parametrize("data,active", [("synthetic", False),
-                                         ("sparse_synthetic", True)])
-def test_batches_choose_their_coordinates(request, monkeypatch, data,
-                                          active):
-    # the SGD step and the completer's encoder run on each batch's known
-    # coordinates on the sparse fixture, on all of them on the dense one
+@pytest.mark.parametrize("data", ["synthetic", "sparse_synthetic"])
+def test_batches_choose_their_coordinates(request, monkeypatch, data):
+    # each SGD step runs on the sorted union of its batch's known
+    # coordinates, and the completer's CSR blocks predict as forward does
     ratings, scale = request.getfixturevalue(data)
     cfg = small_config(epochs=1)
     bias, scaler = fitted(ratings, scale, cfg)
-    steps, blocks = [], []
+    unions = _spy_on_unions(monkeypatch, ratings, cfg.orientation)
+    steps = []
 
     def step_spy(*args, **kwargs):
         steps.append(kwargs["cols"])
         return batch_loss_gradients(*args, **kwargs)
 
-    def encode_spy(params, x, side, cols):
-        blocks.append(cols)
-        return encode_batch(params, x, side, cols)
-
     monkeypatch.setattr(train_module, "batch_loss_gradients", step_spy)
-    monkeypatch.setattr(train_module, "encode_batch", encode_spy)
     state = train(ratings, cfg, bias, scaler)
     got = complete_matrix(ratings, state, bias, scaler).predict_many(
         ratings.users, ratings.items)
-    assert steps and blocks
-    assert all((cols is not None) == active for cols in steps + blocks)
+    _assert_steps_on_unions(steps, unions)
     for k in range(0, ratings.n_entries, ratings.n_entries // 20):
         user, item = ratings.users[k], ratings.items[k]
         idx, raw = ratings.col(item)
@@ -610,29 +612,32 @@ def test_completer_predict_many_consistent_with_scalar(synthetic):
     np.testing.assert_array_equal(batch, singles)
 
 
-@pytest.mark.parametrize("orientation", ["item", "user"])
-def test_completer_predictions_do_not_depend_on_the_query(synthetic,
-                                                          orientation):
-    _check_query_independence(*synthetic, orientation, inits=20)
-
-
-@pytest.mark.parametrize("orientation", ["item", "user"])
-def test_completer_predictions_do_not_depend_on_the_query_on_active_columns(
-        sparse_synthetic, orientation):
-    _check_query_independence(*sparse_synthetic, orientation, inits=5)
-
-
-def _check_query_independence(ratings, scale, orientation, inits):
+@pytest.mark.parametrize("data,orientation,side_info,inits", [
+    pytest.param("synthetic", "item", "none", 20, id="item"),
+    pytest.param("synthetic", "user", "none", 20, id="user"),
+    pytest.param("sparse_synthetic", "item", "none", 5, id="sparse-item"),
+    pytest.param("sparse_synthetic", "user", "none", 5, id="sparse-user"),
+    pytest.param("sparse_synthetic", "item", "both", 5, id="sparse-both-item"),
+    pytest.param("sparse_synthetic", "user", "both", 5, id="sparse-both-user"),
+])
+def test_completer_predictions_do_not_depend_on_the_query(
+        request, data, orientation, side_info, inits):
     # a prediction is the same bits alone, inside a batch, and in any order
-    cfg = small_config(orientation=orientation)
+    ratings, scale = request.getfixturevalue(data)
+    cfg = small_config(orientation=orientation, side_info=side_info)
     bias, scaler = fitted(ratings, scale, cfg)
-    n = ratings.n_users if orientation == "item" else ratings.n_items
+    by_item = orientation == "item"
+    n = ratings.n_users if by_item else ratings.n_items
+    side, p = None, 0
+    if side_info != "none":
+        side = side_table(ratings.n_items if by_item else ratings.n_users, 3)
+        p = side.dim
     rng = np.random.default_rng(3)
     users = rng.integers(0, ratings.n_users, 25)
     items = rng.integers(0, ratings.n_items, 25)
     for seed in range(inits):
-        params = init_params(n, cfg.hidden, seed=seed)
-        completer = MatrixCompleter(ratings, params, cfg, bias, scaler)
+        params = init_params(n, cfg.hidden, p, p, seed=seed)
+        completer = MatrixCompleter(ratings, params, cfg, bias, scaler, side)
         batch = completer.predict_many(users, items)
         singles = [completer.predict(int(u), int(i))
                    for u, i in zip(users, items)]
