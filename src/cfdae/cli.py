@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import hashlib
 import logging
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -350,8 +351,13 @@ def cmd_sweep(args) -> int:
     inputs = [ratings_path]
     if side is not None:
         inputs.append(data_dir / "tags.npz")
+    # J workers each run their own BLAS pools: record what sizes them
+    parallel = {"jobs": args.jobs, "cpu_count": os.cpu_count(),
+                **{var: os.environ.get(var)
+                   for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
     _write_manifest(out, "sweep", args,
-                    {"kind": args.kind, "train": cfg.to_dict(), **grid},
+                    {"kind": args.kind, "train": cfg.to_dict(), **grid,
+                     **parallel},
                     inputs, [csv_path, *outputs], started)
     print(f"swept {len(rows)} cells -> {csv_path}")
     return 0

@@ -142,12 +142,22 @@ class RatingMatrix:
         if not np.all(np.isfinite(ratings)):
             raise DataError("ratings must be finite")
 
-        order = np.lexsort((items, users))
-        users, items, ratings = users[order], items[order], ratings[order]
-        if users.size > 1:
-            dup = (np.diff(users) == 0) & (np.diff(items) == 0)
-            if dup.any():
-                k = int(np.flatnonzero(dup)[0]) + 1
+        if int(n_users) * int(n_items) > np.iinfo(np.int64).max:
+            raise DataError(f"{n_users} x {n_items} cells overflow int64 keys")
+
+        # One key per cell in (user, item) order.  Strictly increasing keys
+        # prove the entries sorted and distinct, so only unsorted input is
+        # sorted; sorted input is copied to keep the stored arrays private.
+        key = users * np.int64(n_items) + items
+        if np.all(key[1:] > key[:-1]):
+            users, items, ratings = users.copy(), items.copy(), ratings.copy()
+        else:
+            order = np.argsort(key)
+            key = key[order]
+            users, items, ratings = users[order], items[order], ratings[order]
+            dup = np.flatnonzero(key[1:] == key[:-1])
+            if dup.size:
+                k = int(dup[0]) + 1
                 raise DataError(
                     f"duplicate rating for user {users[k]}, item {items[k]}")
 
@@ -161,12 +171,12 @@ class RatingMatrix:
         np.cumsum(np.bincount(users, minlength=self.n_users), out=row_ptr[1:])
         self._row_ptr = row_ptr
 
-        corder = np.lexsort((users, items))
-        self._col_users = np.ascontiguousarray(users[corder])
-        self._col_ratings = np.ascontiguousarray(ratings[corder])
-        col_ptr = np.zeros(self.n_items + 1, dtype=np.int64)
-        np.cumsum(np.bincount(items, minlength=self.n_items), out=col_ptr[1:])
-        self._col_ptr = col_ptr
+        # CSR -> CSC is a counting sort that keeps users ascending per item
+        cols = sp.csr_array((ratings, items, row_ptr),
+                            shape=(self.n_users, self.n_items)).tocsc()
+        self._col_ptr = cols.indptr.astype(np.int64, copy=False)
+        self._col_users = cols.indices.astype(np.int64, copy=False)
+        self._col_ratings = cols.data
 
         for arr in (self.users, self.items, self.ratings, self._row_ptr,
                     self._col_ptr, self._col_users, self._col_ratings):
@@ -521,9 +531,12 @@ def split(ratings: RatingMatrix, spec: SplitSpec):
         raise DataError("cannot split an empty rating matrix")
     perm = np.random.default_rng(spec.seed).permutation(n)
     n_train = int(round(spec.train_fraction * n))
-    train_idx = np.sort(perm[:n_train])
-    test_idx = np.sort(perm[n_train:])
-    return _take(ratings, train_idx), _take(ratings, test_idx)
+    # a mask yields each side's indices in ascending order without sorting,
+    # so both halves stay in (user, item) order
+    in_train = np.zeros(n, dtype=bool)
+    in_train[perm[:n_train]] = True
+    return (_take(ratings, np.flatnonzero(in_train)),
+            _take(ratings, np.flatnonzero(~in_train)))
 
 
 def _take(ratings: RatingMatrix, idx: np.ndarray) -> RatingMatrix:

@@ -89,7 +89,7 @@ def _cluster_stats(err2, test: RatingMatrix, train_data: RatingMatrix,
     if n_clusters < 1:
         raise ValueError("n_clusters must be at least 1")
 
-    order = np.lexsort((np.arange(counts.size), counts))
+    order = np.argsort(counts, kind="stable")
     cluster_of = np.empty(counts.size, dtype=np.int64)
     for c, group in enumerate(np.array_split(order, n_clusters)):
         cluster_of[group] = c

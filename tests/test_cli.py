@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -436,7 +437,9 @@ def test_predict_unknown_id_falls_back(workspace, capsys):
 
 # ------------------------------------------------------------------ sweep
 
-def test_sweep_ratio_cli(workspace, tmp_path):
+def test_sweep_ratio_cli(workspace, tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     out = tmp_path / "sweep"
     assert main(["sweep", "--kind", "ratio", "--data", str(workspace["data"]),
                  "--out", str(out), "--ratios", "0.5,0.8", "--seeds", "0,1",
@@ -459,6 +462,11 @@ def test_sweep_ratio_cli(workspace, tmp_path):
     manifest = json.loads((out / "manifest_sweep.json").read_text())
     assert manifest["config"]["kind"] == "ratio"
     assert manifest["config"]["ratios"] == [0.5, 0.8]
+    # J x BLAS threads can be read off the manifest
+    assert manifest["config"]["jobs"] == 1
+    assert manifest["config"]["cpu_count"] == os.cpu_count()
+    assert manifest["config"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert manifest["config"]["OMP_NUM_THREADS"] is None
     assert any("sweep_ratio_summary" in o for o in manifest["outputs"])
 
 

@@ -56,6 +56,73 @@ def test_matrix_rejects_bad_input():
         RatingMatrix(2, 2, [0, 2], [0, 0], [1.0, 2.0])  # user out of range
     with pytest.raises(DataError):
         RatingMatrix(2, 2, [0, 1], [0, 0], [1.0, np.nan])
+    # unsorted, with two duplicated cells: the first in (user, item) order
+    with pytest.raises(DataError, match="duplicate rating for user 0, item 2"):
+        RatingMatrix(2, 3, [1, 0, 1, 0], [1, 2, 1, 2], [1.0, 2.0, 3.0, 4.0])
+
+
+def test_matrix_rejects_shapes_whose_cell_keys_overflow_int64():
+    with pytest.raises(DataError, match="overflow"):
+        RatingMatrix(2**32, 2**31, [], [], [])
+
+
+def _cumsum_ptr(entities, n):
+    return np.concatenate([[0], np.cumsum(np.bincount(entities, minlength=n))])
+
+
+@settings(deadline=None, max_examples=60)
+@given(n_users=st.integers(0, 7), n_items=st.integers(0, 7),
+       share=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_matrix_entry_order_against_lexsort_oracles(n_users, n_items, share,
+                                                     seed):
+    rng = np.random.default_rng(seed)
+    cells = n_users * n_items
+    flat = rng.permutation(cells)[:round(share * cells)]  # any order
+    users, items = flat // max(n_items, 1), flat % max(n_items, 1)
+    ratings = rng.uniform(1, 5, flat.size)
+    m = RatingMatrix(n_users, n_items, users, items, ratings)
+
+    by_user = np.lexsort((items, users))
+    np.testing.assert_array_equal(m.users, users[by_user])
+    np.testing.assert_array_equal(m.items, items[by_user])
+    np.testing.assert_array_equal(m.ratings, ratings[by_user])
+    by_item = np.lexsort((users, items))
+    ptr, idx, vals = m.vectors("item")
+    np.testing.assert_array_equal(ptr, _cumsum_ptr(items, n_items))
+    np.testing.assert_array_equal(idx, users[by_item])
+    np.testing.assert_array_equal(vals, ratings[by_item])
+    np.testing.assert_array_equal(m.vectors("user")[0],
+                                  _cumsum_ptr(users, n_users))
+
+    arrays = (*m.vectors("user"), *m.vectors("item"), m.users)
+    for arr in arrays:
+        assert not arr.flags.writeable
+    assert [arr.dtype for arr in arrays] == [np.int64, np.int64, np.float64,
+                                             np.int64, np.int64, np.float64,
+                                             np.int64]
+    presorted = RatingMatrix(n_users, n_items, users[by_user],
+                             items[by_user], ratings[by_user])
+    assert presorted.fingerprint() == m.fingerprint()
+
+
+def test_matrix_from_sorted_arrays_owns_its_copies(toy_ratings):
+    users = np.array(toy_ratings.users)
+    items = np.array(toy_ratings.items)
+    ratings = np.array(toy_ratings.ratings)
+    m = RatingMatrix(4, 5, users, items, ratings)
+    fingerprint = m.fingerprint()
+    stored = [m.users, m.items, m.ratings, *m.vectors("user"),
+              *m.vectors("item")]
+    for given_arr in (users, items, ratings):
+        assert given_arr.flags.writeable
+        assert not any(np.shares_memory(given_arr, arr) for arr in stored)
+    before = [arr.copy() for arr in stored]
+    users[:] = 0
+    items[::-1].sort()
+    ratings[:] = -1.0
+    for arr, want in zip(stored, before):
+        np.testing.assert_array_equal(arr, want)
+    assert m.fingerprint() == fingerprint
 
 
 def test_matrix_row_col_consistency(toy_ratings):
@@ -265,6 +332,22 @@ def test_split_is_exact_partition(seed, fraction, n):
     assert _entry_set(train) | _entry_set(test) == _entry_set(ratings)
     assert not (_entry_set(train) & _entry_set(test))
     assert train.n_users == ratings.n_users and test.n_items == ratings.n_items
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+@pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
+def test_split_takes_the_sorted_halves_of_one_permutation(synthetic, seed,
+                                                          fraction):
+    # checkpoints record only (fraction, seed), so this formula is the format
+    ratings, _scale = synthetic
+    n = ratings.n_entries
+    perm = np.random.default_rng(seed).permutation(n)
+    n_train = int(round(fraction * n))
+    for half, idx in zip(split(ratings, SplitSpec(fraction, seed)),
+                         (np.sort(perm[:n_train]), np.sort(perm[n_train:]))):
+        np.testing.assert_array_equal(half.users, ratings.users[idx])
+        np.testing.assert_array_equal(half.items, ratings.items[idx])
+        np.testing.assert_array_equal(half.ratings, ratings.ratings[idx])
 
 
 def test_split_spec_validation():
