@@ -52,6 +52,13 @@ def write_json(path, obj):
         fh.write("\n")
 
 
+def write_versioned_npz(path, version: int, **arrays):
+    """Write arrays and their format_version atomically to path as a stored
+    (uncompressed) .npz, the one format open_versioned_npz reads."""
+    with atomic_write(path, "wb") as fh:
+        np.savez(fh, format_version=version, **arrays)
+
+
 @contextlib.contextmanager
 def open_versioned_npz(path, version: int, kind: str):
     """np.load of a .npz of this format_version; a damaged file, another
@@ -91,6 +98,17 @@ class RatingScale:
 
     def clamp(self, values):
         return np.clip(values, self.min_rating, self.max_rating)
+
+    def to_array(self) -> np.ndarray:
+        """The stored form, ``[min, max, is_discrete, step]``."""
+        return np.array([self.min_rating, self.max_rating,
+                         float(self.is_discrete), self.step])
+
+    @classmethod
+    def from_array(cls, stored) -> "RatingScale":
+        """Inverse of to_array."""
+        smin, smax, sdisc, sstep = stored
+        return cls(float(smin), float(smax), bool(sdisc), float(sstep))
 
 
 def infer_scale(values) -> RatingScale:
@@ -307,6 +325,44 @@ class TagMatrix:
         return TagMatrix(clipped, self.tag_names)
 
 
+def _records(path: Path, format: str):
+    """(line number, fields) of each non-blank line of a file in one of
+    RATING_FORMATS or TAG_FORMATS; a line with too few fields raises
+    DataError.  CSV is UTF-8, a row of blank fields is blank, and a ratings
+    file starts with a header line.  The ``::`` formats are latin-1; a
+    ratings line is stripped whole, a tag line keeps its leading spaces."""
+    if not path.is_file():
+        raise DataError(f"{path}: no such file")
+    min_fields, shape = {
+        "movielens_dat": (3, "'user::item::rating[::timestamp]'"),
+        "csv": (3, "3 fields"),
+        "movielens_tags": (4, "'user::item::tag::timestamp'"),
+        "genre_flags": (3, "'item::title::genres'"),
+        "adjacency_csv": (2, "'a,b' pair"),
+    }[format]
+    is_csv = format.endswith("csv")
+    with open(path, newline="" if is_csv else None,
+              encoding="utf-8" if is_csv else "latin-1") as fh:
+        if is_csv:
+            reader = csv.reader(fh)
+            # an empty ratings file passes here and has no ratings
+            header = ["user", "item", "rating"]
+            if format == "csv" and [c.strip().lower() for c in
+                                    next(reader, header)[:3]] != header:
+                raise DataError(
+                    f"{path}: line 1: expected 'user,item,rating' header")
+            lines = ((reader.line_num, row) for row in reader
+                     if any(field.strip() for field in row))
+        else:
+            strip = str.strip if format == "movielens_dat" else str.rstrip
+            lines = ((lineno, line.split("::"))
+                     for lineno, line in enumerate(map(strip, fh), 1) if line)
+        for lineno, fields in lines:
+            if len(fields) < min_fields:
+                raise DataError(f"{path}: line {lineno}: expected {shape}")
+            yield lineno, fields
+
+
 def load_ratings(path, format="csv"):
     """Parse a ratings file into a zero-indexed sparse matrix.
 
@@ -321,69 +377,24 @@ def load_ratings(path, format="csv"):
     path = Path(path)
     if format not in RATING_FORMATS:
         raise DataError(f"unknown ratings format {format!r}")
-    if not path.is_file():
-        raise DataError(f"{path}: no such file")
 
-    user_ids: list[str] = []
-    item_ids: list[str] = []
+    # raw id -> internal index, in order of first appearance
     uindex: dict[str, int] = {}
     iindex: dict[str, int] = {}
     uu: list[int] = []
     ii: list[int] = []
     vv: list[float] = []
-
-    def push(raw_u: str, raw_i: str, value: float):
-        ku = uindex.get(raw_u)
-        if ku is None:
-            ku = uindex[raw_u] = len(user_ids)
-            user_ids.append(raw_u)
-        ki = iindex.get(raw_i)
-        if ki is None:
-            ki = iindex[raw_i] = len(item_ids)
-            item_ids.append(raw_i)
-        uu.append(ku)
-        ii.append(ki)
-        vv.append(value)
-
-    if format == "movielens_dat":
-        with open(path, encoding="latin-1") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split("::")
-                if len(parts) < 3:
-                    raise DataError(
-                        f"{path}: line {lineno}: expected "
-                        "'user::item::rating[::timestamp]'")
-                try:
-                    value = float(parts[2])
-                except ValueError:
-                    raise DataError(
-                        f"{path}: line {lineno}: bad rating {parts[2]!r}"
-                    ) from None
-                push(parts[0], parts[1], value)
-    else:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}: no ratings")
-            if [c.strip().lower() for c in header[:3]] != ["user", "item", "rating"]:
-                raise DataError(f"{path}: line 1: expected 'user,item,rating' header")
-            for row in reader:
-                if not row or not any(field.strip() for field in row):
-                    continue
-                if len(row) < 3:
-                    raise DataError(
-                        f"{path}: line {reader.line_num}: expected 3 fields")
-                try:
-                    value = float(row[2])
-                except ValueError:
-                    raise DataError(
-                        f"{path}: line {reader.line_num}: bad rating {row[2]!r}"
-                    ) from None
-                push(row[0].strip(), row[1].strip(), value)
+    for lineno, fields in _records(path, format):
+        try:
+            vv.append(float(fields[2]))
+        except ValueError:
+            raise DataError(
+                f"{path}: line {lineno}: bad rating {fields[2]!r}") from None
+        raw_u, raw_i = fields[:2]
+        if format == "csv":
+            raw_u, raw_i = raw_u.strip(), raw_i.strip()
+        uu.append(uindex.setdefault(raw_u, len(uindex)))
+        ii.append(iindex.setdefault(raw_i, len(iindex)))
 
     if not vv:
         raise DataError(f"{path}: no ratings")
@@ -394,7 +405,7 @@ def load_ratings(path, format="csv"):
 
     # Keep the last occurrence of each (user, item) pair: the first hit in
     # the reversed stream is the last in file order.
-    key = users * np.int64(len(item_ids)) + items
+    key = users * np.int64(len(iindex)) + items
     _, first_rev = np.unique(key[::-1], return_index=True)
     keep = np.sort(key.size - 1 - first_rev)
     n_dup = key.size - keep.size
@@ -403,9 +414,9 @@ def load_ratings(path, format="csv"):
                     "occurrence of each", path, n_dup)
         users, items, values = users[keep], items[keep], values[keep]
 
-    matrix = RatingMatrix(len(user_ids), len(item_ids), users, items, values)
+    matrix = RatingMatrix(len(uindex), len(iindex), users, items, values)
     scale = infer_scale(values)
-    return matrix, scale, IdMaps(tuple(user_ids), tuple(item_ids))
+    return matrix, scale, IdMaps(tuple(uindex), tuple(iindex))
 
 
 def load_tags(path, format, ids: IdMaps, entity: str | None = None) -> TagMatrix:
@@ -427,8 +438,6 @@ def load_tags(path, format, ids: IdMaps, entity: str | None = None) -> TagMatrix
     path = Path(path)
     if format not in TAG_FORMATS:
         raise DataError(f"unknown tag format {format!r}")
-    if not path.is_file():
-        raise DataError(f"{path}: no such file")
     if entity is None:
         entity = "user" if format == "adjacency_csv" else "item"
     if entity not in ("user", "item"):
@@ -440,61 +449,27 @@ def load_tags(path, format, ids: IdMaps, entity: str | None = None) -> TagMatrix
     cols: list[int] = []
     vocab: dict[str, int] = {}  # tag -> column, in order of first appearance
     dropped = 0
-
-    if format == "movielens_tags":
-        with open(path, encoding="latin-1") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                parts = line.split("::")
-                if len(parts) < 4:
-                    raise DataError(
-                        f"{path}: line {lineno}: expected "
-                        "'user::item::tag::timestamp'")
-                ent = index.get(parts[1])
-                if ent is None:
-                    dropped += 1
-                    continue
-                tag = "::".join(parts[2:-1]).strip().lower()
-                rows.append(ent)
-                cols.append(vocab.setdefault(tag, len(vocab)))
-    elif format == "genre_flags":
-        with open(path, encoding="latin-1") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                parts = line.split("::")
-                if len(parts) < 3:
-                    raise DataError(
-                        f"{path}: line {lineno}: expected 'item::title::genres'")
-                ent = index.get(parts[0])
-                if ent is None:
-                    dropped += 1
-                    continue
-                for genre in parts[-1].split("|"):
-                    genre = genre.strip()
-                    if not genre:
-                        continue
-                    rows.append(ent)
-                    cols.append(vocab.setdefault(genre, len(vocab)))
-    else:  # adjacency_csv
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            for row in reader:
-                if not row or not any(field.strip() for field in row):
-                    continue
-                if len(row) < 2:
-                    raise DataError(
-                        f"{path}: line {reader.line_num}: expected 'a,b' pair")
-                a = index.get(row[0].strip())
-                b = index.get(row[1].strip())
-                if a is None or b is None:
-                    dropped += 1
-                    continue
-                rows.extend((a, b))
-                cols.extend((b, a))
+    for _, fields in _records(path, format):
+        if format == "adjacency_csv":
+            a, b = index.get(fields[0].strip()), index.get(fields[1].strip())
+            if a is None or b is None:
+                dropped += 1
+                continue
+            rows.extend((a, b))
+            cols.extend((b, a))
+            continue
+        if format == "movielens_tags":
+            key, tags = fields[1], ["::".join(fields[2:-1]).strip().lower()]
+        else:
+            key, tags = fields[0], [g for g in map(str.strip,
+                                                   fields[-1].split("|")) if g]
+        ent = index.get(key)
+        if ent is None:
+            dropped += 1
+            continue
+        for tag in tags:
+            rows.append(ent)
+            cols.append(vocab.setdefault(tag, len(vocab)))
 
     if dropped:
         log.warning("%s: dropped %d rows referencing unknown entities",
@@ -547,20 +522,15 @@ def _take(ratings: RatingMatrix, idx: np.ndarray) -> RatingMatrix:
 
 def save_snapshot(path, ratings: RatingMatrix, scale: RatingScale, ids: IdMaps):
     """Write a lossless .npz snapshot of a loaded dataset."""
-    with atomic_write(path, "wb") as fh:
-        np.savez_compressed(
-            fh,
-            format_version=SNAPSHOT_VERSION,
-            n_users=ratings.n_users,
-            n_items=ratings.n_items,
-            users=ratings.users,
-            items=ratings.items,
-            values=ratings.ratings,
-            scale=np.array([scale.min_rating, scale.max_rating,
-                            float(scale.is_discrete), scale.step]),
-            user_ids=np.asarray(ids.user_ids),
-            item_ids=np.asarray(ids.item_ids),
-        )
+    write_versioned_npz(path, SNAPSHOT_VERSION,
+                        n_users=ratings.n_users,
+                        n_items=ratings.n_items,
+                        users=ratings.users,
+                        items=ratings.items,
+                        values=ratings.ratings,
+                        scale=scale.to_array(),
+                        user_ids=np.asarray(ids.user_ids),
+                        item_ids=np.asarray(ids.item_ids))
 
 
 def load_snapshot(path):
@@ -568,10 +538,14 @@ def load_snapshot(path):
     with open_versioned_npz(path, SNAPSHOT_VERSION, "snapshot") as z:
         matrix = RatingMatrix(int(z["n_users"]), int(z["n_items"]),
                               z["users"], z["items"], z["values"])
-        smin, smax, sdisc, sstep = z["scale"]
-        scale = RatingScale(float(smin), float(smax), bool(sdisc), float(sstep))
+        scale = RatingScale.from_array(z["scale"])
         ids = IdMaps(tuple(str(s) for s in z["user_ids"]),
                      tuple(str(s) for s in z["item_ids"]))
+        if (len(ids.user_ids), len(ids.item_ids)) != (matrix.n_users,
+                                                      matrix.n_items):
+            raise DataError(
+                f"{len(ids.user_ids)} user and {len(ids.item_ids)} item ids "
+                f"for a {matrix.n_users} x {matrix.n_items} matrix")
     return matrix, scale, ids
 
 
@@ -580,19 +554,14 @@ def save_tag_snapshot(path, tags: TagMatrix, entity: str = "item"):
     if entity not in ("user", "item"):
         raise DataError(f"unknown tag entity {entity!r}")
     coo = tags.counts.tocoo()
-    names = np.asarray(tags.tag_names if tags.tag_names is not None else [])
-    with atomic_write(path, "wb") as fh:
-        np.savez_compressed(
-            fh,
-            format_version=SNAPSHOT_VERSION,
-            shape=np.int64(tags.counts.shape),
-            row=coo.row.astype(np.int64),
-            col=coo.col.astype(np.int64),
-            data=coo.data.astype(np.float64),
-            tag_names=names,
-            has_names=tags.tag_names is not None,
-            entity=entity,
-        )
+    write_versioned_npz(path, SNAPSHOT_VERSION,
+                        shape=np.int64(tags.counts.shape),
+                        row=coo.row.astype(np.int64),
+                        col=coo.col.astype(np.int64),
+                        data=coo.data.astype(np.float64),
+                        tag_names=np.asarray(tags.tag_names or ()),
+                        has_names=tags.tag_names is not None,
+                        entity=entity)
 
 
 def load_tag_snapshot(path):
@@ -603,4 +572,6 @@ def load_tag_snapshot(path):
                                shape=shape).tocsr()
         names = tuple(str(s) for s in z["tag_names"]) if bool(z["has_names"]) else None
         entity = str(z["entity"])
+        if entity not in ("user", "item"):
+            raise DataError(f"unknown tag entity {entity!r}")
     return TagMatrix(counts, names), entity

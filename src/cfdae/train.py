@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .data import (RatingMatrix, RatingScale, SplitSpec, atomic_write,
-                   open_versioned_npz)
+                   open_versioned_npz, write_versioned_npz)
 from .model import (AutoencoderParams, LazyDecay, LossWeights,
                     batch_loss_gradients, dense_rows, draw_corrupted,
                     encode_batch, init_params)
@@ -369,33 +369,30 @@ def save_checkpoint(path, state: TrainState, bias: BiasTable, scaler: Scaler,
                     data_fingerprint: str | None = None,
                     side: SideInfoTable | None = None):
     """Versioned .npz with params, config, preprocessing, and the curve."""
-    arrays = {
-        "format_version": CHECKPOINT_VERSION,
-        "config_json": json.dumps(state.config.to_dict()),
-        "w1": state.params.W1.T,  # (hidden, n + p_in), in Fortran order
-        "b1": state.params.b1,
-        "w2": state.params.W2,
-        "b2": state.params.b2,
-        "bias_orientation": bias.orientation,
-        "bias_means": bias.means,
-        "bias_global": bias.global_mean,
-        "scale": np.array([scaler.scale.min_rating, scaler.scale.max_rating,
-                           float(scaler.scale.is_discrete), scaler.scale.step]),
-        "centered_range": np.array([scaler.centered_low, scaler.centered_high]),
-        "history_epoch": np.array([r.epoch for r in state.history], dtype=np.int64),
-        "history_loss": np.array([r.mean_loss for r in state.history]),
-        "history_rmse": np.array([np.nan if r.rmse is None else r.rmse
-                                  for r in state.history]),
-        "has_split": split is not None,
-        "split": np.array([split.train_fraction, float(split.seed)]
-                          if split is not None else [0.0, 0.0]),
-        "data_fingerprint": data_fingerprint or "",
-        "has_side": side is not None,
-        "side_features": side.features if side is not None else np.zeros((0, 0)),
-        "side_n_svd": side.n_svd if side is not None else 0,
-    }
-    with atomic_write(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    write_versioned_npz(
+        path, CHECKPOINT_VERSION,
+        config_json=json.dumps(state.config.to_dict()),
+        w1=state.params.W1.T,  # (hidden, n + p_in), in Fortran order
+        b1=state.params.b1,
+        w2=state.params.W2,
+        b2=state.params.b2,
+        bias_orientation=bias.orientation,
+        bias_means=bias.means,
+        bias_global=bias.global_mean,
+        scale=scaler.scale.to_array(),
+        centered_range=np.array([scaler.centered_low, scaler.centered_high]),
+        history_epoch=np.array([r.epoch for r in state.history], dtype=np.int64),
+        history_loss=np.array([r.mean_loss for r in state.history]),
+        history_rmse=np.array([np.nan if r.rmse is None else r.rmse
+                               for r in state.history]),
+        has_split=split is not None,
+        split=np.array([split.train_fraction, float(split.seed)]
+                       if split is not None else [0.0, 0.0]),
+        data_fingerprint=data_fingerprint or "",
+        has_side=side is not None,
+        side_features=side.features if side is not None else np.zeros((0, 0)),
+        side_n_svd=side.n_svd if side is not None else 0,
+    )
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -407,10 +404,8 @@ def load_checkpoint(path) -> Checkpoint:
                                    z["w2"], z["b2"])
         cfg = TrainConfig.from_dict(json.loads(str(z["config_json"])))
         params.validate()
-        smin, smax, sdisc, sstep = z["scale"]
-        scale = RatingScale(float(smin), float(smax), bool(sdisc), float(sstep))
         lo, hi = z["centered_range"]
-        scaler = Scaler(scale, float(lo), float(hi))
+        scaler = Scaler(RatingScale.from_array(z["scale"]), float(lo), float(hi))
         means = z["bias_means"]
         means.setflags(write=False)
         bias = BiasTable(str(z["bias_orientation"]), means,

@@ -96,6 +96,19 @@ def test_reingest_preserves_fingerprint(workspace, tmp_path):
     assert first == second
 
 
+def test_ingest_fingerprint_does_not_depend_on_snapshot_storage(workspace,
+                                                                tmp_path):
+    # the corpus's fingerprint as ingested by earlier versions, which
+    # wrote compressed snapshots
+    stats = json.loads((workspace["data"] / "stats.json").read_text())
+    assert stats["fingerprint"] == (
+        "74e9a337c92a566ff95ac6af0ee5f11577e67ec33cc2ccd1b23632fa4a5268c1")
+    path = tmp_path / "ratings.npz"
+    with np.load(workspace["data"] / "ratings.npz") as z:
+        np.savez_compressed(path, **{k: z[k] for k in z.files})
+    assert load_snapshot(path)[0].fingerprint() == stats["fingerprint"]
+
+
 def test_ingest_malformed_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("user,item,rating\n1,1\n")
@@ -411,6 +424,26 @@ def test_damaged_npz_exits_2(workspace, tmp_path, capsys, command, target,
                 "--epochs", "1"]
     assert main(argv + ["--data", str(tmp_path / "data")]) == 2
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+@pytest.mark.parametrize("member", ["user_ids", "item_ids"])
+def test_snapshot_ids_that_disagree_with_the_matrix_exit_2(
+        workspace, tmp_path, capsys, command, member):
+    for name in ("data", "model"):
+        shutil.copytree(workspace[name], tmp_path / name)
+    path = tmp_path / "data" / "ratings.npz"
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays[member] = np.append(arrays[member], "extra")
+    np.savez(path, **arrays)
+    argv = [command, "--model", str(tmp_path / "model"),
+            "--data", str(tmp_path / "data")]
+    if command == "predict":
+        argv += ["--user", "extra", "--item", "extra"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "ids for a 30 x 20 matrix" in err
 
 
 # ---------------------------------------------------------------- predict

@@ -1,5 +1,7 @@
 """Loaders, the sparse rating store, splits, and snapshots."""
 
+import zipfile
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -291,6 +293,139 @@ def test_unknown_entity_dropped_with_warning(tmp_path, caplog):
     assert any("dropped 1" in r.getMessage() for r in caplog.records)
 
 
+# ------------------------------------------- parser edge cases, pinned
+
+def _load(path, format):
+    if format in ("movielens_dat", "csv"):
+        return load_ratings(path, format)
+    return load_tags(path, format, _ids(["1", "a"], ["1", "5"]))
+
+
+@pytest.mark.parametrize("format,text,message", [
+    ("movielens_dat", "1::10::4::0\n1::junk\n",
+     "line 2: expected 'user::item::rating[::timestamp]'"),
+    ("csv", "user,item,rating\n1,10,4\n1,20\n", "line 3: expected 3 fields"),
+    ("movielens_tags", "1::5::funny::0\n1::5::0\n",
+     "line 2: expected 'user::item::tag::timestamp'"),
+    ("genre_flags", "1::A::Drama\n1::A\n",
+     "line 2: expected 'item::title::genres'"),
+    ("adjacency_csv", "a,1\n\na\n", "line 3: expected 'a,b' pair"),
+])
+def test_short_lines_name_their_line_and_shape(tmp_path, format, text,
+                                               message):
+    path = tmp_path / "input"
+    path.write_text(text)
+    with pytest.raises(DataError) as err:
+        _load(path, format)
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("format,text,message", [
+    ("movielens_dat", "1::10::4::0\n2::20:: x \n", "line 2: bad rating ' x'"),
+    ("csv", "user,item,rating\n\n1,10, x ,0\n", "line 3: bad rating ' x '"),
+])
+def test_bad_rating_names_its_line(tmp_path, format, text, message):
+    path = tmp_path / "input"
+    path.write_text(text)
+    with pytest.raises(DataError) as err:
+        load_ratings(path, format)
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("format", ["movielens_dat", "csv", "movielens_tags",
+                                    "genre_flags", "adjacency_csv"])
+def test_missing_input_file(tmp_path, format):
+    path = tmp_path / "nope"
+    with pytest.raises(DataError) as err:
+        _load(path, format)
+    assert str(err.value) == f"{path}: no such file"
+
+
+def test_dat_ratings_read_crlf_and_blank_crlf_lines(tmp_path):
+    path = tmp_path / "ratings.dat"
+    path.write_bytes(b"1::10::4::0\r\n\r\n2::20::2::0\r\n")
+    ratings, _scale, ids = load_ratings(path, "movielens_dat")
+    assert ids.user_ids == ("1", "2") and ids.item_ids == ("10", "20")
+    np.testing.assert_array_equal(ratings.ratings, [4.0, 2.0])
+
+
+def test_dat_ratings_strip_the_line_but_not_its_fields(tmp_path):
+    path = tmp_path / "ratings.dat"
+    path.write_text("  1::10::4::0  \n1 :: 20::2\n")
+    ratings, _scale, ids = load_ratings(path, "movielens_dat")
+    assert ids.user_ids == ("1", "1 ") and ids.item_ids == ("10", " 20")
+    np.testing.assert_array_equal(ratings.ratings, [4.0, 2.0])
+
+
+def test_dat_ratings_separator_only_line_is_short(tmp_path):
+    path = tmp_path / "ratings.dat"
+    path.write_text("1::10::4::0\n :: \n")
+    with pytest.raises(DataError) as err:
+        load_ratings(path, "movielens_dat")
+    assert str(err.value) == (
+        f"{path}: line 2: expected 'user::item::rating[::timestamp]'")
+
+
+def test_csv_ratings_quoted_ids(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text('user,item,rating\n"a,b"," c ",3\n')
+    _ratings, _scale, ids = load_ratings(path, "csv")
+    assert ids.user_ids == ("a,b",) and ids.item_ids == ("c",)
+
+
+@pytest.mark.parametrize("header", ["\nuser,item,rating\n", "user,item\n"],
+                         ids=["blank-first-line", "two-fields"])
+def test_csv_ratings_header_is_the_first_line(tmp_path, header):
+    path = tmp_path / "r.csv"
+    path.write_text(header + "1,10,4\n")
+    with pytest.raises(DataError) as err:
+        load_ratings(path, "csv")
+    assert str(err.value) == (
+        f"{path}: line 1: expected 'user,item,rating' header")
+
+
+def test_csv_ratings_skip_rows_of_blank_fields(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text("user,item,rating\n1,10,4\n, ,\n2,10,3\n")
+    ratings, _scale, ids = load_ratings(path, "csv")
+    assert ids.user_ids == ("1", "2") and ratings.n_entries == 2
+
+
+def test_genre_flags_title_separator_trailing_bar_and_crlf(tmp_path):
+    path = tmp_path / "movies.dat"
+    path.write_bytes(b"1::Face::Off (1997)::Comedy|Drama|\r\n")
+    tags = load_tags(path, "genre_flags", _ids(["u"], ["1"]))
+    assert tags.tag_names == ("Comedy", "Drama")
+    np.testing.assert_array_equal(tags.toarray(), [[1, 1]])
+
+
+def test_genre_flags_ids_are_not_stripped(tmp_path, caplog):
+    path = tmp_path / "movies.dat"
+    path.write_text("1::A::Drama\n 2::X::Action\n")
+    with caplog.at_level("WARNING"):
+        tags = load_tags(path, "genre_flags", _ids(["u"], ["1", "2"]))
+    assert tags.tag_names == ("Drama",)
+    np.testing.assert_array_equal(tags.toarray(), [[1], [0]])
+    assert any("dropped 1" in r.getMessage() for r in caplog.records)
+
+
+def test_movielens_tags_keep_inner_separators_and_fold_case(tmp_path):
+    path = tmp_path / "tags.dat"
+    path.write_text("1::5::sci :: fi::0\n2::5:: Funny ::0\n3::5:: ::0\n")
+    tags = load_tags(path, "movielens_tags", _ids(["1", "2"], ["5"]))
+    # a blank tag is a tag of its own, unlike a blank genre
+    assert tags.tag_names == ("", "funny", "sci :: fi")
+    np.testing.assert_array_equal(tags.toarray(), [[1, 1, 1]])
+
+
+def test_adjacency_strips_ids_and_skips_blank_lines(tmp_path):
+    path = tmp_path / "friends.csv"
+    path.write_text(" a , b \n\n  \nb,c\n")
+    tags = load_tags(path, "adjacency_csv", _ids(["a", "b", "c"], ["x"]))
+    np.testing.assert_array_equal(tags.toarray(),
+                                  [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+
+
 # ------------------------------------------------------------------ split
 
 def test_split_sizes(toy_ratings):
@@ -395,17 +530,79 @@ def test_snapshot_version_check(tmp_path, toy_ratings):
 
 
 def test_damaged_snapshots_raise_data_error(tmp_path, toy_ratings):
+    ids = IdMaps(("a", "b", "c", "d"), ("v", "w", "x", "y", "z"))
     ratings = tmp_path / "ratings.npz"
-    save_snapshot(ratings, toy_ratings, RatingScale(1.0, 5.0), IdMaps(
-        ("a", "b", "c", "d"), ("v", "w", "x", "y", "z")))
     tags = tmp_path / "tags.npz"
-    save_tag_snapshot(tags, TagMatrix(sp.csr_matrix(np.eye(2))), "item")
-    for path, load in ((ratings, load_snapshot), (tags, load_tag_snapshot)):
+
+    def truncate(path):
         whole = path.read_bytes()
         path.write_bytes(whole[:len(whole) // 2])
+
+    def resave(**changes):
+        def damage(path):
+            with np.load(path) as z:
+                arrays = dict(z)
+            np.savez(path, **{**arrays, **changes})
+        return damage
+
+    cases = [
+        (ratings, load_snapshot, truncate, "bad snapshot file"),
+        (ratings, load_snapshot,
+         resave(user_ids=np.asarray(ids.user_ids + ("e",))),
+         "5 user and 5 item ids for a 4 x 5 matrix"),
+        (ratings, load_snapshot,
+         resave(item_ids=np.asarray(ids.item_ids[:-1])),
+         "4 user and 4 item ids for a 4 x 5 matrix"),
+        (tags, load_tag_snapshot, truncate, "bad tag snapshot file"),
+        (tags, load_tag_snapshot, resave(entity="movie"),
+         "unknown tag entity 'movie'"),
+    ]
+    for path, load, damage, message in cases:
+        save_snapshot(ratings, toy_ratings, RatingScale(1.0, 5.0), ids)
+        save_tag_snapshot(tags, TagMatrix(sp.csr_matrix(np.eye(2))), "item")
+        damage(path)
         with pytest.raises(DataError, match="bad .*snapshot file") as err:
             load(path)
-        assert str(path) in str(err.value)
+        assert str(path) in str(err.value) and message in str(err.value)
+
+
+@pytest.mark.parametrize("kind", ["snapshot", "tag snapshot"])
+def test_snapshots_are_stored_and_compressed_ones_still_load(
+        tmp_path, toy_ratings, kind):
+    path = tmp_path / "snap.npz"
+    if kind == "snapshot":
+        save_snapshot(path, toy_ratings, RatingScale(1.0, 5.0, True, 1.0),
+                      IdMaps(("a", "b", "c", "d"), ("v", "w", "x", "y", "z")))
+        load = load_snapshot
+    else:
+        counts = sp.csr_matrix([[2.0, 0.0, 1.0], [0.0, 0.5, 0.0]])
+        save_tag_snapshot(path, TagMatrix(counts, ("p", "q", "r")), "user")
+        load = load_tag_snapshot
+
+    def loaded():
+        # every array and scalar the loader returns, as bytes or values
+        out = []
+        for part in load(path):
+            if isinstance(part, RatingMatrix):
+                part = (part.n_users, part.n_items, part.users.tobytes(),
+                        part.items.tobytes(), part.ratings.tobytes())
+            elif isinstance(part, TagMatrix):
+                c = part.counts
+                part = (c.shape, c.indptr.tobytes(), c.indices.tobytes(),
+                        c.data.tobytes(), part.tag_names)
+            out.append(part)
+        return out
+
+    with zipfile.ZipFile(path) as zf:
+        assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_STORED}
+    stored = loaded()
+    # the compressed layout that earlier versions wrote
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    np.savez_compressed(path, **arrays)
+    with zipfile.ZipFile(path) as zf:
+        assert zipfile.ZIP_DEFLATED in {i.compress_type for i in zf.infolist()}
+    assert loaded() == stored
 
 
 def test_atomic_write_replaces_whole_or_not_at_all(tmp_path):
