@@ -21,11 +21,10 @@ from pathlib import Path
 from .data import (DataError, SplitSpec, RATING_FORMATS,
                    TAG_FORMATS, load_ratings, load_snapshot,
                    load_tag_snapshot, load_tags, save_snapshot,
-                   save_tag_snapshot, split, write_json)
-from .evaluate import (_write_rows, bias_baseline, build_report,
-                       config_digest, improvement_pct, rmse,
-                       summarize_ratio_sweep, sweep_dae,
-                       sweep_training_ratio, write_cluster_csv)
+                   save_tag_snapshot, split, write_csv, write_json)
+from .evaluate import (BiasPredictor, build_report, config_digest,
+                       improvement_pct, rmse, summarize_ratio_sweep,
+                       sweep_dae, sweep_training_ratio, write_cluster_csv)
 from .preprocess import (build_side_info, fit_bias, fit_scaler, svd_embed)
 from .train import (SIDE_MODES, TrainConfig, TrainingDiverged,
                     complete_matrix, load_checkpoint, save_checkpoint,
@@ -168,8 +167,7 @@ def cmd_ingest(args) -> int:
         "fingerprint": ratings.fingerprint(),
     }
     if args.tags:
-        entity = args.tag_entity or (
-            "user" if args.tag_format == "adjacency_csv" else "item")
+        entity = args.tag_entity or TAG_FORMATS[args.tag_format]
         tags = load_tags(args.tags, args.tag_format, ids, entity)
         save_tag_snapshot(out / "tags.npz", tags, entity)
         outputs.append(out / "tags.npz")
@@ -268,8 +266,7 @@ def cmd_evaluate(args) -> int:
     report = build_report(completer, test_m, train_m, by=by,
                           n_clusters=args.n_clusters, digest=digest,
                           seed=cfg.seed)
-    baseline = bias_baseline(train_m, cfg.orientation, scale)
-    base_rmse = rmse(baseline, test_m)
+    base_rmse = rmse(BiasPredictor(ckpt.bias, scale), test_m)
 
     out = Path(args.out) if args.out else Path(args.model)
     out.mkdir(parents=True, exist_ok=True)
@@ -333,9 +330,9 @@ def cmd_sweep(args) -> int:
                                     side=side, out_csv=csv_path,
                                     jobs=args.jobs)
         summary_path = out / "sweep_ratio_summary.csv"
-        summary = summarize_ratio_sweep(rows)
-        _write_rows(summary_path, ["ratio", "n_seeds", "mean_rmse",
-                                   "plus_minus", "label"], summary)
+        fields = ["ratio", "n_seeds", "mean_rmse", "plus_minus", "label"]
+        write_csv(summary_path, fields, ([s[k] for k in fields]
+                                         for s in summarize_ratio_sweep(rows)))
         outputs.append(summary_path)
         grid = {"ratios": ratios, "seeds": seeds}
     else:

@@ -20,7 +20,9 @@ import scipy.sparse as sp
 log = logging.getLogger(__name__)
 
 RATING_FORMATS = ("movielens_dat", "csv")
-TAG_FORMATS = ("movielens_tags", "genre_flags", "adjacency_csv")
+# tag format -> the entity kind its rows describe unless told otherwise
+TAG_FORMATS = {"movielens_tags": "item", "genre_flags": "item",
+               "adjacency_csv": "user"}
 
 SNAPSHOT_VERSION = 1
 
@@ -50,6 +52,15 @@ def write_json(path, obj):
     with atomic_write(path, encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
+
+
+def write_csv(path, header, rows):
+    """header and rows as UTF-8 CSV with \\n line ends, written atomically;
+    None is an empty field and a float its repr."""
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_versioned_npz(path, version: int, **arrays):
@@ -232,7 +243,8 @@ class RatingMatrix:
             return self._row_ptr, self.items, self.ratings
         if by == "item":
             return self._col_ptr, self._col_users, self._col_ratings
-        raise ValueError(f"unknown orientation {by!r}")
+        raise ValueError(f"unknown orientation {by!r}: the entity kind is "
+                         "'user' or 'item'")
 
     def row_counts(self) -> np.ndarray:
         return np.diff(self._row_ptr)
@@ -432,14 +444,14 @@ def load_tags(path, format, ids: IdMaps, entity: str | None = None) -> TagMatrix
                       matrix.
 
     ``entity`` selects which id map resolves the rows ("user" or "item");
-    it defaults to "user" for adjacency_csv and "item" otherwise.  Rows
-    whose entity id is unknown are dropped and counted in a warning.
+    it defaults to the format's entry in TAG_FORMATS.  Rows whose entity
+    id is unknown are dropped and counted in a warning.
     """
     path = Path(path)
     if format not in TAG_FORMATS:
         raise DataError(f"unknown tag format {format!r}")
     if entity is None:
-        entity = "user" if format == "adjacency_csv" else "item"
+        entity = TAG_FORMATS[format]
     if entity not in ("user", "item"):
         raise DataError(f"unknown entity kind {entity!r}")
     index = ids.user_index if entity == "user" else ids.item_index

@@ -7,7 +7,6 @@ from scratch per cell and emit flat CSV tables.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
@@ -15,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import (RatingMatrix, RatingScale, SplitSpec, atomic_write, split,
+from .data import (RatingMatrix, RatingScale, SplitSpec, split, write_csv,
                    write_json)
 from .preprocess import BiasTable, fit_bias, fit_scaler
 from .train import TrainConfig, complete_matrix, train
@@ -82,10 +81,8 @@ def cluster_rmse(predictor, test: RatingMatrix, train_data: RatingMatrix,
 def _cluster_stats(err2, test: RatingMatrix, train_data: RatingMatrix,
                    by: str, n_clusters: int) -> list[ClusterStat]:
     """cluster_rmse from the test entries' squared errors."""
-    if by not in ("item", "user"):
-        raise ValueError(f"unknown clustering entity {by!r}")
     counts = np.diff(train_data.vectors(by)[0])
-    test_entities = test.items if by == "item" else test.users
+    test_entities = {"user": test.users, "item": test.items}[by]
     if n_clusters < 1:
         raise ValueError("n_clusters must be at least 1")
 
@@ -179,12 +176,8 @@ def build_report(predictor, test: RatingMatrix, train_data: RatingMatrix,
 
 
 def write_cluster_csv(path, report: EvalReport):
-    with atomic_write(path, newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster", "rmse", "n_entries"])
-        for c in report.per_cluster:
-            writer.writerow([c.label, "" if c.rmse is None else repr(c.rmse),
-                             c.n_entries])
+    write_csv(path, ["cluster", "rmse", "n_entries"],
+              ([c.label, c.rmse, c.n_entries] for c in report.per_cluster))
 
 
 def _fit_and_score(ratings: RatingMatrix, scale: RatingScale,
@@ -203,8 +196,7 @@ def _run_cells(tasks, jobs):
     if jobs <= 1 or len(tasks) <= 1:
         return [_fit_and_score(*t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_fit_and_score, *t) for t in tasks]
-        return [f.result() for f in futures]
+        return list(pool.map(_fit_and_score, *zip(*tasks)))
 
 
 def sweep_training_ratio(ratings: RatingMatrix, scale: RatingScale,
@@ -214,13 +206,12 @@ def sweep_training_ratio(ratings: RatingMatrix, scale: RatingScale,
     cells = [(ratio, seed) for ratio in ratios for seed in seeds]
     tasks = [(ratings, scale, cfg.replace(seed=seed), SplitSpec(ratio, seed), side)
              for ratio, seed in cells]
-    results = _run_cells(tasks, jobs)
-    rows = [{"ratio": ratio, "seed": seed, "rmse": value,
-             "n_train": n_train, "n_test": n_test}
-            for (ratio, seed), (value, n_train, n_test) in zip(cells, results)]
+    fields = ["ratio", "seed", "rmse", "n_train", "n_test"]
+    table = [(*cell, *result)
+             for cell, result in zip(cells, _run_cells(tasks, jobs))]
     if out_csv is not None:
-        _write_rows(out_csv, ["ratio", "seed", "rmse", "n_train", "n_test"], rows)
-    return rows
+        write_csv(out_csv, fields, table)
+    return [dict(zip(fields, row)) for row in table]
 
 
 def sweep_dae(ratings: RatingMatrix, scale: RatingScale, recon_weights,
@@ -241,22 +232,10 @@ def sweep_dae(ratings: RatingMatrix, scale: RatingScale, recon_weights,
               split_spec, side)
              for rw, mr in valid]
     results = dict(zip(valid, _run_cells(tasks, jobs)))
-    rows = []
-    for rw, mr in cells:
-        ok = (rw, mr) in results
-        rows.append({"reconstruction_weight": rw, "mask_ratio": mr,
-                     "valid": ok,
-                     "rmse": results[(rw, mr)][0] if ok else None,
-                     "seed": split_spec.seed})
+    fields = ["reconstruction_weight", "mask_ratio", "valid", "rmse", "seed"]
+    table = [(rw, mr, (rw, mr) in results,
+              results.get((rw, mr), (None,))[0], split_spec.seed)
+             for rw, mr in cells]
     if out_csv is not None:
-        _write_rows(out_csv, ["reconstruction_weight", "mask_ratio", "valid",
-                              "rmse", "seed"], rows)
-    return rows
-
-
-def _write_rows(path, fieldnames, rows):
-    with atomic_write(path, newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
+        write_csv(out_csv, fields, table)
+    return [dict(zip(fields, row)) for row in table]

@@ -67,14 +67,11 @@ def fit_bias(train: RatingMatrix, orientation: str) -> BiasTable:
     """
     if train.n_entries == 0:
         raise ValueError("cannot fit biases on an empty training matrix")
-    if orientation == "user":
-        idx, n = train.users, train.n_users
-    elif orientation == "item":
-        idx, n = train.items, train.n_items
-    else:
-        raise ValueError(f"unknown orientation {orientation!r}")
-    counts = np.bincount(idx, minlength=n).astype(np.float64)
-    sums = np.bincount(idx, weights=train.ratings, minlength=n)
+    ptr, _, ratings = train.vectors(orientation)
+    n = ptr.size - 1
+    counts = np.diff(ptr)
+    sums = np.bincount(np.repeat(np.arange(n), counts), weights=ratings,
+                       minlength=n)
     global_mean = float(train.ratings.mean())
     means = np.full(n, global_mean)
     seen = counts > 0

@@ -18,11 +18,11 @@ from pathlib import Path
 import numpy as np
 from scipy.sparse import csr_array
 
-from .data import (RatingMatrix, RatingScale, SplitSpec, atomic_write,
-                   open_versioned_npz, write_versioned_npz)
+from .data import (RatingMatrix, RatingScale, SplitSpec, open_versioned_npz,
+                   write_csv, write_versioned_npz)
 from .model import (AutoencoderParams, LazyDecay, LossWeights,
                     batch_loss_gradients, dense_rows, draw_corrupted,
-                    encode_batch, init_params)
+                    encode_batch, first_nonfinite, init_params)
 from .preprocess import (BiasTable, Scaler, SideInfoTable, inverse_transform,
                          transform)
 
@@ -148,19 +148,16 @@ class TrainingDiverged(RuntimeError):
             f"batch {batch} (max |gradient| = {grad}, last finite mean "
             f"loss = {last_loss})")
 
-
-def _nonfinite_array(*params: AutoencoderParams) -> str | None:
-    """First of W1, b1, W2, b2 that is not finite in one of params."""
-    for name in ("W1", "b1", "W2", "b2"):
-        if not all(np.all(np.isfinite(getattr(p, name))) for p in params):
-            return name
-    return None
+    def __reduce__(self):
+        # pickled by its fields, so a sweep worker's error reaches the parent
+        return type(self), (self.epoch, self.batch, self.grad_max, self.param,
+                            self.last_loss)
 
 
 def _nonfinite_param(params: AutoencoderParams,
                      grads: AutoencoderParams) -> str:
     """First parameter whose value, gradient or squared norm is not finite."""
-    name = _nonfinite_array(params, grads)
+    name = first_nonfinite(params, grads)
     if name is not None:
         return name
     for name in ("W1", "W2"):
@@ -170,21 +167,27 @@ def _nonfinite_param(params: AutoencoderParams,
     return "loss"
 
 
-def _entity_vectors(train: RatingMatrix, orientation: str, bias: BiasTable,
-                    scaler: Scaler):
-    """Every entity's vector as CSR (ptr, counterpart indices, unit values)."""
-    ptr, idx, raw = train.vectors(orientation)
-    entities = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
-    return ptr, idx, transform(raw, entities, bias, scaler)
-
-
-def _side_features(cfg: TrainConfig, side: SideInfoTable | None,
-                   n_entities: int):
-    """Validated feature matrix and the (p_in, p_hidden) widths."""
+def _training_vectors(train_data: RatingMatrix, cfg: TrainConfig,
+                      bias: BiasTable, scaler: Scaler,
+                      side: SideInfoTable | None):
+    """Every entity's training vector, centered and rescaled, as one
+    (entities x counterparts) CSR array; the side features; and the
+    (p_in, p_hidden) widths.  The bias table and the side table are
+    checked against cfg here."""
+    if bias.orientation != cfg.orientation:
+        raise ValueError(f"bias table orientation {bias.orientation!r} does "
+                         f"not match config orientation {cfg.orientation!r}")
+    ptr, idx, raw = train_data.vectors(cfg.orientation)
+    n_entities = ptr.size - 1
+    entities = np.repeat(np.arange(n_entities), np.diff(ptr))
+    # the counterpart dimension is the matrix's other one
+    n = train_data.n_users + train_data.n_items - n_entities
+    vectors = csr_array((transform(raw, entities, bias, scaler), idx, ptr),
+                        shape=(n_entities, n))
     if cfg.side_info == "none":
         if side is not None:
             raise ValueError("side table given but side_info mode is 'none'")
-        return None, 0, 0
+        return vectors, None, (0, 0)
     if side is None:
         raise ValueError(f"side_info mode {cfg.side_info!r} needs a side table")
     if side.n_entities != n_entities:
@@ -192,7 +195,7 @@ def _side_features(cfg: TrainConfig, side: SideInfoTable | None,
                          f"expected {n_entities}")
     p_in = side.dim if cfg.side_info in ("input_only", "both") else 0
     p_hidden = side.dim if cfg.side_info in ("hidden_only", "both") else 0
-    return side.features, p_in, p_hidden
+    return vectors, side.features, (p_in, p_hidden)
 
 
 def train(train_data: RatingMatrix, cfg: TrainConfig, bias: BiasTable,
@@ -205,14 +208,10 @@ def train(train_data: RatingMatrix, cfg: TrainConfig, bias: BiasTable,
     record on that epoch's curve point.  checkpoint_dir, if given, gets
     one checkpoint file per epoch.
     """
-    if bias.orientation != cfg.orientation:
-        raise ValueError(f"bias table orientation {bias.orientation!r} does "
-                         f"not match config orientation {cfg.orientation!r}")
-    n = train_data.n_items if cfg.orientation == "user" else train_data.n_users
-    vectors = _entity_vectors(train_data, cfg.orientation, bias, scaler)
-    counts = np.diff(vectors[0])
-    features, p_in, p_hidden = _side_features(cfg, side, counts.size)
-    pool = np.flatnonzero(counts)
+    vectors, features, (p_in, p_hidden) = _training_vectors(
+        train_data, cfg, bias, scaler, side)
+    n = vectors.shape[1]
+    pool = np.flatnonzero(np.diff(vectors.indptr))
     if pool.size == 0:
         raise ValueError("no training vectors with known entries")
 
@@ -232,7 +231,7 @@ def train(train_data: RatingMatrix, cfg: TrainConfig, bias: BiasTable,
         last_loss = state.history[-1].mean_loss if state.history else None
         for batch, start in enumerate(range(0, order.size, cfg.batch_size)):
             sel = order[start:start + cfg.batch_size]
-            cols, x, code = dense_rows(vectors, sel, n, cfg.mask_ratio, rng)
+            cols, x, code = dense_rows(vectors, sel, cfg.mask_ratio, rng)
             batch_side = features[sel] if features is not None else None
             losses, grads = batch_loss_gradients(params, x, code, weights,
                                                  batch_side, cols=cols,
@@ -247,7 +246,7 @@ def train(train_data: RatingMatrix, cfg: TrainConfig, bias: BiasTable,
             seen += sel.size
             last_loss = loss_sum / seen
         sgd.fold()
-        bad = _nonfinite_array(params)
+        bad = first_nonfinite(params)
         if bad is not None:
             raise TrainingDiverged(epoch, batch, None, bad, last_loss)
 
@@ -280,26 +279,20 @@ class MatrixCompleter:
     def __init__(self, train_data: RatingMatrix, params: AutoencoderParams,
                  cfg: TrainConfig, bias: BiasTable, scaler: Scaler,
                  side: SideInfoTable | None = None):
-        if bias.orientation != cfg.orientation:
-            raise ValueError("bias table orientation does not match config")
+        self._vectors, self._features, (p_in, p_hidden) = _training_vectors(
+            train_data, cfg, bias, scaler, side)
+        have = (params.n, params.p_in, params.p_hidden)
+        need = (self._vectors.shape[1], p_in, p_hidden)
+        if have != need:
+            raise ValueError(f"network widths (n, p_in, p_hidden) {have} do "
+                             f"not match the data and side_info mode's {need}")
+        self._counts = np.diff(self._vectors.indptr)
         self.orientation = cfg.orientation
         self.params = params
         self.bias = bias
         self.scaler = scaler
         self.n_users = train_data.n_users
         self.n_items = train_data.n_items
-        ptr, idx, vals = _entity_vectors(train_data, self.orientation, bias,
-                                         scaler)
-        self._counts = np.diff(ptr)
-        self._features, p_in, p_hidden = _side_features(cfg, side, self._counts.size)
-        if params.p_in != p_in or params.p_hidden != p_hidden:
-            raise ValueError("network side widths do not match side_info mode")
-        n_out = train_data.n_items if self.orientation == "user" else train_data.n_users
-        if params.n != n_out:
-            raise ValueError(f"network dim {params.n} does not match data "
-                             f"dim {n_out}")
-        self._vectors = csr_array((vals, idx, ptr),
-                                  shape=(self._counts.size, n_out))
 
     def predict(self, user: int, item: int) -> float:
         return float(self.predict_many([user], [item])[0])
@@ -428,8 +421,5 @@ def load_checkpoint(path) -> Checkpoint:
 
 def write_loss_curve(path, history: list[EpochRecord]):
     """CSV of the training curve: epoch,loss,rmse (rmse blank if absent)."""
-    with atomic_write(path, encoding="utf-8") as fh:
-        fh.write("epoch,loss,rmse\n")
-        for rec in history:
-            rmse = "" if rec.rmse is None else repr(rec.rmse)
-            fh.write(f"{rec.epoch},{rec.mean_loss!r},{rmse}\n")
+    write_csv(path, ["epoch", "loss", "rmse"],
+              ([rec.epoch, rec.mean_loss, rec.rmse] for rec in history))

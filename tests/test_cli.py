@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfdae import TrainConfig, load_checkpoint, load_snapshot
+from cfdae import (TrainConfig, load_checkpoint, load_snapshot,
+                   load_tag_snapshot, summarize_ratio_sweep)
 from cfdae.cli import _merged_config, build_parser, main
 
 GENRES = ("Action", "Comedy", "Drama", "Horror", "Romance")
@@ -107,6 +108,21 @@ def test_ingest_fingerprint_does_not_depend_on_snapshot_storage(workspace,
     with np.load(workspace["data"] / "ratings.npz") as z:
         np.savez_compressed(path, **{k: z[k] for k in z.files})
     assert load_snapshot(path)[0].fingerprint() == stats["fingerprint"]
+
+
+def test_ingest_adjacency_tags_describe_users_by_default(workspace,
+                                                        tmp_path):
+    # no --tag-entity: the format's default entity, "user", is recorded
+    adjacency = tmp_path / "friends.csv"
+    adjacency.write_text("1,2\n2,3\n")
+    out = tmp_path / "data"
+    assert main(["ingest", "--ratings", str(workspace["raw_ratings"]),
+                 "--tags", str(adjacency), "--tag-format", "adjacency_csv",
+                 "--out", str(out)]) == 0
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["tags"]["entity"] == "user"
+    tags, entity = load_tag_snapshot(out / "tags.npz")
+    assert entity == "user" and tags.n_entities == stats["n_users"]
 
 
 def test_ingest_malformed_file_exits_2(tmp_path, capsys):
@@ -350,7 +366,10 @@ def _with_nan(w):
 
 
 @pytest.mark.parametrize("key,change,message", [
-    pytest.param("w2", _with_nan, "finite", id="nan-w2"),
+    pytest.param("w2", _with_nan, "parameters must be finite: W2 is not",
+                 id="nan-w2"),
+    pytest.param("w1", _with_nan, "parameters must be finite: W1 is not",
+                 id="nan-w1"),
     pytest.param("w1", lambda w: w[:, :-1], "narrower", id="narrow-w1"),
     pytest.param("b1", lambda b: b[:-1], "disagree", id="short-b1"),
 ])
@@ -491,6 +510,13 @@ def test_sweep_ratio_cli(workspace, tmp_path, monkeypatch):
     seeds_05 = [float(r["rmse"]) for r in rows if r["ratio"] == "0.5"]
     assert float(summary[0]["mean_rmse"]) == \
         pytest.approx(sum(seeds_05) / 2, rel=1e-12)
+    # \n line ends and floats as their repr, so the rows parse back exactly
+    want = summarize_ratio_sweep([{"ratio": float(r["ratio"]),
+                                   "rmse": float(r["rmse"])} for r in rows])
+    assert (out / "sweep_ratio_summary.csv").read_bytes() == "".join(
+        ["ratio,n_seeds,mean_rmse,plus_minus,label\n"]
+        + [f"{s['ratio']!r},2,{s['mean_rmse']!r},{s['plus_minus']!r},"
+           f"{s['label']}\n" for s in want]).encode()
 
     manifest = json.loads((out / "manifest_sweep.json").read_text())
     assert manifest["config"]["kind"] == "ratio"
@@ -517,6 +543,23 @@ def test_sweep_dae_cli(workspace, tmp_path):
     assert invalid[0]["reconstruction_weight"] == "0.0"
     assert invalid[0]["mask_ratio"] == "0.0"
     assert invalid[0]["rmse"] == ""
+
+
+def test_sweep_divergence_exits_3_in_parallel_too(workspace, tmp_path,
+                                                  capsys):
+    # a diverging cell reports the same error whether it ran in this
+    # process or in a worker
+    errors = []
+    for jobs in ("1", "2"):
+        argv = ["sweep", "--kind", "ratio", "--data", str(workspace["data"]),
+                "--out", str(tmp_path / jobs), "--ratios", "0.5,0.8",
+                "--seeds", "0", "--hidden", "8", "--epochs", "2",
+                "--lr0", "1e308", "--jobs", jobs]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(argv) == 3
+        errors.append(capsys.readouterr().err.strip().splitlines()[-1])
+    assert errors[0].startswith("error: non-finite training signal in ")
+    assert errors[1] == errors[0]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -231,6 +231,29 @@ def test_write_cluster_csv(tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows[0] == {"cluster": "0-50%", "rmse": "0.5", "n_entries": "2"}
     assert rows[1]["rmse"] == ""
+    assert path.read_bytes() == (b"cluster,rmse,n_entries\n0-50%,0.5,2\n"
+                                 b"50-100%,,0\n")
+
+
+def test_sweep_csv_bytes(synthetic, tmp_path):
+    # \n line ends, a blank field for the invalid cell's rmse, floats as
+    # their repr
+    ratings, scale = synthetic
+    cfg = quick_config(hidden=4)
+    path = tmp_path / "ratio.csv"
+    rows = sweep_training_ratio(ratings, scale, [0.6, 0.8], cfg, seeds=[0],
+                                out_csv=path)
+    assert path.read_bytes() == "".join(
+        ["ratio,seed,rmse,n_train,n_test\n"]
+        + [f"{r['ratio']!r},0,{r['rmse']!r},{r['n_train']},{r['n_test']}\n"
+           for r in rows]).encode()
+    path = tmp_path / "dae.csv"
+    rows = sweep_dae(ratings, scale, [0.0], [0.0, 0.25], cfg,
+                     SplitSpec(0.8, 3), out_csv=path)
+    assert path.read_bytes() == (
+        "reconstruction_weight,mask_ratio,valid,rmse,seed\n"
+        "0.0,0.0,False,,3\n"
+        f"0.0,0.25,True,{rows[1]['rmse']!r},3\n").encode()
 
 
 def test_config_digest_sensitivity(synthetic):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 from cfdae import (AutoencoderParams, CorruptionMask, LossWeights,
                    SparseVector, corrupt, decompose, forward, init_params,
@@ -432,7 +433,7 @@ def test_training_rows_match_per_row_corrupt(mask_ratio):
     ids = np.array([3, 0, 4, 1, 2])
     for n in (12, 200):
         built = np.random.default_rng(3)
-        cols, x_b, code_b = dense_rows(_csr(vectors), ids, n, mask_ratio,
+        cols, x_b, code_b = dense_rows(_csr(vectors, n), ids, mask_ratio,
                                        built)
         np.testing.assert_array_equal(
             cols, np.unique(np.concatenate([vectors[e][0] for e in ids])))
@@ -452,11 +453,12 @@ def test_training_rows_match_per_row_corrupt(mask_ratio):
         assert built.random() == oracle.random()  # both streams at one point
 
 
-def _csr(vectors):
-    """(ptr, idx, vals) arrays of a list of (indices, values) vectors."""
+def _csr(vectors, n):
+    """CSR array, n columns wide, of a list of (indices, values) vectors."""
     ptr = np.cumsum([0] + [idx.size for idx, _ in vectors])
-    return (ptr, np.concatenate([idx for idx, _ in vectors]),
-            np.concatenate([vals for _, vals in vectors]))
+    return csr_array((np.concatenate([vals for _, vals in vectors]),
+                      np.concatenate([idx for idx, _ in vectors]), ptr),
+                     shape=(len(vectors), n))
 
 
 def _scatter(a, cols, n):
@@ -555,7 +557,7 @@ def test_active_step_matches_dense_step(lr, l2, folded, order, rows,
         vectors = [(np.sort(rng.choice(n, k, replace=False)),
                     rng.uniform(-1, 1, k)) for k in rng.integers(1, 3, m)]
         side = rng.uniform(-1, 1, (m, p))
-        cols, *rows = dense_rows(_csr(vectors), np.arange(m), n, 0.4,
+        cols, *rows = dense_rows(_csr(vectors, n), np.arange(m), 0.4,
                                  np.random.default_rng(1))
         assert cols.size < n
         full = [_scatter(a, cols, n) for a in rows]

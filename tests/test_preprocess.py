@@ -43,6 +43,30 @@ def test_fit_bias_matches_loop_oracle(synthetic):
             assert bias.means[e] == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("orientation", ["user", "item"])
+def test_fit_bias_is_bitwise_the_entry_order_sums(orientation):
+    # entries given shuffled, user 2 and item 3 without ratings: the means
+    # equal, bit for bit, per-entity sums over the stored entries in
+    # (user, item) order divided by the counts
+    rng = np.random.default_rng(5)
+    users, items = np.nonzero(rng.random((30, 20)) < 0.4)
+    keep = (users != 2) & (items != 3)
+    users, items = users[keep], items[keep]
+    values = rng.uniform(0.5, 5.0, users.size)
+    order = rng.permutation(users.size)
+    m = RatingMatrix(30, 20, users[order], items[order], values[order])
+    idx, n = ((m.users, m.n_users) if orientation == "user"
+              else (m.items, m.n_items))
+    counts = np.bincount(idx, minlength=n).astype(np.float64)
+    sums = np.bincount(idx, weights=m.ratings, minlength=n)
+    want = np.full(n, float(m.ratings.mean()))
+    seen = counts > 0
+    want[seen] = sums[seen] / counts[seen]
+    bias = fit_bias(m, orientation)
+    assert bias.means.tobytes() == want.tobytes()
+    assert bias.means[2 if orientation == "user" else 3] == bias.global_mean
+
+
 def test_fit_bias_validation(toy_ratings):
     with pytest.raises(ValueError):
         fit_bias(toy_ratings, "diagonal")

@@ -2,6 +2,7 @@
 
 import csv
 import importlib
+import pickle
 import zipfile
 
 import numpy as np
@@ -251,12 +252,14 @@ def test_entity_vectors_match_per_entity_reads(synthetic, orientation):
                            ratings.ratings[keep])
     bias, scaler = fitted(ratings, scale, small_config(orientation=orientation))
     watched = CountingMatrix(ratings)
-    ptr, idx, vals = train_module._entity_vectors(watched, orientation, bias,
-                                                  scaler)
+    vectors, _, _ = train_module._training_vectors(
+        watched, small_config(orientation=orientation), bias, scaler, None)
+    ptr, idx, vals = vectors.indptr, vectors.indices, vectors.data
     assert watched.reads == 1
     pull = ratings.row if orientation == "user" else ratings.col
     n_entities = ratings.n_users if orientation == "user" else ratings.n_items
-    assert ptr.size == n_entities + 1
+    assert vectors.shape == (n_entities, ratings.n_items if orientation ==
+                             "user" else ratings.n_users)
     for e in range(n_entities):
         want_idx, raw = pull(e)
         want = np.atleast_1d(transform(raw, e, bias, scaler))
@@ -292,6 +295,17 @@ def test_training_diverges_cleanly(request, data, orientation, lr0, batch):
     message = str(err.value)
     assert "epoch" in message and err.value.param in message
     assert repr(err.value.last_loss) in message
+
+
+@pytest.mark.parametrize("grad_max", [2.5, None])
+def test_training_diverged_survives_pickling(grad_max):
+    # a sweep worker's divergence reaches the parent process pickled
+    err = TrainingDiverged(4, 7, grad_max, "W2", 0.125)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is TrainingDiverged
+    assert ((back.epoch, back.batch, back.grad_max, back.param,
+             back.last_loss) == (4, 7, grad_max, "W2", 0.125))
+    assert str(back) == str(err)
 
 
 def test_epoch_end_check_names_a_nonfinite_bias(synthetic, monkeypatch):
@@ -598,6 +612,26 @@ def test_completer_index_validation(synthetic):
     assert completer.predict_many([], []).shape == (0,)
 
 
+def test_completer_checks_the_network_against_the_data(synthetic):
+    # one check names both sides' (n, p_in, p_hidden); the bias table is
+    # checked as train() checks it
+    ratings, scale = synthetic
+    cfg = small_config()
+    bias, scaler = fitted(ratings, scale, cfg)
+    narrow = init_params(ratings.n_users - 1, cfg.hidden)
+    with pytest.raises(ValueError, match=r"\(39, 0, 0\).*\(40, 0, 0\)"):
+        MatrixCompleter(ratings, narrow, cfg, bias, scaler)
+    side_cfg = small_config(side_info="input_only")
+    wide = init_params(ratings.n_users, cfg.hidden, p_in=4)
+    with pytest.raises(ValueError, match=r"\(40, 4, 0\).*\(40, 3, 0\)"):
+        MatrixCompleter(ratings, wide, side_cfg, bias, scaler,
+                        side_table(ratings.n_items, 3))
+    user_bias = fit_bias(ratings, "user")
+    with pytest.raises(ValueError, match="bias table orientation"):
+        MatrixCompleter(ratings, init_params(ratings.n_users, cfg.hidden),
+                        cfg, user_bias, fit_scaler(scale, user_bias))
+
+
 def test_completer_predict_many_consistent_with_scalar(synthetic):
     ratings, scale = synthetic
     cfg = small_config(epochs=1)
@@ -823,3 +857,5 @@ def test_write_loss_curve_parses_back(tmp_path):
     assert [float(r["loss"]) for r in rows] == [r.mean_loss for r in history]
     assert rows[0]["rmse"] == ""
     assert float(rows[2]["rmse"]) == 0.1 + 0.2
+    assert path.read_bytes() == (b"epoch,loss,rmse\n0,0.75,\n1,0.5,1.25\n"
+                                 b"2,0.3333333333333333,0.30000000000000004\n")
