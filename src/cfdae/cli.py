@@ -18,7 +18,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .data import (DataError, SplitSpec, RATING_FORMATS,
+from .data import (DataError, ENTITIES, SplitSpec, RATING_FORMATS,
                    TAG_FORMATS, load_ratings, load_snapshot,
                    load_tag_snapshot, load_tags, save_snapshot,
                    save_tag_snapshot, split, write_csv, write_json)
@@ -146,6 +146,18 @@ def _load_data_dir(data_dir: Path):
     return load_snapshot(path), path
 
 
+def _set_up_run(args):
+    """The start train and sweep share: (config, created output directory,
+    ratings, scale, side table or None, the inputs their manifest lists)."""
+    cfg = _merged_config(args)
+    data_dir, out = Path(args.data), Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (ratings, scale, _ids), ratings_path = _load_data_dir(data_dir)
+    side = _build_side(cfg, data_dir, args.side_svd_dim, args.side_binary)
+    tags = [] if side is None else [data_dir / "tags.npz"]
+    return cfg, out, ratings, scale, side, [ratings_path, *tags]
+
+
 # ---------------------------------------------------------------- commands
 
 def cmd_ingest(args) -> int:
@@ -187,17 +199,12 @@ def cmd_ingest(args) -> int:
 
 def cmd_train(args) -> int:
     started = _now()
-    cfg = _merged_config(args)
-    data_dir = Path(args.data)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (ratings, scale, _ids), ratings_path = _load_data_dir(data_dir)
+    cfg, out, ratings, scale, side, inputs = _set_up_run(args)
 
     split_spec = SplitSpec(args.train_fraction, args.split_seed)
     train_m, test_m = split(ratings, split_spec)
     bias = fit_bias(train_m, cfg.orientation)
     scaler = fit_scaler(scale, bias)
-    side = _build_side(cfg, data_dir, args.side_svd_dim, args.side_binary)
 
     eval_hook = None
     if args.eval_each_epoch:
@@ -217,9 +224,6 @@ def cmd_train(args) -> int:
     outputs = [ckpt_path, curve_path]
     if checkpoint_dir is not None:
         outputs.extend(sorted(checkpoint_dir.iterdir()))
-    inputs = [ratings_path]
-    if side is not None:
-        inputs.append(data_dir / "tags.npz")
     _write_manifest(out, "train", args,
                     {"train": cfg.to_dict(),
                      "split": {"train_fraction": split_spec.train_fraction,
@@ -314,12 +318,7 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     started = _now()
-    cfg = _merged_config(args)
-    data_dir = Path(args.data)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (ratings, scale, _ids), ratings_path = _load_data_dir(data_dir)
-    side = _build_side(cfg, data_dir, args.side_svd_dim, args.side_binary)
+    cfg, out, ratings, scale, side, inputs = _set_up_run(args)
 
     outputs = []
     if args.kind == "ratio":
@@ -345,9 +344,6 @@ def cmd_sweep(args) -> int:
         grid = {"recon_weights": recon, "mask_ratios": masks,
                 "split": [split_spec.train_fraction, split_spec.seed]}
 
-    inputs = [ratings_path]
-    if side is not None:
-        inputs.append(data_dir / "tags.npz")
     # J workers each run their own BLAS pools: record what sizes them
     parallel = {"jobs": args.jobs, "cpu_count": os.cpu_count(),
                 **{var: os.environ.get(var)
@@ -374,7 +370,7 @@ def _add_config_flags(p: argparse.ArgumentParser):
     g = p.add_argument_group("hyperparameters (defaults in parentheses)")
     g.add_argument("--config", metavar="FILE",
                    help="key=value config file; explicit flags override it")
-    g.add_argument("--orientation", choices=["user", "item", "u", "i"],
+    g.add_argument("--orientation", choices=[*ENTITIES, *_ORIENT_ALIAS],
                    help="feed user rows or item columns (item)")
     g.add_argument("--hidden", type=int, help="hidden-layer width (600)")
     g.add_argument("--prediction-weight", dest="prediction_weight", type=float,
@@ -416,8 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tags", help="optional tag/attribute file")
     p.add_argument("--tag-format", dest="tag_format",
                    choices=list(TAG_FORMATS), default="genre_flags")
-    p.add_argument("--tag-entity", dest="tag_entity",
-                   choices=["user", "item"],
+    p.add_argument("--tag-entity", dest="tag_entity", choices=ENTITIES,
                    help="which entity the tags describe (format default)")
     p.add_argument("--out", required=True, help="snapshot directory")
     p.set_defaults(func=cmd_ingest)
@@ -436,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a checkpoint on its test split")
     p.add_argument("--model", required=True, help="directory with checkpoint.npz")
     p.add_argument("--data", required=True, help="ingested snapshot directory")
-    p.add_argument("--clusters", choices=["user", "item"],
+    p.add_argument("--clusters", choices=ENTITIES,
                    help="cluster entities for the per-bucket table "
                         "(default: the model orientation)")
     p.add_argument("--n-clusters", dest="n_clusters", type=int, default=5)

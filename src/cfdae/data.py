@@ -19,6 +19,7 @@ import scipy.sparse as sp
 
 log = logging.getLogger(__name__)
 
+ENTITIES = ("user", "item")  # a model reads user rows or item columns
 RATING_FORMATS = ("movielens_dat", "csv")
 # tag format -> the entity kind its rows describe unless told otherwise
 TAG_FORMATS = {"movielens_tags": "item", "genre_flags": "item",
@@ -29,6 +30,24 @@ SNAPSHOT_VERSION = 1
 
 class DataError(ValueError):
     """Malformed or inconsistent input data."""
+
+
+def by_entity(kind: str, user_side=None, item_side=None):
+    """user_side for kind "user", item_side for "item"; any other kind
+    raises ValueError.  by_entity(kind) alone is the entity-kind check."""
+    if kind not in ENTITIES:
+        raise ValueError(f"unknown orientation {kind!r}: the entity kind is "
+                         "'user' or 'item'")
+    return user_side if kind == "user" else item_side
+
+
+def aligned_query(users, items):
+    """users and items as int64 arrays; they must be aligned and 1-D."""
+    users = np.asarray(users, dtype=np.int64)
+    items = np.asarray(items, dtype=np.int64)
+    if users.shape != items.shape or users.ndim != 1:
+        raise ValueError("users and items must be aligned 1-D arrays")
+    return users, items
 
 
 @contextlib.contextmanager
@@ -239,12 +258,8 @@ class RatingMatrix:
         """The stored, read-only CSR arrays (ptr, idx, ratings) of every
         user's row (by="user") or item's column (by="item"): entity e's
         sorted counterparts are idx[ptr[e]:ptr[e + 1]]."""
-        if by == "user":
-            return self._row_ptr, self.items, self.ratings
-        if by == "item":
-            return self._col_ptr, self._col_users, self._col_ratings
-        raise ValueError(f"unknown orientation {by!r}: the entity kind is "
-                         "'user' or 'item'")
+        return by_entity(by, (self._row_ptr, self.items, self.ratings),
+                         (self._col_ptr, self._col_users, self._col_ratings))
 
     def row_counts(self) -> np.ndarray:
         return np.diff(self._row_ptr)
@@ -452,9 +467,7 @@ def load_tags(path, format, ids: IdMaps, entity: str | None = None) -> TagMatrix
         raise DataError(f"unknown tag format {format!r}")
     if entity is None:
         entity = TAG_FORMATS[format]
-    if entity not in ("user", "item"):
-        raise DataError(f"unknown entity kind {entity!r}")
-    index = ids.user_index if entity == "user" else ids.item_index
+    index = getattr(ids, by_entity(entity, "user_index", "item_index"))
     n_entities = len(index)
 
     rows: list[int] = []
@@ -563,8 +576,7 @@ def load_snapshot(path):
 
 def save_tag_snapshot(path, tags: TagMatrix, entity: str = "item"):
     """Snapshot a tag matrix plus which entity kind its rows describe."""
-    if entity not in ("user", "item"):
-        raise DataError(f"unknown tag entity {entity!r}")
+    by_entity(entity)
     coo = tags.counts.tocoo()
     write_versioned_npz(path, SNAPSHOT_VERSION,
                         shape=np.int64(tags.counts.shape),
@@ -584,6 +596,5 @@ def load_tag_snapshot(path):
                                shape=shape).tocsr()
         names = tuple(str(s) for s in z["tag_names"]) if bool(z["has_names"]) else None
         entity = str(z["entity"])
-        if entity not in ("user", "item"):
-            raise DataError(f"unknown tag entity {entity!r}")
+        by_entity(entity)
     return TagMatrix(counts, names), entity

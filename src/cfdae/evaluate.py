@@ -14,15 +14,16 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import (RatingMatrix, RatingScale, SplitSpec, split, write_csv,
-                   write_json)
+from .data import (RatingMatrix, RatingScale, SplitSpec, aligned_query,
+                   by_entity, split, write_csv, write_json)
 from .preprocess import BiasTable, fit_bias, fit_scaler
 from .train import TrainConfig, complete_matrix, train
 
 
 @dataclass(frozen=True)
 class BiasPredictor:
-    """Predicts every rating as the entity's training mean, clamped."""
+    """Predicts every rating as the entity's training mean, clamped.  Only
+    entity indices are range-checked: the table has no counterpart count."""
 
     bias: BiasTable
     scale: RatingScale
@@ -31,9 +32,8 @@ class BiasPredictor:
         return float(self.predict_many([user], [item])[0])
 
     def predict_many(self, users, items) -> np.ndarray:
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        entities = users if self.bias.orientation == "user" else items
+        entities = by_entity(self.bias.orientation,
+                             *aligned_query(users, items))
         if entities.size and (entities.min() < 0
                               or entities.max() >= self.bias.means.size):
             raise IndexError("entity index out of range")
@@ -82,7 +82,7 @@ def _cluster_stats(err2, test: RatingMatrix, train_data: RatingMatrix,
                    by: str, n_clusters: int) -> list[ClusterStat]:
     """cluster_rmse from the test entries' squared errors."""
     counts = np.diff(train_data.vectors(by)[0])
-    test_entities = {"user": test.users, "item": test.items}[by]
+    test_entities = by_entity(by, test.users, test.items)
     if n_clusters < 1:
         raise ValueError("n_clusters must be at least 1")
 

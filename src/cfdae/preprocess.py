@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .data import RatingMatrix, RatingScale, TagMatrix
+from .data import RatingMatrix, RatingScale, TagMatrix, by_entity
 
 log = logging.getLogger(__name__)
 
@@ -33,8 +33,7 @@ class BiasTable:
     global_mean: float
 
     def __post_init__(self):
-        if self.orientation not in ("user", "item"):
-            raise ValueError(f"unknown orientation {self.orientation!r}")
+        by_entity(self.orientation)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 from scipy.sparse import csr_array
 
-from .data import (RatingMatrix, RatingScale, SplitSpec, open_versioned_npz,
-                   write_csv, write_versioned_npz)
+from .data import (RatingMatrix, RatingScale, SplitSpec, aligned_query,
+                   by_entity, open_versioned_npz, write_csv,
+                   write_versioned_npz)
 from .model import (AutoencoderParams, LazyDecay, LossWeights,
                     batch_loss_gradients, dense_rows, draw_corrupted,
                     encode_batch, first_nonfinite, init_params)
@@ -28,7 +29,6 @@ from .preprocess import (BiasTable, Scaler, SideInfoTable, inverse_transform,
 
 log = logging.getLogger(__name__)
 
-ORIENTATIONS = ("user", "item")
 SIDE_MODES = ("none", "input_only", "hidden_only", "both")
 CHECKPOINT_VERSION = 1
 
@@ -56,8 +56,7 @@ class TrainConfig:
     side_info: str = "none"
 
     def __post_init__(self):
-        if self.orientation not in ORIENTATIONS:
-            raise ValueError(f"unknown orientation {self.orientation!r}")
+        by_entity(self.orientation)
         if self.side_info not in SIDE_MODES:
             raise ValueError(f"unknown side_info mode {self.side_info!r}")
         if self.hidden < 1:
@@ -180,8 +179,7 @@ def _training_vectors(train_data: RatingMatrix, cfg: TrainConfig,
     ptr, idx, raw = train_data.vectors(cfg.orientation)
     n_entities = ptr.size - 1
     entities = np.repeat(np.arange(n_entities), np.diff(ptr))
-    # the counterpart dimension is the matrix's other one
-    n = train_data.n_users + train_data.n_items - n_entities
+    n = by_entity(cfg.orientation, train_data.n_items, train_data.n_users)
     vectors = csr_array((transform(raw, entities, bias, scaler), idx, ptr),
                         shape=(n_entities, n))
     if cfg.side_info == "none":
@@ -287,7 +285,6 @@ class MatrixCompleter:
             raise ValueError(f"network widths (n, p_in, p_hidden) {have} do "
                              f"not match the data and side_info mode's {need}")
         self._counts = np.diff(self._vectors.indptr)
-        self.orientation = cfg.orientation
         self.params = params
         self.bias = bias
         self.scaler = scaler
@@ -299,16 +296,13 @@ class MatrixCompleter:
 
     def predict_many(self, users, items) -> np.ndarray:
         """Clamped rating predictions for aligned index arrays."""
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        if users.shape != items.shape or users.ndim != 1:
-            raise ValueError("users and items must be aligned 1-D arrays")
+        users, items = aligned_query(users, items)
         if users.size and (users.min() < 0 or users.max() >= self.n_users):
             raise IndexError("user index out of range")
         if items.size and (items.min() < 0 or items.max() >= self.n_items):
             raise IndexError("item index out of range")
-        entities = users if self.orientation == "user" else items
-        counterparts = items if self.orientation == "user" else users
+        entities, counterparts = by_entity(self.bias.orientation,
+                                           (users, items), (items, users))
 
         unit = np.zeros(entities.size)
         # Hidden codes come from fixed blocks of entity ids and each output

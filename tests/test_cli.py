@@ -391,6 +391,9 @@ def test_evaluate_bad_weights_exit_2(workspace, tmp_path, capsys, key,
     pytest.param(lambda c: json.dumps({**c, "dropout": 0.1}),
                  "unknown config keys", id="unknown-key"),
     pytest.param(lambda c: json.dumps(c)[:-1], "Expecting", id="malformed"),
+    pytest.param(lambda c: json.dumps({**c, "orientation": "movie"}),
+                 "unknown orientation 'movie': the entity kind is 'user' or "
+                 "'item'", id="orientation"),
 ])
 def test_bad_stored_config_exits_2(workspace, tmp_path, capsys, command,
                                    change, message):

@@ -8,9 +8,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfdae import (DataError, IdMaps, RatingMatrix, RatingScale, SplitSpec,
-                   TagMatrix, infer_scale, load_ratings, load_snapshot,
-                   load_tag_snapshot, load_tags, save_snapshot,
+from cfdae import (BiasTable, DataError, IdMaps, RatingMatrix, RatingScale,
+                   SplitSpec, TagMatrix, fit_bias, infer_scale, load_ratings,
+                   load_snapshot, load_tag_snapshot, load_tags, save_snapshot,
                    save_tag_snapshot, split)
 from cfdae.data import atomic_write
 
@@ -517,6 +517,27 @@ def test_tag_snapshot_round_trip(tmp_path):
     np.testing.assert_array_equal(back.toarray(), tags.toarray())
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda tmp_path, ratings: load_tags(
+        tmp_path / "movies.dat", "genre_flags", _ids(["u"], ["1"]), "movie"),
+        id="load_tags"),
+    pytest.param(lambda tmp_path, ratings: save_tag_snapshot(
+        tmp_path / "tags.npz", TagMatrix(sp.csr_matrix(np.eye(2))), "movie"),
+        id="save_tag_snapshot"),
+    pytest.param(lambda tmp_path, ratings: fit_bias(ratings, "movie"),
+                 id="fit_bias"),
+    pytest.param(lambda tmp_path, ratings: BiasTable("movie", np.zeros(2), 3.0),
+                 id="BiasTable"),
+])
+def test_entity_kind_is_user_or_item(tmp_path, toy_ratings, call):
+    (tmp_path / "movies.dat").write_text("1::A::Action\n")
+    with pytest.raises(ValueError) as err:
+        call(tmp_path, toy_ratings)
+    assert str(err.value) == ("unknown orientation 'movie': the entity kind "
+                              "is 'user' or 'item'")
+    assert not (tmp_path / "tags.npz").exists()
+
+
 def test_snapshot_version_check(tmp_path, toy_ratings):
     path = tmp_path / "snap.npz"
     save_snapshot(path, toy_ratings, RatingScale(1.0, 5.0), IdMaps(
@@ -555,7 +576,7 @@ def test_damaged_snapshots_raise_data_error(tmp_path, toy_ratings):
          "4 user and 4 item ids for a 4 x 5 matrix"),
         (tags, load_tag_snapshot, truncate, "bad tag snapshot file"),
         (tags, load_tag_snapshot, resave(entity="movie"),
-         "unknown tag entity 'movie'"),
+         "unknown orientation 'movie': the entity kind is 'user' or 'item'"),
     ]
     for path, load, damage, message in cases:
         save_snapshot(ratings, toy_ratings, RatingScale(1.0, 5.0), ids)

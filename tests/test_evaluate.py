@@ -107,6 +107,16 @@ def test_bias_baseline_unseen_entity_gets_global_mean():
         predictor.predict(0, 3)
 
 
+@pytest.mark.parametrize("orientation", ["user", "item"])
+@pytest.mark.parametrize("users,items", [([0, 1], [0]), ([[0, 1]], [[0, 1]])])
+def test_bias_baseline_takes_aligned_1d_queries_only(toy_ratings, orientation,
+                                                     users, items):
+    predictor = bias_baseline(toy_ratings, orientation, RatingScale(1.0, 5.0))
+    with pytest.raises(ValueError,
+                       match="users and items must be aligned 1-D arrays"):
+        predictor.predict_many(users, items)
+
+
 # ---------------------------------------------------------------- cluster
 
 def test_cluster_sizes_and_tie_break():

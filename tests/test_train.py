@@ -87,6 +87,7 @@ def test_config_defaults():
     dict(prediction_weight=0.0, reconstruction_weight=0.0),
     dict(orientation="both"),
     dict(side_info="tags"),
+    dict(orientation="movie"),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
