@@ -199,31 +199,39 @@ def cmd_ingest(args) -> int:
 
 def cmd_train(args) -> int:
     started = _now()
+    split_spec = SplitSpec(args.train_fraction, args.split_seed)
     cfg, out, ratings, scale, side, inputs = _set_up_run(args)
 
-    split_spec = SplitSpec(args.train_fraction, args.split_seed)
     train_m, test_m = split(ratings, split_spec)
     bias = fit_bias(train_m, cfg.orientation)
     scaler = fit_scaler(scale, bias)
 
-    eval_hook = None
-    if args.eval_each_epoch:
-        def eval_hook(state):
-            completer = complete_matrix(train_m, state, bias, scaler, side)
-            return rmse(completer, test_m)
+    fingerprint = ratings.fingerprint()
+    epoch_paths = []
+    if args.checkpoint_each_epoch:
+        (out / "epochs").mkdir(exist_ok=True)
 
-    checkpoint_dir = out / "epochs" if args.checkpoint_each_epoch else None
-    state = train(train_m, cfg, bias, scaler, side=side, eval_hook=eval_hook,
-                  checkpoint_dir=checkpoint_dir)
+    def eval_hook(state):
+        """Scores and checkpoints the epoch just finished, as flagged."""
+        record = state.history[-1]
+        if args.eval_each_epoch:
+            completer = complete_matrix(train_m, state, bias, scaler, side)
+            record.rmse = rmse(completer, test_m)
+        if args.checkpoint_each_epoch:
+            path = out / "epochs" / f"epoch_{record.epoch:03d}.npz"
+            save_checkpoint(path, state, bias, scaler, split_spec,
+                            fingerprint, side)
+            epoch_paths.append(path)
+        return record.rmse
+
+    state = train(train_m, cfg, bias, scaler, side=side, eval_hook=eval_hook)
 
     ckpt_path = out / "checkpoint.npz"
-    save_checkpoint(ckpt_path, state, bias, scaler, split_spec,
-                    ratings.fingerprint(), side)
+    save_checkpoint(ckpt_path, state, bias, scaler, split_spec, fingerprint,
+                    side)
     curve_path = out / "loss_curve.csv"
     write_loss_curve(curve_path, state.history)
-    outputs = [ckpt_path, curve_path]
-    if checkpoint_dir is not None:
-        outputs.extend(sorted(checkpoint_dir.iterdir()))
+    outputs = [ckpt_path, curve_path, *epoch_paths]
     _write_manifest(out, "train", args,
                     {"train": cfg.to_dict(),
                      "split": {"train_fraction": split_spec.train_fraction,
@@ -266,20 +274,21 @@ def cmd_evaluate(args) -> int:
     completer = complete_matrix(train_m, ckpt.state, ckpt.bias, ckpt.scaler,
                                 ckpt.side)
     by = args.clusters or cfg.orientation
-    digest = config_digest(cfg, ckpt.split, ckpt.data_fingerprint)
     report = build_report(completer, test_m, train_m, by=by,
-                          n_clusters=args.n_clusters, digest=digest,
-                          seed=cfg.seed)
+                          n_clusters=args.n_clusters)
     base_rmse = rmse(BiasPredictor(ckpt.bias, scale), test_m)
 
     out = Path(args.out) if args.out else Path(args.model)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.json"
-    payload = report.to_dict()
-    payload["baseline_rmse"] = base_rmse
-    payload["improvement_pct_vs_baseline"] = improvement_pct(base_rmse,
-                                                             report.rmse)
-    write_json(report_path, payload)
+    write_json(report_path, {
+        **report.to_dict(),
+        "config_digest": config_digest(cfg, ckpt.split,
+                                       ckpt.data_fingerprint),
+        "seed": cfg.seed,
+        "baseline_rmse": base_rmse,
+        "improvement_pct_vs_baseline": improvement_pct(base_rmse,
+                                                       report.rmse)})
     clusters_path = out / "clusters.csv"
     write_cluster_csv(clusters_path, report)
     _write_manifest(out, "evaluate", args,
@@ -317,32 +326,28 @@ def cmd_predict(args) -> int:
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.kind == "ratio":
+        grid = {"ratios": _parse_grid(args, "ratios", float),
+                "seeds": _parse_grid(args, "seeds", int)}
+    else:
+        split_spec = SplitSpec(args.train_fraction, args.split_seed)
+        grid = {"recon_weights": _parse_grid(args, "recon_weights", float),
+                "mask_ratios": _parse_grid(args, "mask_ratios", float),
+                "split": [split_spec.train_fraction, split_spec.seed]}
     started = _now()
     cfg, out, ratings, scale, side, inputs = _set_up_run(args)
 
-    outputs = []
     if args.kind == "ratio":
-        ratios = _parse_floats(args.ratios)
-        seeds = _parse_ints(args.seeds)
-        csv_path = out / "sweep_ratio.csv"
-        rows = sweep_training_ratio(ratings, scale, ratios, cfg, seeds,
-                                    side=side, out_csv=csv_path,
-                                    jobs=args.jobs)
-        summary_path = out / "sweep_ratio_summary.csv"
-        fields = ["ratio", "n_seeds", "mean_rmse", "plus_minus", "label"]
-        write_csv(summary_path, fields, ([s[k] for k in fields]
-                                         for s in summarize_ratio_sweep(rows)))
-        outputs.append(summary_path)
-        grid = {"ratios": ratios, "seeds": seeds}
+        rows = sweep_training_ratio(ratings, scale, grid["ratios"], cfg,
+                                    grid["seeds"], side=side, jobs=args.jobs)
+        outputs = [_write_rows(out / "sweep_ratio.csv", rows),
+                   _write_rows(out / "sweep_ratio_summary.csv",
+                               summarize_ratio_sweep(rows))]
     else:
-        recon = _parse_floats(args.recon_weights)
-        masks = _parse_floats(args.mask_ratios)
-        split_spec = SplitSpec(args.train_fraction, args.split_seed)
-        csv_path = out / "sweep_dae.csv"
-        rows = sweep_dae(ratings, scale, recon, masks, cfg, split_spec,
-                         side=side, out_csv=csv_path, jobs=args.jobs)
-        grid = {"recon_weights": recon, "mask_ratios": masks,
-                "split": [split_spec.train_fraction, split_spec.seed]}
+        rows = sweep_dae(ratings, scale, grid["recon_weights"],
+                         grid["mask_ratios"], cfg, split_spec, side=side,
+                         jobs=args.jobs)
+        outputs = [_write_rows(out / "sweep_dae.csv", rows)]
 
     # J workers each run their own BLAS pools: record what sizes them
     parallel = {"jobs": args.jobs, "cpu_count": os.cpu_count(),
@@ -351,17 +356,25 @@ def cmd_sweep(args) -> int:
     _write_manifest(out, "sweep", args,
                     {"kind": args.kind, "train": cfg.to_dict(), **grid,
                      **parallel},
-                    inputs, [csv_path, *outputs], started)
-    print(f"swept {len(rows)} cells -> {csv_path}")
+                    inputs, outputs, started)
+    print(f"swept {len(rows)} cells -> {outputs[0]}")
     return 0
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _parse_grid(args, axis: str, kind) -> list:
+    """The comma-separated values of one sweep axis's flag; an empty axis
+    is a usage error, so every sweep has at least one cell."""
+    values = [kind(tok) for tok in getattr(args, axis).split(",")
+              if tok.strip()]
+    if not values:
+        raise ValueError(f"--{axis.replace('_', '-')} lists no values")
+    return values
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _write_rows(path: Path, rows: list[dict]) -> Path:
+    """The rows as CSV under a header of the first row's keys."""
+    write_csv(path, list(rows[0]), (row.values() for row in rows))
+    return path
 
 
 # ------------------------------------------------------------------ parser

@@ -315,9 +315,9 @@ class SplitSpec:
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
-            raise DataError("train_fraction must lie strictly in (0, 1)")
+            raise ValueError("train_fraction must lie strictly in (0, 1)")
         if self.seed < 0:
-            raise DataError("seed must be nonnegative")
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 A predictor is anything with ``predict_many(users, items) -> ratings``;
 both the trained completer and the bias baseline qualify.  Sweeps retrain
-from scratch per cell and emit flat CSV tables.
+from scratch per cell and return one flat row per cell.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import (RatingMatrix, RatingScale, SplitSpec, aligned_query,
-                   by_entity, split, write_csv, write_json)
+                   by_entity, split, write_csv)
 from .preprocess import BiasTable, fit_bias, fit_scaler
 from .train import TrainConfig, complete_matrix, train
 
@@ -143,16 +143,10 @@ class EvalReport:
     rmse: float
     n_test: int
     per_cluster: tuple[ClusterStat, ...]
-    config_digest: str
-    seed: int
 
     def to_dict(self) -> dict:
         return {"rmse": self.rmse, "n_test": self.n_test,
-                "per_cluster": [asdict(c) for c in self.per_cluster],
-                "config_digest": self.config_digest, "seed": self.seed}
-
-    def save_json(self, path):
-        write_json(path, self.to_dict())
+                "per_cluster": [asdict(c) for c in self.per_cluster]}
 
 
 def config_digest(cfg: TrainConfig, split_spec: SplitSpec | None = None,
@@ -167,12 +161,11 @@ def config_digest(cfg: TrainConfig, split_spec: SplitSpec | None = None,
 
 
 def build_report(predictor, test: RatingMatrix, train_data: RatingMatrix,
-                 by: str = "item", n_clusters: int = 5, digest: str = "",
-                 seed: int = 0) -> EvalReport:
+                 by: str = "item", n_clusters: int = 5) -> EvalReport:
     err2 = _squared_errors(predictor, test)
     clusters = _cluster_stats(err2, test, train_data, by, n_clusters)
     return EvalReport(float(np.sqrt(np.mean(err2))), test.n_entries,
-                      tuple(clusters), digest, seed)
+                      tuple(clusters))
 
 
 def write_cluster_csv(path, report: EvalReport):
@@ -201,26 +194,24 @@ def _run_cells(tasks, jobs):
 
 def sweep_training_ratio(ratings: RatingMatrix, scale: RatingScale,
                          ratios, cfg: TrainConfig, seeds,
-                         side=None, out_csv=None, jobs: int = 1) -> list[dict]:
+                         side=None, jobs: int = 1) -> list[dict]:
     """Retrain at several train fractions, one row per (ratio, seed)."""
     cells = [(ratio, seed) for ratio in ratios for seed in seeds]
     tasks = [(ratings, scale, cfg.replace(seed=seed), SplitSpec(ratio, seed), side)
              for ratio, seed in cells]
-    fields = ["ratio", "seed", "rmse", "n_train", "n_test"]
-    table = [(*cell, *result)
-             for cell, result in zip(cells, _run_cells(tasks, jobs))]
-    if out_csv is not None:
-        write_csv(out_csv, fields, table)
-    return [dict(zip(fields, row)) for row in table]
+    return [{"ratio": ratio, "seed": seed, "rmse": err, "n_train": n_train,
+             "n_test": n_test}
+            for (ratio, seed), (err, n_train, n_test)
+            in zip(cells, _run_cells(tasks, jobs))]
 
 
 def sweep_dae(ratings: RatingMatrix, scale: RatingScale, recon_weights,
               mask_ratios, cfg: TrainConfig, split_spec: SplitSpec,
-              side=None, out_csv=None, jobs: int = 1) -> list[dict]:
+              side=None, jobs: int = 1) -> list[dict]:
     """Grid over reconstruction weight x mask ratio on one fixed split.
 
     The prediction weight stays at 1.  The (0, 0) cell has no error signal
-    at all (nothing corrupted, reconstruction ignored) and is emitted as
+    at all (nothing corrupted, reconstruction ignored) and is returned as
     invalid without running it.
     """
     if cfg.prediction_weight != 1.0:
@@ -232,10 +223,8 @@ def sweep_dae(ratings: RatingMatrix, scale: RatingScale, recon_weights,
               split_spec, side)
              for rw, mr in valid]
     results = dict(zip(valid, _run_cells(tasks, jobs)))
-    fields = ["reconstruction_weight", "mask_ratio", "valid", "rmse", "seed"]
-    table = [(rw, mr, (rw, mr) in results,
-              results.get((rw, mr), (None,))[0], split_spec.seed)
-             for rw, mr in cells]
-    if out_csv is not None:
-        write_csv(out_csv, fields, table)
-    return [dict(zip(fields, row)) for row in table]
+    return [{"reconstruction_weight": rw, "mask_ratio": mr,
+             "valid": (rw, mr) in results,
+             "rmse": results.get((rw, mr), (None,))[0],
+             "seed": split_spec.seed}
+            for rw, mr in cells]

@@ -136,7 +136,7 @@ class SideInfoTable:
         return self.features.shape[1]
 
 
-def svd_embed(tags: TagMatrix, k_prime: int, seed: int = 0) -> SideInfoTable:
+def svd_embed(tags: TagMatrix, k_prime: int) -> SideInfoTable:
     """Embed tag counts as the left singular vectors scaled by sqrt(singular value).
 
     With T = P diag(s) Q^T and s sorted in descending order, the embedding
@@ -159,8 +159,8 @@ def svd_embed(tags: TagMatrix, k_prime: int, seed: int = 0) -> SideInfoTable:
         p_full, s_full, _ = np.linalg.svd(counts.toarray(), full_matrices=False)
         p, s = p_full[:, :k_prime], s_full[:k_prime]
     else:
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(limit)
+        # a fixed start vector, so ARPACK's result is reproducible
+        v0 = np.random.default_rng(0).standard_normal(limit)
         u, s_asc, _ = spla.svds(counts, k=k_prime, v0=v0)
         desc = np.argsort(s_asc)[::-1]
         p, s = u[:, desc], s_asc[desc]

@@ -13,7 +13,6 @@ import dataclasses
 import json
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -198,13 +197,13 @@ def _training_vectors(train_data: RatingMatrix, cfg: TrainConfig,
 
 def train(train_data: RatingMatrix, cfg: TrainConfig, bias: BiasTable,
           scaler: Scaler, side: SideInfoTable | None = None,
-          eval_hook=None, checkpoint_dir=None) -> TrainState:
-    """Run the full SGD schedule and return the final state.
+          eval_hook=None) -> TrainState:
+    """Run the full SGD schedule and return the final state; write no file.
 
     Samples with no known entries are skipped.  eval_hook, if given, is
     called with the state after each epoch and may return an RMSE to
-    record on that epoch's curve point.  checkpoint_dir, if given, gets
-    one checkpoint file per epoch.
+    record on that epoch's curve point.  It is the one per-epoch hook, so
+    a caller that keeps per-epoch checkpoints writes them from it.
     """
     vectors, features, (p_in, p_hidden) = _training_vectors(
         train_data, cfg, bias, scaler, side)
@@ -216,9 +215,6 @@ def train(train_data: RatingMatrix, cfg: TrainConfig, bias: BiasTable,
     params = init_params(n, cfg.hidden, p_in, p_hidden, seed=cfg.seed)
     weights = cfg.loss_weights(n + p_in)
     state = TrainState(params, cfg, [])
-    if checkpoint_dir is not None:
-        checkpoint_dir = Path(checkpoint_dir)
-        checkpoint_dir.mkdir(parents=True, exist_ok=True)
 
     for epoch in range(cfg.epochs):
         rng = np.random.default_rng([cfg.seed, epoch])
@@ -255,10 +251,6 @@ def train(train_data: RatingMatrix, cfg: TrainConfig, bias: BiasTable,
         log.info("epoch %d: lr=%.5f mean_loss=%.6f%s", epoch, lr,
                  record.mean_loss,
                  "" if record.rmse is None else f" rmse={record.rmse:.4f}")
-        if checkpoint_dir is not None:
-            save_checkpoint(checkpoint_dir / f"epoch_{epoch:03d}.npz",
-                            state, bias, scaler,
-                            data_fingerprint=train_data.fingerprint())
     return state
 
 

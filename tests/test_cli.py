@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfdae import (TrainConfig, load_checkpoint, load_snapshot,
-                   load_tag_snapshot, summarize_ratio_sweep)
+from cfdae import (SplitSpec, TrainConfig, config_digest, load_checkpoint,
+                   load_snapshot, load_tag_snapshot, summarize_ratio_sweep,
+                   sweep_dae, sweep_training_ratio)
 from cfdae.cli import _merged_config, build_parser, main
 
 GENRES = ("Action", "Comedy", "Drama", "Horror", "Romance")
@@ -175,6 +176,53 @@ def test_train_with_eval_and_epoch_checkpoints(workspace, tmp_path):
     assert any("epoch_000" in o for o in manifest["outputs"])
 
 
+def test_epoch_checkpoints_are_complete(workspace, tmp_path):
+    # each epoch file carries what checkpoint.npz does, so the last one
+    # evaluates as the final checkpoint does
+    def run(out, epochs):
+        assert main(["train", "--data", str(workspace["data"]), "--out",
+                     str(out), "--side", "both", "--side-svd-dim", "3",
+                     "--hidden", "4", "--epochs", str(epochs),
+                     "--eval-each-epoch", "--checkpoint-each-epoch"]) == 0
+        return load_checkpoint(out / "checkpoint.npz")
+
+    out = tmp_path / "model"
+    final = run(out, 2)
+    fingerprint = json.loads(
+        (workspace["data"] / "stats.json").read_text())["fingerprint"]
+    epoch_files = sorted((out / "epochs").iterdir())
+    assert [f.name for f in epoch_files] == ["epoch_000.npz", "epoch_001.npz"]
+    for k, path in enumerate(epoch_files):
+        ckpt = load_checkpoint(path)
+        assert ckpt.state.epoch == k + 1
+        assert ckpt.state.history[-1].rmse > 0
+        assert ckpt.split == SplitSpec(0.9, 0)
+        assert ckpt.data_fingerprint == fingerprint
+        assert ckpt.side.n_svd == 3
+        np.testing.assert_array_equal(ckpt.side.features,
+                                      final.side.features)
+
+    with np.load(epoch_files[-1]) as last, \
+            np.load(out / "checkpoint.npz") as whole:
+        assert sorted(last.files) == sorted(whole.files)
+        for key in whole.files:
+            np.testing.assert_array_equal(last[key], whole[key], err_msg=key)
+
+    first = run(tmp_path / "one_epoch", 1).state.params
+    got = load_checkpoint(epoch_files[0]).state.params
+    for name in ("W1", "b1", "W2", "b2"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(first, name))
+
+    resumed = tmp_path / "from_epoch"
+    resumed.mkdir()
+    shutil.copy(epoch_files[-1], resumed / "checkpoint.npz")
+    for model in (out, resumed):
+        assert main(["evaluate", "--model", str(model), "--data",
+                     str(workspace["data"])]) == 0
+    assert ((resumed / "report.json").read_bytes()
+            == (out / "report.json").read_bytes())
+
+
 def test_train_missing_data_exits_2(tmp_path, capsys):
     assert main(["train", "--data", str(tmp_path / "ghost"),
                  "--out", str(tmp_path / "m")]) == 2
@@ -193,6 +241,23 @@ def test_train_divergence_exits_3(workspace, tmp_path, capsys):
 def test_train_bad_hyperparameter_exits_1(workspace, tmp_path):
     assert main(["train", "--data", str(workspace["data"]),
                  "--out", str(tmp_path / "m"), "--epochs", "0"]) == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["train", "--train-fraction", "1.5"], "train_fraction",
+                 id="train-fraction"),
+    pytest.param(["train", "--split-seed", "-1"], "seed must be nonnegative",
+                 id="split-seed"),
+    pytest.param(["sweep", "--kind", "ratio", "--ratios", "1.5"],
+                 "train_fraction", id="ratios"),
+    pytest.param(["sweep", "--kind", "dae", "--train-fraction", "0"],
+                 "train_fraction", id="dae-train-fraction"),
+])
+def test_bad_split_flags_exit_1(workspace, tmp_path, capsys, argv, message):
+    assert main(argv + ["--data", str(workspace["data"]), "--out",
+                        str(tmp_path / "m"), "--hidden", "4",
+                        "--epochs", "1"]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_train_side_info_without_tags_exits_2(workspace, tmp_path, capsys):
@@ -315,8 +380,14 @@ def test_evaluate_artifacts(workspace, tmp_path):
                  "--data", str(workspace["data"]), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["rmse"] > 0 and report["n_test"] > 0
+    assert list(report) == ["rmse", "n_test", "per_cluster", "config_digest",
+                            "seed", "baseline_rmse",
+                            "improvement_pct_vs_baseline"]
     assert report["baseline_rmse"] > 0
-    assert "improvement_pct_vs_baseline" in report
+    ckpt = load_checkpoint(workspace["model"] / "checkpoint.npz")
+    assert report["config_digest"] == config_digest(
+        ckpt.state.config, ckpt.split, ckpt.data_fingerprint)
+    assert report["seed"] == ckpt.state.config.seed
     assert len(report["per_cluster"]) == 5
     assert sum(c["n_entries"] for c in report["per_cluster"]) == \
         report["n_test"]
@@ -384,22 +455,34 @@ def test_evaluate_bad_weights_exit_2(workspace, tmp_path, capsys, key,
     assert message in capsys.readouterr().err
 
 
+def _stored_config(edit):
+    """A change to a checkpoint's members that rewrites its stored config."""
+    def change(arrays):
+        arrays["config_json"] = edit(json.loads(str(arrays["config_json"])))
+    return change
+
+
 @pytest.mark.parametrize("command", ["evaluate", "predict"])
 @pytest.mark.parametrize("change,message", [
-    pytest.param(lambda c: json.dumps({**c, "mask_ratio": 1.5}),
+    pytest.param(_stored_config(lambda c: json.dumps({**c, "mask_ratio": 1.5})),
                  "mask_ratio", id="mask-ratio"),
-    pytest.param(lambda c: json.dumps({**c, "dropout": 0.1}),
+    pytest.param(_stored_config(lambda c: json.dumps({**c, "dropout": 0.1})),
                  "unknown config keys", id="unknown-key"),
-    pytest.param(lambda c: json.dumps(c)[:-1], "Expecting", id="malformed"),
-    pytest.param(lambda c: json.dumps({**c, "orientation": "movie"}),
+    pytest.param(_stored_config(lambda c: json.dumps(c)[:-1]), "Expecting",
+                 id="malformed"),
+    pytest.param(_stored_config(
+        lambda c: json.dumps({**c, "orientation": "movie"})),
                  "unknown orientation 'movie': the entity kind is 'user' or "
                  "'item'", id="orientation"),
+    # the same check as --train-fraction, but the file is at fault
+    pytest.param(lambda a: a.update(split=np.array([1.5, 0.0])),
+                 "train_fraction", id="split"),
 ])
 def test_bad_stored_config_exits_2(workspace, tmp_path, capsys, command,
                                    change, message):
     with np.load(workspace["model"] / "checkpoint.npz") as z:
         arrays = {k: z[k] for k in z.files}
-    arrays["config_json"] = change(json.loads(str(arrays["config_json"])))
+    change(arrays)
     np.savez(tmp_path / "checkpoint.npz", **arrays)
     argv = [command, "--model", str(tmp_path), "--data",
             str(workspace["data"])]
@@ -504,6 +587,14 @@ def test_sweep_ratio_cli(workspace, tmp_path, monkeypatch):
     assert [(r["ratio"], r["seed"]) for r in rows] == \
         [("0.5", "0"), ("0.5", "1"), ("0.8", "0"), ("0.8", "1")]
     assert all(float(r["rmse"]) > 0 for r in rows)
+    # the library's rows, with \n line ends and floats as their repr
+    ratings, scale, _ids = load_snapshot(workspace["data"] / "ratings.npz")
+    cells = sweep_training_ratio(ratings, scale, [0.5, 0.8],
+                                 TrainConfig(hidden=4, epochs=1), [0, 1])
+    assert (out / "sweep_ratio.csv").read_bytes() == "".join(
+        ["ratio,seed,rmse,n_train,n_test\n"]
+        + [f"{c['ratio']!r},{c['seed']},{c['rmse']!r},{c['n_train']},"
+           f"{c['n_test']}\n" for c in cells]).encode()
 
     with open(out / "sweep_ratio_summary.csv", newline="") as fh:
         summary = list(csv.DictReader(fh))
@@ -546,6 +637,15 @@ def test_sweep_dae_cli(workspace, tmp_path):
     assert invalid[0]["reconstruction_weight"] == "0.0"
     assert invalid[0]["mask_ratio"] == "0.0"
     assert invalid[0]["rmse"] == ""
+    # the library's rows, with a blank field for the invalid cell's rmse
+    ratings, scale, _ids = load_snapshot(workspace["data"] / "ratings.npz")
+    cells = sweep_dae(ratings, scale, [0.0, 0.5], [0.0, 0.25],
+                      TrainConfig(hidden=4, epochs=1), SplitSpec(0.9, 0))
+    assert (out / "sweep_dae.csv").read_bytes() == "".join(
+        ["reconstruction_weight,mask_ratio,valid,rmse,seed\n",
+         "0.0,0.0,False,,0\n"]
+        + [f"{c['reconstruction_weight']!r},{c['mask_ratio']!r},True,"
+           f"{c['rmse']!r},0\n" for c in cells[1:]]).encode()
 
 
 def test_sweep_divergence_exits_3_in_parallel_too(workspace, tmp_path,
@@ -572,4 +672,16 @@ def test_sweep_jobs_below_one_exits_1(workspace, tmp_path, capsys, jobs):
                  "--out", str(out), "--ratios", "0.5", "--seeds", "0",
                  "--hidden", "4", "--epochs", "1", "--jobs", jobs]) == 1
     assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,flag", [
+    ("ratio", "--ratios"), ("ratio", "--seeds"),
+    ("dae", "--recon-weights"), ("dae", "--mask-ratios")])
+def test_sweep_empty_grid_exits_1(workspace, tmp_path, capsys, kind, flag):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--kind", kind, "--data", str(workspace["data"]),
+                 "--out", str(out), flag, ",", "--hidden", "4",
+                 "--epochs", "1"]) == 1
+    assert f"{flag} lists no values" in capsys.readouterr().err
     assert not out.exists()

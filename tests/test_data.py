@@ -486,12 +486,11 @@ def test_split_takes_the_sorted_halves_of_one_permutation(synthetic, seed,
 
 
 def test_split_spec_validation():
-    with pytest.raises(ValueError):
-        SplitSpec(0.0, 1)
-    with pytest.raises(ValueError):
-        SplitSpec(1.0, 1)
-    with pytest.raises(ValueError):
-        SplitSpec(0.5, -1)
+    # a bad split is a usage error, as a bad TrainConfig is, not a data error
+    for fraction, seed in [(0.0, 1), (1.0, 1), (0.5, -1)]:
+        with pytest.raises(ValueError) as err:
+            SplitSpec(fraction, seed)
+        assert not isinstance(err.value, DataError)
 
 
 # -------------------------------------------------------------- snapshots

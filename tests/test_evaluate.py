@@ -194,23 +194,23 @@ def test_improvement_pct():
         improvement_pct(0.0, 0.5)
 
 
-def test_report_round_trips_through_json(tmp_path, synthetic):
+def test_report_round_trips_through_json(synthetic):
+    # report.json's other fields are the CLI's: see test_evaluate_artifacts
     ratings, scale = synthetic
     train_m, test_m = split(ratings, SplitSpec(0.8, 0))
     predictor = bias_baseline(train_m, "item", scale)
-    report = build_report(predictor, test_m, train_m, by="item",
-                          digest="abc123", seed=5)
+    report = build_report(predictor, test_m, train_m, by="item")
     assert report.n_test == sum(c.n_entries for c in report.per_cluster)
     assert report.rmse == rmse(predictor, test_m)
 
-    path = tmp_path / "report.json"
-    report.save_json(path)
-    loaded = json.loads(path.read_text())
+    loaded = json.loads(json.dumps(report.to_dict()))
+    assert list(loaded) == ["rmse", "n_test", "per_cluster"]
     assert loaded["rmse"] == report.rmse
-    assert loaded["config_digest"] == "abc123"
-    assert loaded["seed"] == 5
     assert len(loaded["per_cluster"]) == 5
     assert loaded["per_cluster"][0]["label"] == "0-20%"
+    assert EvalReport(loaded["rmse"], loaded["n_test"],
+                      tuple(ClusterStat(**c) for c in loaded["per_cluster"])
+                      ) == report
 
 
 def test_report_predicts_each_test_entry_once(synthetic):
@@ -234,7 +234,7 @@ def test_report_predicts_each_test_entry_once(synthetic):
 def test_write_cluster_csv(tmp_path):
     # None rmse must serialize as an empty cell
     report = EvalReport(1.0, 3, (ClusterStat("0-50%", 0.5, 2),
-                                 ClusterStat("50-100%", None, 0)), "d", 0)
+                                 ClusterStat("50-100%", None, 0)))
     path = tmp_path / "clusters.csv"
     write_cluster_csv(path, report)
     with open(path, newline="") as fh:
@@ -243,27 +243,6 @@ def test_write_cluster_csv(tmp_path):
     assert rows[1]["rmse"] == ""
     assert path.read_bytes() == (b"cluster,rmse,n_entries\n0-50%,0.5,2\n"
                                  b"50-100%,,0\n")
-
-
-def test_sweep_csv_bytes(synthetic, tmp_path):
-    # \n line ends, a blank field for the invalid cell's rmse, floats as
-    # their repr
-    ratings, scale = synthetic
-    cfg = quick_config(hidden=4)
-    path = tmp_path / "ratio.csv"
-    rows = sweep_training_ratio(ratings, scale, [0.6, 0.8], cfg, seeds=[0],
-                                out_csv=path)
-    assert path.read_bytes() == "".join(
-        ["ratio,seed,rmse,n_train,n_test\n"]
-        + [f"{r['ratio']!r},0,{r['rmse']!r},{r['n_train']},{r['n_test']}\n"
-           for r in rows]).encode()
-    path = tmp_path / "dae.csv"
-    rows = sweep_dae(ratings, scale, [0.0], [0.0, 0.25], cfg,
-                     SplitSpec(0.8, 3), out_csv=path)
-    assert path.read_bytes() == (
-        "reconstruction_weight,mask_ratio,valid,rmse,seed\n"
-        "0.0,0.0,False,,3\n"
-        f"0.0,0.25,True,{rows[1]['rmse']!r},3\n").encode()
 
 
 def test_config_digest_sensitivity(synthetic):
@@ -281,12 +260,10 @@ def test_config_digest_sensitivity(synthetic):
 
 # ------------------------------------------------------------------ sweeps
 
-def test_ratio_sweep_matches_direct_run(tmp_path, synthetic):
+def test_ratio_sweep_matches_direct_run(synthetic):
     ratings, scale = synthetic
     cfg = quick_config()
-    out = tmp_path / "ratio.csv"
-    rows = sweep_training_ratio(ratings, scale, [0.5, 0.8], cfg,
-                                seeds=[3], out_csv=out)
+    rows = sweep_training_ratio(ratings, scale, [0.5, 0.8], cfg, seeds=[3])
     assert [(r["ratio"], r["seed"]) for r in rows] == [(0.5, 3), (0.8, 3)]
 
     # one cell recomputed end to end by hand must agree exactly
@@ -299,11 +276,6 @@ def test_ratio_sweep_matches_direct_run(tmp_path, synthetic):
     assert rows[1]["rmse"] == expected
     assert rows[1]["n_train"] == train_m.n_entries
     assert rows[1]["n_test"] == test_m.n_entries
-
-    with open(out, newline="") as fh:
-        parsed = list(csv.DictReader(fh))
-    assert parsed[1]["ratio"] == "0.8"
-    assert float(parsed[1]["rmse"]) == pytest.approx(expected, rel=1e-15)
 
 
 def test_seed_summary_hand_values():
@@ -339,12 +311,10 @@ def test_ratio_sweep_uses_fresh_split_per_seed(synthetic):
     assert rows[0]["n_train"] == rows[1]["n_train"]
 
 
-def test_dae_sweep_grid(tmp_path, synthetic):
+def test_dae_sweep_grid(synthetic):
     ratings, scale = synthetic
-    out = tmp_path / "grid.csv"
     rows = sweep_dae(ratings, scale, [0.0, 0.25, 0.5, 1.0],
-                     [0.0, 0.25, 0.5], quick_config(),
-                     SplitSpec(0.8, 0), out_csv=out)
+                     [0.0, 0.25, 0.5], quick_config(), SplitSpec(0.8, 3))
     assert len(rows) == 12
     cells = {(r["reconstruction_weight"], r["mask_ratio"]): r for r in rows}
     degenerate = cells[(0.0, 0.0)]
@@ -352,12 +322,7 @@ def test_dae_sweep_grid(tmp_path, synthetic):
     for key, row in cells.items():
         if key != (0.0, 0.0):
             assert row["valid"] is True and row["rmse"] > 0
-
-    with open(out, newline="") as fh:
-        parsed = list(csv.DictReader(fh))
-    assert len(parsed) == 12
-    bad = [r for r in parsed if r["valid"] == "False"]
-    assert len(bad) == 1 and bad[0]["rmse"] == ""
+    assert all(row["seed"] == 3 for row in rows)
 
 
 def test_dae_sweep_requires_unit_prediction_weight(synthetic):

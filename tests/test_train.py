@@ -390,7 +390,7 @@ def _assert_steps_on_unions(seen_cols, unions):
       for s in ("none", "input_only", "hidden_only", "both")),
 ])
 def test_lazy_decay_matches_explicit_sgd_on_active_columns(
-        request, monkeypatch, tmp_path, data, orientation, side_info):
+        request, monkeypatch, data, orientation, side_info):
     # train() against an SGD loop that decays every weight on each step,
     # over the oracle kernel on all coordinates; every step runs on its
     # batch's known coordinates
@@ -416,8 +416,7 @@ def test_lazy_decay_matches_explicit_sgd_on_active_columns(
         hooked.append(state.params.copy())
 
     monkeypatch.setattr(train_module, "batch_loss_gradients", spy)
-    state = train(ratings, cfg, bias, scaler, side=side, eval_hook=hook,
-                  checkpoint_dir=tmp_path)
+    state = train(ratings, cfg, bias, scaler, side=side, eval_hook=hook)
 
     _assert_steps_on_unions(seen_cols, unions)
     ref = init_params(n, cfg.hidden, state.params.p_in, state.params.p_hidden,
@@ -436,12 +435,10 @@ def test_lazy_decay_matches_explicit_sgd_on_active_columns(
     assert len(per_epoch) == len(hooked) == cfg.epochs
     np.testing.assert_allclose([r.mean_loss for r in state.history],
                                sums / counts, rtol=1e-9, atol=0)
-    for epoch, want in enumerate(per_epoch):
-        saved = load_checkpoint(tmp_path / f"epoch_{epoch:03d}.npz")
+    for got, want in zip(hooked, per_epoch):
         for f in PARAM_FIELDS:
-            for got in (hooked[epoch], saved.state.params):
-                np.testing.assert_allclose(getattr(got, f), getattr(want, f),
-                                           rtol=1e-9, atol=0)
+            np.testing.assert_allclose(getattr(got, f), getattr(want, f),
+                                       rtol=1e-9, atol=0)
     for f in PARAM_FIELDS:
         np.testing.assert_array_equal(getattr(state.params, f),
                                       getattr(hooked[-1], f))
@@ -491,16 +488,27 @@ def test_eval_hook_records_rmse(synthetic):
     assert [r.rmse for r in state.history] == [0.1, None, pytest.approx(0.3)]
 
 
-def test_per_epoch_checkpoints(tmp_path, synthetic):
+def test_per_epoch_checkpoints(tmp_path, monkeypatch, synthetic):
+    # train() writes no file: a caller checkpoints each epoch from the
+    # hook, and each file holds the state as of that epoch
+    monkeypatch.chdir(tmp_path)
     ratings, scale = synthetic
     cfg = small_config(epochs=3)
     bias, scaler = fitted(ratings, scale, cfg)
-    train(ratings, cfg, bias, scaler, checkpoint_dir=tmp_path / "epochs")
-    files = sorted((tmp_path / "epochs").glob("epoch_*.npz"))
+
+    def hook(state):
+        save_checkpoint(tmp_path / f"epoch_{state.epoch - 1:03d}.npz", state,
+                        bias, scaler)
+
+    state = train(ratings, cfg, bias, scaler, eval_hook=hook)
+    files = sorted(tmp_path.iterdir())
     assert [f.name for f in files] == [f"epoch_{e:03d}.npz" for e in range(3)]
-    middle = load_checkpoint(files[1])
-    assert middle.state.epoch == 2
-    assert middle.data_fingerprint == ratings.fingerprint()
+    assert [load_checkpoint(f).state.epoch for f in files] == [1, 2, 3]
+    last = load_checkpoint(files[-1]).state
+    assert last.history == state.history
+    for f in PARAM_FIELDS:
+        np.testing.assert_array_equal(getattr(last.params, f),
+                                      getattr(state.params, f))
 
 
 # -------------------------------------------------------------- side info
