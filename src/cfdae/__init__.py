@@ -11,9 +11,8 @@ from .data import (DataError, IdMaps, RatingMatrix, RatingScale, SplitSpec,
                    TagMatrix, infer_scale, load_ratings, load_snapshot,
                    load_tag_snapshot, load_tags, save_snapshot,
                    save_tag_snapshot, split)
-from .evaluate import (BiasPredictor, ClusterStat, EvalReport, bias_baseline,
-                       build_report, cluster_rmse, config_digest,
-                       improvement_pct, rmse, seed_summary,
+from .evaluate import (BiasPredictor, ClusterStat, EvalReport, build_report,
+                       config_digest, improvement_pct, rmse,
                        summarize_ratio_sweep, sweep_dae, sweep_training_ratio)
 from .model import (AutoencoderParams, CorruptionMask, LossWeights,
                     SparseVector, corrupt, decompose, forward, init_params,
@@ -31,16 +30,15 @@ __version__ = "0.1.0"
 __all__ = [
     "AutoencoderParams", "BiasPredictor", "BiasTable", "Checkpoint",
     "ClusterStat", "CorruptionMask", "DataError", "EpochRecord", "EvalReport",
-    "IdMaps", "LossWeights", "MatrixCompleter", "RatingMatrix",
-    "RatingScale", "Scaler", "SideInfoTable", "SparseVector", "SplitSpec",
-    "TagMatrix", "TrainConfig", "TrainState", "TrainingDiverged",
-    "bias_baseline", "build_report", "build_side_info", "cluster_rmse",
-    "complete_matrix", "config_digest", "corrupt", "decompose", "fit_bias",
-    "fit_scaler", "forward", "improvement_pct", "infer_scale", "init_params",
-    "inverse_transform", "learning_rate", "load_checkpoint", "load_ratings",
-    "load_snapshot", "load_tag_snapshot", "load_tags", "loss",
-    "loss_gradients", "rmse", "save_checkpoint", "save_snapshot",
-    "save_tag_snapshot", "seed_summary", "split", "summarize_ratio_sweep",
+    "IdMaps", "LossWeights", "MatrixCompleter", "RatingMatrix", "RatingScale",
+    "Scaler", "SideInfoTable", "SparseVector", "SplitSpec", "TagMatrix",
+    "TrainConfig", "TrainState", "TrainingDiverged", "build_report",
+    "build_side_info", "complete_matrix", "config_digest", "corrupt",
+    "decompose", "fit_bias", "fit_scaler", "forward", "improvement_pct",
+    "infer_scale", "init_params", "inverse_transform", "learning_rate",
+    "load_checkpoint", "load_ratings", "load_snapshot", "load_tag_snapshot",
+    "load_tags", "loss", "loss_gradients", "rmse", "save_checkpoint",
+    "save_snapshot", "save_tag_snapshot", "split", "summarize_ratio_sweep",
     "svd_embed", "sweep_dae", "sweep_training_ratio", "train", "transform",
     "write_loss_curve",
 ]

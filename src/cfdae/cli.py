@@ -114,6 +114,8 @@ def _now() -> str:
 def _build_side(cfg: TrainConfig, data_dir: Path, svd_dim: int,
                 use_binary: bool):
     """Side-information table for the configured entity, or None."""
+    if svd_dim < 0:
+        raise ValueError(f"--side-svd-dim must be nonnegative, got {svd_dim}")
     if cfg.side_info == "none":
         return None
     tag_path = data_dir / "tags.npz"
@@ -147,26 +149,21 @@ def _load_data_dir(data_dir: Path):
 
 
 def _set_up_run(args):
-    """The start train and sweep share: (config, created output directory,
+    """The start train and sweep share, which writes nothing: (config,
     ratings, scale, side table or None, the inputs their manifest lists)."""
     cfg = _merged_config(args)
-    data_dir, out = Path(args.data), Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    data_dir = Path(args.data)
     (ratings, scale, _ids), ratings_path = _load_data_dir(data_dir)
     side = _build_side(cfg, data_dir, args.side_svd_dim, args.side_binary)
     tags = [] if side is None else [data_dir / "tags.npz"]
-    return cfg, out, ratings, scale, side, [ratings_path, *tags]
+    return cfg, ratings, scale, side, [ratings_path, *tags]
 
 
 # ---------------------------------------------------------------- commands
 
 def cmd_ingest(args) -> int:
     started = _now()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     ratings, scale, ids = load_ratings(args.ratings, args.format)
-    save_snapshot(out / "ratings.npz", ratings, scale, ids)
-    outputs = [out / "ratings.npz"]
     inputs = [args.ratings]
 
     stats = {
@@ -181,11 +178,17 @@ def cmd_ingest(args) -> int:
     if args.tags:
         entity = args.tag_entity or TAG_FORMATS[args.tag_format]
         tags = load_tags(args.tags, args.tag_format, ids, entity)
-        save_tag_snapshot(out / "tags.npz", tags, entity)
-        outputs.append(out / "tags.npz")
         inputs.append(args.tags)
         stats["tags"] = {"entity": entity, "n_tags": tags.n_tags,
                          "nnz": int(tags.counts.nnz)}
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    save_snapshot(out / "ratings.npz", ratings, scale, ids)
+    outputs = [out / "ratings.npz"]
+    if args.tags:
+        save_tag_snapshot(out / "tags.npz", tags, entity)
+        outputs.append(out / "tags.npz")
     write_json(out / "stats.json", stats)
     outputs.append(out / "stats.json")
     _write_manifest(out, "ingest", args,
@@ -200,7 +203,7 @@ def cmd_ingest(args) -> int:
 def cmd_train(args) -> int:
     started = _now()
     split_spec = SplitSpec(args.train_fraction, args.split_seed)
-    cfg, out, ratings, scale, side, inputs = _set_up_run(args)
+    cfg, ratings, scale, side, inputs = _set_up_run(args)
 
     train_m, test_m = split(ratings, split_spec)
     bias = fit_bias(train_m, cfg.orientation)
@@ -208,6 +211,8 @@ def cmd_train(args) -> int:
 
     fingerprint = ratings.fingerprint()
     epoch_paths = []
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     if args.checkpoint_each_epoch:
         (out / "epochs").mkdir(exist_ok=True)
 
@@ -282,7 +287,7 @@ def cmd_evaluate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.json"
     write_json(report_path, {
-        **report.to_dict(),
+        **dataclasses.asdict(report),
         "config_digest": config_digest(cfg, ckpt.split,
                                        ckpt.data_fingerprint),
         "seed": cfg.seed,
@@ -335,19 +340,22 @@ def cmd_sweep(args) -> int:
                 "mask_ratios": _parse_grid(args, "mask_ratios", float),
                 "split": [split_spec.train_fraction, split_spec.seed]}
     started = _now()
-    cfg, out, ratings, scale, side, inputs = _set_up_run(args)
+    cfg, ratings, scale, side, inputs = _set_up_run(args)
 
     if args.kind == "ratio":
         rows = sweep_training_ratio(ratings, scale, grid["ratios"], cfg,
                                     grid["seeds"], side=side, jobs=args.jobs)
-        outputs = [_write_rows(out / "sweep_ratio.csv", rows),
-                   _write_rows(out / "sweep_ratio_summary.csv",
-                               summarize_ratio_sweep(rows))]
+        tables = {"sweep_ratio.csv": rows,
+                  "sweep_ratio_summary.csv": summarize_ratio_sweep(rows)}
     else:
         rows = sweep_dae(ratings, scale, grid["recon_weights"],
                          grid["mask_ratios"], cfg, split_spec, side=side,
                          jobs=args.jobs)
-        outputs = [_write_rows(out / "sweep_dae.csv", rows)]
+        tables = {"sweep_dae.csv": rows}
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    outputs = [_write_rows(out / name, table)
+               for name, table in tables.items()]
 
     # J workers each run their own BLAS pools: record what sizes them
     parallel = {"jobs": args.jobs, "cpu_count": os.cpu_count(),

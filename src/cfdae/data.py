@@ -368,26 +368,34 @@ def _records(path: Path, format: str):
         "adjacency_csv": (2, "'a,b' pair"),
     }[format]
     is_csv = format.endswith("csv")
-    with open(path, newline="" if is_csv else None,
-              encoding="utf-8" if is_csv else "latin-1") as fh:
-        if is_csv:
-            reader = csv.reader(fh)
-            # an empty ratings file passes here and has no ratings
-            header = ["user", "item", "rating"]
-            if format == "csv" and [c.strip().lower() for c in
-                                    next(reader, header)[:3]] != header:
-                raise DataError(
-                    f"{path}: line 1: expected 'user,item,rating' header")
-            lines = ((reader.line_num, row) for row in reader
-                     if any(field.strip() for field in row))
-        else:
-            strip = str.strip if format == "movielens_dat" else str.rstrip
-            lines = ((lineno, line.split("::"))
-                     for lineno, line in enumerate(map(strip, fh), 1) if line)
-        for lineno, fields in lines:
-            if len(fields) < min_fields:
-                raise DataError(f"{path}: line {lineno}: expected {shape}")
-            yield lineno, fields
+    try:
+        with open(path, newline="" if is_csv else None,
+                  encoding="utf-8" if is_csv else "latin-1") as fh:
+            if is_csv:
+                reader = csv.reader(fh)
+                # an empty ratings file passes here and has no ratings
+                header = ["user", "item", "rating"]
+                if format == "csv" and [c.strip().lower() for c in
+                                        next(reader, header)[:3]] != header:
+                    raise DataError(
+                        f"{path}: line 1: expected 'user,item,rating' header")
+                lines = ((reader.line_num, row) for row in reader
+                         if any(field.strip() for field in row))
+            else:
+                strip = (str.strip if format == "movielens_dat"
+                         else str.rstrip)
+                lines = ((lineno, line.split("::"))
+                         for lineno, line in enumerate(map(strip, fh), 1)
+                         if line)
+            for lineno, fields in lines:
+                if len(fields) < min_fields:
+                    raise DataError(
+                        f"{path}: line {lineno}: expected {shape}")
+                yield lineno, fields
+    except UnicodeDecodeError as exc:
+        # exc.start counts from the decoded chunk, not from the file start
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason} "
+                        f"0x{exc.object[exc.start]:02x}") from None
 
 
 def load_ratings(path, format="csv"):
@@ -431,18 +439,19 @@ def load_ratings(path, format="csv"):
     values = np.asarray(vv, dtype=np.float64)
 
     # Keep the last occurrence of each (user, item) pair: the first hit in
-    # the reversed stream is the last in file order.
+    # the reversed stream is the last in file order.  np.unique returns the
+    # pairs in (user, item) order, which RatingMatrix takes without a sort.
     key = users * np.int64(len(iindex)) + items
     _, first_rev = np.unique(key[::-1], return_index=True)
-    keep = np.sort(key.size - 1 - first_rev)
+    keep = key.size - 1 - first_rev
     n_dup = key.size - keep.size
     if n_dup:
         log.warning("%s: %d duplicate (user, item) pairs, keeping the last "
                     "occurrence of each", path, n_dup)
-        users, items, values = users[keep], items[keep], values[keep]
 
-    matrix = RatingMatrix(len(uindex), len(iindex), users, items, values)
-    scale = infer_scale(values)
+    matrix = RatingMatrix(len(uindex), len(iindex), users[keep], items[keep],
+                          values[keep])
+    scale = infer_scale(matrix.ratings)
     return matrix, scale, IdMaps(tuple(uindex), tuple(iindex))
 
 

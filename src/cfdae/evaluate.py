@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,11 +40,6 @@ class BiasPredictor:
         return self.scale.clamp(self.bias.means[entities])
 
 
-def bias_baseline(train_data: RatingMatrix, orientation: str,
-                  scale: RatingScale) -> BiasPredictor:
-    return BiasPredictor(fit_bias(train_data, orientation), scale)
-
-
 def _squared_errors(predictor, test: RatingMatrix) -> np.ndarray:
     """Squared error of each test entry, from one predict_many pass."""
     if test.n_entries == 0:
@@ -66,42 +61,6 @@ class ClusterStat:
     n_entries: int
 
 
-def cluster_rmse(predictor, test: RatingMatrix, train_data: RatingMatrix,
-                 by: str = "item", n_clusters: int = 5) -> list[ClusterStat]:
-    """RMSE per bucket of entities sorted by training-rating count.
-
-    Entities are ordered by ascending count (ties broken by index) and cut
-    into n_clusters near-equal groups, so the first bucket holds the
-    least-rated fifth.  Buckets with no test entries report n_entries=0.
-    """
-    return _cluster_stats(_squared_errors(predictor, test), test, train_data,
-                          by, n_clusters)
-
-
-def _cluster_stats(err2, test: RatingMatrix, train_data: RatingMatrix,
-                   by: str, n_clusters: int) -> list[ClusterStat]:
-    """cluster_rmse from the test entries' squared errors."""
-    counts = np.diff(train_data.vectors(by)[0])
-    test_entities = by_entity(by, test.users, test.items)
-    if n_clusters < 1:
-        raise ValueError("n_clusters must be at least 1")
-
-    order = np.argsort(counts, kind="stable")
-    cluster_of = np.empty(counts.size, dtype=np.int64)
-    for c, group in enumerate(np.array_split(order, n_clusters)):
-        cluster_of[group] = c
-
-    labels = cluster_of[test_entities]
-    stats = []
-    for c in range(n_clusters):
-        name = f"{100 * c // n_clusters}-{100 * (c + 1) // n_clusters}%"
-        inside = labels == c
-        n = int(inside.sum())
-        value = float(np.sqrt(err2[inside].mean())) if n else None
-        stats.append(ClusterStat(name, value, n))
-    return stats
-
-
 def improvement_pct(base_rmse: float, other_rmse: float) -> float:
     """Relative RMSE gain of `other` over `base`, in percent."""
     if base_rmse <= 0:
@@ -109,32 +68,21 @@ def improvement_pct(base_rmse: float, other_rmse: float) -> float:
     return 100.0 * (base_rmse - other_rmse) / base_rmse
 
 
-def seed_summary(values) -> dict:
-    """Mean and a 2-standard-deviation halfwidth over repeated seeds.
-
-    The halfwidth is a rough 95% range; with a single value it is 0.
-    """
-    values = np.asarray(list(values), dtype=float)
-    if values.size == 0:
-        raise ValueError("no values to summarize")
-    stddev = float(values.std(ddof=1)) if values.size > 1 else 0.0
-    return {"mean": float(values.mean()), "stddev": stddev,
-            "plus_minus": 2.0 * stddev, "n_seeds": int(values.size),
-            "label": f"mean +/- 2*stddev over {values.size} seeds"}
-
-
 def summarize_ratio_sweep(rows) -> list[dict]:
-    """Collapse per-(ratio, seed) sweep rows into one labeled row per ratio."""
+    """Collapse per-(ratio, seed) sweep rows into one labeled row per ratio:
+    the mean RMSE and a 2-standard-deviation halfwidth over the seeds, a
+    rough 95% range that is 0 for a single seed."""
     by_ratio: dict = {}
     for row in rows:
         by_ratio.setdefault(row["ratio"], []).append(row["rmse"])
     out = []
     for ratio in sorted(by_ratio):
-        stats = seed_summary(by_ratio[ratio])
-        out.append({"ratio": ratio, "n_seeds": stats["n_seeds"],
-                    "mean_rmse": stats["mean"],
-                    "plus_minus": stats["plus_minus"],
-                    "label": stats["label"]})
+        values = np.asarray(by_ratio[ratio], dtype=float)
+        stddev = float(values.std(ddof=1)) if values.size > 1 else 0.0
+        out.append({"ratio": ratio, "n_seeds": int(values.size),
+                    "mean_rmse": float(values.mean()),
+                    "plus_minus": 2.0 * stddev,
+                    "label": f"mean +/- 2*stddev over {values.size} seeds"})
     return out
 
 
@@ -143,10 +91,6 @@ class EvalReport:
     rmse: float
     n_test: int
     per_cluster: tuple[ClusterStat, ...]
-
-    def to_dict(self) -> dict:
-        return {"rmse": self.rmse, "n_test": self.n_test,
-                "per_cluster": [asdict(c) for c in self.per_cluster]}
 
 
 def config_digest(cfg: TrainConfig, split_spec: SplitSpec | None = None,
@@ -162,8 +106,31 @@ def config_digest(cfg: TrainConfig, split_spec: SplitSpec | None = None,
 
 def build_report(predictor, test: RatingMatrix, train_data: RatingMatrix,
                  by: str = "item", n_clusters: int = 5) -> EvalReport:
+    """Test RMSE overall and per bucket of entities sorted by
+    training-rating count, from one predict_many pass.
+
+    Entities are ordered by ascending count (ties broken by index) and cut
+    into n_clusters near-equal groups, so the first bucket holds the
+    least-rated fifth.  Buckets with no test entries report n_entries=0.
+    """
+    counts = np.diff(train_data.vectors(by)[0])
+    if n_clusters < 1:
+        raise ValueError("n_clusters must be at least 1")
     err2 = _squared_errors(predictor, test)
-    clusters = _cluster_stats(err2, test, train_data, by, n_clusters)
+
+    order = np.argsort(counts, kind="stable")
+    cluster_of = np.empty(counts.size, dtype=np.int64)
+    for c, group in enumerate(np.array_split(order, n_clusters)):
+        cluster_of[group] = c
+
+    labels = cluster_of[by_entity(by, test.users, test.items)]
+    clusters = []
+    for c in range(n_clusters):
+        name = f"{100 * c // n_clusters}-{100 * (c + 1) // n_clusters}%"
+        inside = labels == c
+        n = int(inside.sum())
+        value = float(np.sqrt(err2[inside].mean())) if n else None
+        clusters.append(ClusterStat(name, value, n))
     return EvalReport(float(np.sqrt(np.mean(err2))), test.n_entries,
                       tuple(clusters))
 

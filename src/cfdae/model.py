@@ -72,8 +72,9 @@ class LossWeights:
     l2: float = 0.0
 
     def __post_init__(self):
-        if self.prediction < 0 or self.reconstruction < 0 or self.l2 < 0:
-            raise ValueError("loss weights must be nonnegative")
+        if not all(0 <= w < math.inf
+                   for w in (self.prediction, self.reconstruction, self.l2)):
+            raise ValueError("loss weights must be nonnegative and finite")
         if self.prediction == 0 and self.reconstruction == 0:
             raise ValueError("prediction and reconstruction weights are both zero")
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,10 +64,10 @@ class TrainConfig:
         LossWeights(self.prediction_weight, self.reconstruction_weight,
                     self.weight_decay or 0.0)
         draw_corrupted(0, self.mask_ratio, None)
-        if self.lr0 <= 0:
-            raise ValueError("lr0 must be positive")
-        if self.lr_decay < 0:
-            raise ValueError("lr_decay must be nonnegative")
+        if not 0 < self.lr0 < math.inf:
+            raise ValueError("lr0 must be positive and finite")
+        if not 0 <= self.lr_decay < math.inf:
+            raise ValueError("lr_decay must be nonnegative and finite")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:

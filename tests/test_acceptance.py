@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cfdae import (CorruptionMask, LossWeights, SparseVector, SplitSpec,
-                   TagMatrix, TrainConfig, bias_baseline, build_side_info,
-                   cluster_rmse, complete_matrix, corrupt, decompose,
+from cfdae import (BiasPredictor, CorruptionMask, LossWeights, SparseVector,
+                   SplitSpec, TagMatrix, TrainConfig, build_report,
+                   build_side_info, complete_matrix, corrupt, decompose,
                    fit_bias, fit_scaler, forward, init_params,
                    inverse_transform, load_ratings, load_tags, loss,
                    loss_gradients, rmse, split, svd_embed,
@@ -181,7 +181,7 @@ def test_criterion_05_evaluation_harness():
     for seed in range(20):
         ratings, scale = make_synthetic(n_users=5, n_items=5, density=0.6,
                                         seed=seed)
-        predictor = bias_baseline(ratings, "item", scale)
+        predictor = BiasPredictor(fit_bias(ratings, "item"), scale)
         # per-item mean oracle
         for i in range(5):
             idx, vals = ratings.col(i)
@@ -258,12 +258,11 @@ def _trained_run(corpus, orientation, seed, with_side=False, **overrides):
         scaler = fit_scaler(scale, bias)
         state = train(train_m, cfg, bias, scaler, side=side)
         completer = complete_matrix(train_m, state, bias, scaler, side)
+        report = build_report(completer, test_m, train_m, by=orientation)
         _RUNS[key] = {
-            "rmse": rmse(completer, test_m),
-            "baseline": rmse(bias_baseline(train_m, orientation, scale),
-                             test_m),
-            "clusters": [c.rmse for c in cluster_rmse(
-                completer, test_m, train_m, by=orientation)],
+            "rmse": report.rmse,
+            "baseline": rmse(BiasPredictor(bias, scale), test_m),
+            "clusters": [c.rmse for c in report.per_cluster],
         }
     return _RUNS[key]
 

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import shutil
 from pathlib import Path
@@ -132,6 +133,24 @@ def test_ingest_malformed_file_exits_2(tmp_path, capsys):
     assert main(["ingest", "--ratings", str(bad), "--out",
                  str(tmp_path / "out")]) == 2
     assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("which", ["ratings", "tags"])
+def test_ingest_non_utf8_csv_exits_2(workspace, tmp_path, capsys, which):
+    bad = tmp_path / "bad.csv"
+    if which == "ratings":
+        bad.write_bytes(b"user,item,rating\n1,2,\xff\xfe\n")
+        argv = ["--ratings", str(bad)]
+    else:
+        bad.write_bytes(b"1,2\n\xff,3\n")
+        argv = ["--ratings", str(workspace["raw_ratings"]), "--tags",
+                str(bad), "--tag-format", "adjacency_csv"]
+    out = tmp_path / "out"
+    assert main(["ingest", *argv, "--out", str(out)]) == 2
+    assert (f"{bad}: not UTF-8 text: invalid start byte 0xff"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_ingest_missing_file_exits_2(tmp_path):
@@ -227,6 +246,7 @@ def test_train_missing_data_exits_2(tmp_path, capsys):
     assert main(["train", "--data", str(tmp_path / "ghost"),
                  "--out", str(tmp_path / "m")]) == 2
     assert "ingest" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -252,12 +272,47 @@ def test_train_bad_hyperparameter_exits_1(workspace, tmp_path):
                  "train_fraction", id="ratios"),
     pytest.param(["sweep", "--kind", "dae", "--train-fraction", "0"],
                  "train_fraction", id="dae-train-fraction"),
+    # the sweeps check every cell before the first one trains
+    pytest.param(["sweep", "--kind", "ratio", "--seeds", "-1"],
+                 "seed must be nonnegative", id="seeds"),
+    pytest.param(["sweep", "--kind", "dae", "--mask-ratios", "1.5"],
+                 "mask_ratio", id="mask-ratios"),
+    pytest.param(["sweep", "--kind", "dae", "--recon-weights", "-1"],
+                 "loss weights must be nonnegative", id="recon-weights"),
+    pytest.param(["sweep", "--kind", "dae", "--prediction-weight", "2"],
+                 "prediction weight", id="dae-prediction-weight"),
 ])
 def test_bad_split_flags_exit_1(workspace, tmp_path, capsys, argv, message):
     assert main(argv + ["--data", str(workspace["data"]), "--out",
                         str(tmp_path / "m"), "--hidden", "4",
                         "--epochs", "1"]) == 1
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--lr0", "nan"], ["--lr0", "inf"], ["--lr-decay", "nan"],
+    ["--prediction-weight", "nan"], ["--weight-decay", "inf"],
+    ["--config", "{config}"]])
+def test_train_non_finite_hyperparameter_exits_1(workspace, tmp_path, capsys,
+                                                 flags):
+    config = tmp_path / "train.cfg"
+    config.write_text("lr0 = nan\n")
+    flags = [flag.format(config=config) for flag in flags]
+    out = tmp_path / "m"
+    assert main(["train", "--data", str(workspace["data"]), "--out",
+                 str(out), "--hidden", "4", "--epochs", "1", *flags]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_negative_side_svd_dim_exits_1(workspace, tmp_path, capsys):
+    out = tmp_path / "m"
+    assert main(["train", "--data", str(workspace["data"]), "--out",
+                 str(out), "--side", "both", "--side-svd-dim", "-1",
+                 "--side-binary", "--hidden", "4", "--epochs", "1"]) == 1
+    assert "--side-svd-dim must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_side_info_without_tags_exits_2(workspace, tmp_path, capsys):
@@ -474,6 +529,8 @@ def _stored_config(edit):
         lambda c: json.dumps({**c, "orientation": "movie"})),
                  "unknown orientation 'movie': the entity kind is 'user' or "
                  "'item'", id="orientation"),
+    pytest.param(_stored_config(lambda c: json.dumps({**c, "lr0": math.nan})),
+                 "lr0 must be positive and finite", id="nan-lr0"),
     # the same check as --train-fraction, but the file is at fault
     pytest.param(lambda a: a.update(split=np.array([1.5, 0.0])),
                  "train_fraction", id="split"),

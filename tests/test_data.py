@@ -241,6 +241,21 @@ def test_duplicates_keep_last(tmp_path, caplog):
     assert any("duplicate" in r.message for r in caplog.records)
 
 
+def test_file_order_does_not_change_the_matrix(tmp_path):
+    # both files meet the ids in the same order and (1, 10) last as 5.0
+    loaded = []
+    for lines in (["1,10,3", "2,20,4", "1,20,2", "2,10,1", "1,10,5"],
+                  ["1,10,3", "2,20,4", "1,10,5", "2,10,1", "1,20,2"]):
+        path = tmp_path / "r.csv"
+        path.write_text("user,item,rating\n" + "\n".join(lines) + "\n")
+        loaded.append(load_ratings(path, "csv"))
+    (first, scale, ids), (second, scale2, ids2) = loaded
+    assert first == second and scale == scale2 and ids == ids2
+    np.testing.assert_array_equal(first.users, [0, 0, 1, 1])
+    np.testing.assert_array_equal(first.items, [0, 1, 0, 1])
+    np.testing.assert_array_equal(first.ratings, [5.0, 2.0, 1.0, 4.0])
+
+
 # -------------------------------------------------------------- load_tags
 
 def _ids(users, items):

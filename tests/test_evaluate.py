@@ -1,18 +1,18 @@
 """RMSE, count-based cluster breakdowns, reports, and sweep tables."""
 
 import csv
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from cfdae import (ClusterStat, EvalReport, RatingMatrix, RatingScale,
-                   SplitSpec, TrainConfig, bias_baseline, build_report,
-                   cluster_rmse, complete_matrix, config_digest, fit_bias,
-                   fit_scaler, improvement_pct, rmse, seed_summary, split,
-                   summarize_ratio_sweep, sweep_dae, sweep_training_ratio,
-                   train)
+from cfdae import (BiasPredictor, ClusterStat, EvalReport, RatingMatrix,
+                   RatingScale, SplitSpec, TrainConfig, build_report,
+                   complete_matrix, config_digest, fit_bias, fit_scaler,
+                   improvement_pct, rmse, split, summarize_ratio_sweep,
+                   sweep_dae, sweep_training_ratio, train)
 from cfdae.evaluate import write_cluster_csv
 
 
@@ -58,7 +58,7 @@ def test_rmse_constant_predictor_hand_value():
 
 def test_rmse_matches_loop_oracle(synthetic):
     ratings, scale = synthetic
-    predictor = bias_baseline(ratings, "item", scale)
+    predictor = BiasPredictor(fit_bias(ratings, "item"), scale)
     value = rmse(predictor, ratings)
     total = 0.0
     for u, i, r in zip(ratings.users, ratings.items, ratings.ratings):
@@ -77,16 +77,16 @@ def test_rmse_rejects_empty_test_set():
 def test_bias_baseline_is_per_entity_mean():
     m = RatingMatrix(3, 2, [0, 1, 2, 0], [0, 0, 0, 1], [1.0, 2.0, 5.0, 4.0])
     scale = RatingScale(1, 5, True, 1.0)
-    by_item = bias_baseline(m, "item", scale)
+    by_item = BiasPredictor(fit_bias(m, "item"), scale)
     assert by_item.predict(0, 0) == pytest.approx(8.0 / 3.0)
     assert by_item.predict(2, 1) == 4.0
-    by_user = bias_baseline(m, "user", scale)
+    by_user = BiasPredictor(fit_bias(m, "user"), scale)
     assert by_user.predict(0, 1) == pytest.approx(2.5)
 
 
 def test_bias_baseline_loop_oracle(synthetic):
     ratings, scale = synthetic
-    predictor = bias_baseline(ratings, "user", scale)
+    predictor = BiasPredictor(fit_bias(ratings, "user"), scale)
     sums = np.zeros(ratings.n_users)
     counts = np.zeros(ratings.n_users)
     for u, r in zip(ratings.users, ratings.ratings):
@@ -101,7 +101,8 @@ def test_bias_baseline_loop_oracle(synthetic):
 
 def test_bias_baseline_unseen_entity_gets_global_mean():
     m = RatingMatrix(2, 3, [0, 1], [0, 1], [2.0, 4.0])
-    predictor = bias_baseline(m, "item", RatingScale(1, 5, True, 1.0))
+    predictor = BiasPredictor(fit_bias(m, "item"),
+                              RatingScale(1, 5, True, 1.0))
     assert predictor.predict(0, 2) == 3.0
     with pytest.raises(IndexError):
         predictor.predict(0, 3)
@@ -111,7 +112,8 @@ def test_bias_baseline_unseen_entity_gets_global_mean():
 @pytest.mark.parametrize("users,items", [([0, 1], [0]), ([[0, 1]], [[0, 1]])])
 def test_bias_baseline_takes_aligned_1d_queries_only(toy_ratings, orientation,
                                                      users, items):
-    predictor = bias_baseline(toy_ratings, orientation, RatingScale(1.0, 5.0))
+    predictor = BiasPredictor(fit_bias(toy_ratings, orientation),
+                              RatingScale(1.0, 5.0))
     with pytest.raises(ValueError,
                        match="users and items must be aligned 1-D arrays"):
         predictor.predict_many(users, items)
@@ -126,7 +128,8 @@ def test_cluster_sizes_and_tie_break():
     items = list(range(10))
     train_m = RatingMatrix(1, 10, users, items, [3.0] * 10)
     test_m = RatingMatrix(1, 10, users, items, [3.0] * 10)
-    stats = cluster_rmse(FixedPredictor(3.0), test_m, train_m, by="item")
+    stats = build_report(FixedPredictor(3.0), test_m, train_m,
+                         by="item").per_cluster
     assert [c.n_entries for c in stats] == [2] * 5
     assert [c.label for c in stats] == ["0-20%", "20-40%", "40-60%",
                                         "60-80%", "80-100%"]
@@ -140,8 +143,8 @@ def test_cluster_orders_by_ascending_count():
     items = [0, 1, 1, 2, 2, 2]
     train_m = RatingMatrix(3, 3, users, items, [3.0] * 6)
     test_m = RatingMatrix(3, 3, [0, 0, 0], [0, 1, 2], [1.0, 3.0, 5.0])
-    stats = cluster_rmse(FixedPredictor(3.0), test_m, train_m, by="item",
-                         n_clusters=3)
+    stats = build_report(FixedPredictor(3.0), test_m, train_m, by="item",
+                         n_clusters=3).per_cluster
     assert [c.n_entries for c in stats] == [1, 1, 1]
     assert stats[0].rmse == 2.0   # item 0, |1-3|
     assert stats[1].rmse == 0.0   # item 1
@@ -151,8 +154,8 @@ def test_cluster_orders_by_ascending_count():
 def test_cluster_recombination_is_exact(synthetic):
     ratings, scale = synthetic
     train_m, test_m = split(ratings, SplitSpec(0.8, 1))
-    predictor = bias_baseline(train_m, "item", scale)
-    stats = cluster_rmse(predictor, test_m, train_m, by="item")
+    predictor = BiasPredictor(fit_bias(train_m, "item"), scale)
+    stats = build_report(predictor, test_m, train_m, by="item").per_cluster
     total = sum(c.n_entries * c.rmse ** 2 for c in stats if c.rmse is not None)
     assert sum(c.n_entries for c in stats) == test_m.n_entries
     assert total == pytest.approx(test_m.n_entries * rmse(predictor, test_m) ** 2,
@@ -162,27 +165,28 @@ def test_cluster_recombination_is_exact(synthetic):
 def test_cluster_empty_bucket_reports_none():
     train_m = RatingMatrix(1, 10, [0] * 10, list(range(10)), [3.0] * 10)
     test_m = RatingMatrix(1, 10, [0], [9], [3.0])  # only the top bucket
-    stats = cluster_rmse(FixedPredictor(3.0), test_m, train_m, by="item")
+    stats = build_report(FixedPredictor(3.0), test_m, train_m,
+                         by="item").per_cluster
     assert [(c.rmse, c.n_entries) for c in stats[:4]] == [(None, 0)] * 4
     assert stats[4] .n_entries == 1
 
 
 def test_cluster_by_user(synthetic):
     ratings, scale = synthetic
-    stats = cluster_rmse(bias_baseline(ratings, "user", scale), ratings,
-                         ratings, by="user")
+    stats = build_report(BiasPredictor(fit_bias(ratings, "user"), scale),
+                         ratings, ratings, by="user").per_cluster
     assert sum(c.n_entries for c in stats) == ratings.n_entries
 
 
 def test_cluster_argument_validation(toy_ratings):
     predictor = FixedPredictor(3.0)
     with pytest.raises(ValueError, match="entity"):
-        cluster_rmse(predictor, toy_ratings, toy_ratings, by="genre")
+        build_report(predictor, toy_ratings, toy_ratings, by="genre")
     with pytest.raises(ValueError, match="n_clusters"):
-        cluster_rmse(predictor, toy_ratings, toy_ratings, n_clusters=0)
+        build_report(predictor, toy_ratings, toy_ratings, n_clusters=0)
     empty = RatingMatrix(4, 5, [], [], [])
     with pytest.raises(ValueError, match="empty"):
-        cluster_rmse(predictor, empty, toy_ratings)
+        build_report(predictor, empty, toy_ratings)
 
 
 # ------------------------------------------------------- report plumbing
@@ -198,12 +202,12 @@ def test_report_round_trips_through_json(synthetic):
     # report.json's other fields are the CLI's: see test_evaluate_artifacts
     ratings, scale = synthetic
     train_m, test_m = split(ratings, SplitSpec(0.8, 0))
-    predictor = bias_baseline(train_m, "item", scale)
+    predictor = BiasPredictor(fit_bias(train_m, "item"), scale)
     report = build_report(predictor, test_m, train_m, by="item")
     assert report.n_test == sum(c.n_entries for c in report.per_cluster)
     assert report.rmse == rmse(predictor, test_m)
 
-    loaded = json.loads(json.dumps(report.to_dict()))
+    loaded = json.loads(json.dumps(dataclasses.asdict(report)))
     assert list(loaded) == ["rmse", "n_test", "per_cluster"]
     assert loaded["rmse"] == report.rmse
     assert len(loaded["per_cluster"]) == 5
@@ -216,7 +220,7 @@ def test_report_round_trips_through_json(synthetic):
 def test_report_predicts_each_test_entry_once(synthetic):
     ratings, scale = synthetic
     train_m, test_m = split(ratings, SplitSpec(0.8, 0))
-    baseline = bias_baseline(train_m, "item", scale)
+    baseline = BiasPredictor(fit_bias(train_m, "item"), scale)
     calls = []
 
     class Counting:
@@ -227,8 +231,6 @@ def test_report_predicts_each_test_entry_once(synthetic):
     report = build_report(Counting(), test_m, train_m, by="item")
     assert calls == [test_m.n_entries]
     assert report.rmse == rmse(baseline, test_m)
-    assert list(report.per_cluster) == cluster_rmse(baseline, test_m,
-                                                    train_m, by="item")
 
 
 def test_write_cluster_csv(tmp_path):
@@ -279,16 +281,15 @@ def test_ratio_sweep_matches_direct_run(synthetic):
 
 
 def test_seed_summary_hand_values():
-    stats = seed_summary([1.0, 2.0, 3.0])
-    assert stats["mean"] == 2.0
-    assert stats["stddev"] == 1.0          # sample stddev, ddof=1
-    assert stats["plus_minus"] == 2.0
+    rows = [{"ratio": 0.5, "seed": seed, "rmse": value}
+            for seed, value in enumerate([1.0, 2.0, 3.0])]
+    [stats] = summarize_ratio_sweep(rows)
+    assert stats["mean_rmse"] == 2.0
+    assert stats["plus_minus"] == 2.0      # 2 x sample stddev, ddof=1
     assert stats["n_seeds"] == 3
     assert "3 seeds" in stats["label"]
-    single = seed_summary([0.9])
+    [single] = summarize_ratio_sweep([{"ratio": 0.5, "seed": 0, "rmse": 0.9}])
     assert single["plus_minus"] == 0.0 and single["n_seeds"] == 1
-    with pytest.raises(ValueError):
-        seed_summary([])
 
 
 def test_summarize_ratio_sweep_groups_by_ratio():

@@ -2,6 +2,7 @@
 
 import csv
 import importlib
+import math
 import pickle
 import zipfile
 
@@ -88,6 +89,14 @@ def test_config_defaults():
     dict(orientation="both"),
     dict(side_info="tags"),
     dict(orientation="movie"),
+    dict(lr0=math.nan),
+    dict(lr0=math.inf),
+    dict(lr_decay=math.nan),
+    dict(lr_decay=math.inf),
+    dict(prediction_weight=math.nan),
+    dict(reconstruction_weight=math.inf),
+    dict(weight_decay=math.nan),
+    dict(weight_decay=math.inf),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
