@@ -71,7 +71,7 @@ def _read_config_file(path) -> dict:
 
 
 def _merged_config(args) -> TrainConfig:
-    merged = TrainConfig().to_dict()
+    merged = dataclasses.asdict(TrainConfig())
     if getattr(args, "config", None):
         merged.update(_read_config_file(args.config))
     for key in _CONFIG_TYPES:
@@ -80,15 +80,12 @@ def _merged_config(args) -> TrainConfig:
             merged[key] = _coerce_config_value(key, value)
     merged["orientation"] = _ORIENT_ALIAS.get(merged["orientation"],
                                               merged["orientation"])
-    return TrainConfig.from_dict(merged)
+    return TrainConfig(**merged)
 
 
 def _sha256_file(path) -> str:
-    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def _write_manifest(out_dir: Path, command: str, args, config: dict,
@@ -238,7 +235,7 @@ def cmd_train(args) -> int:
     write_loss_curve(curve_path, state.history)
     outputs = [ckpt_path, curve_path, *epoch_paths]
     _write_manifest(out, "train", args,
-                    {"train": cfg.to_dict(),
+                    {"train": dataclasses.asdict(cfg),
                      "split": {"train_fraction": split_spec.train_fraction,
                                "seed": split_spec.seed},
                      "side_svd_dim": args.side_svd_dim,
@@ -263,11 +260,9 @@ def _load_model(args):
         raise DataError(f"{ckpt_path} not found")
     ckpt = load_checkpoint(ckpt_path)
     (ratings, scale, ids), ratings_path = _load_data_dir(Path(args.data))
-    if ckpt.data_fingerprint and ckpt.data_fingerprint != ratings.fingerprint():
+    if ckpt.data_fingerprint != ratings.fingerprint():
         raise DataError(f"{ckpt_path} was trained on different data than "
                         f"{ratings_path}")
-    if ckpt.split is None:
-        raise DataError(f"{ckpt_path} records no train/test split")
     train_m, test_m = split(ratings, ckpt.split)
     return ckpt, scale, ids, train_m, test_m, [ckpt_path, ratings_path]
 
@@ -297,7 +292,7 @@ def cmd_evaluate(args) -> int:
     clusters_path = out / "clusters.csv"
     write_cluster_csv(clusters_path, report)
     _write_manifest(out, "evaluate", args,
-                    {"train": cfg.to_dict(), "clusters_by": by,
+                    {"train": dataclasses.asdict(cfg), "clusters_by": by,
                      "n_clusters": args.n_clusters},
                     inputs, [report_path, clusters_path], started)
 
@@ -362,8 +357,8 @@ def cmd_sweep(args) -> int:
                 **{var: os.environ.get(var)
                    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
     _write_manifest(out, "sweep", args,
-                    {"kind": args.kind, "train": cfg.to_dict(), **grid,
-                     **parallel},
+                    {"kind": args.kind, "train": dataclasses.asdict(cfg),
+                     **grid, **parallel},
                     inputs, outputs, started)
     print(f"swept {len(rows)} cells -> {outputs[0]}")
     return 0

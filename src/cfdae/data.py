@@ -318,6 +318,10 @@ class SplitSpec:
             raise ValueError("train_fraction must lie strictly in (0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        # a checkpoint stores the seed as a float64, exact up to 2**53
+        if self.seed > 2**53:
+            raise ValueError("split seed must be at most 2**53 "
+                             f"({2**53}), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -480,8 +484,7 @@ def load_tags(path, format, ids: IdMaps, entity: str | None = None) -> TagMatrix
     n_entities = len(index)
 
     rows: list[int] = []
-    cols: list[int] = []
-    vocab: dict[str, int] = {}  # tag -> column, in order of first appearance
+    cols: list = []  # the other entity's index, or the tag's name
     dropped = 0
     for _, fields in _records(path, format):
         if format == "adjacency_csv":
@@ -503,7 +506,7 @@ def load_tags(path, format, ids: IdMaps, entity: str | None = None) -> TagMatrix
             continue
         for tag in tags:
             rows.append(ent)
-            cols.append(vocab.setdefault(tag, len(vocab)))
+            cols.append(tag)
 
     if dropped:
         log.warning("%s: dropped %d rows referencing unknown entities",
@@ -512,12 +515,9 @@ def load_tags(path, format, ids: IdMaps, entity: str | None = None) -> TagMatrix
     tag_names = None
     n_tags = n_entities
     if format != "adjacency_csv":
-        names = list(vocab)
-        order = np.argsort(names)
-        remap = np.empty(len(names), dtype=np.int64)
-        remap[order] = np.arange(len(names))
-        cols = remap[np.asarray(cols, dtype=np.int64)] if cols else []
-        tag_names = tuple(names[k] for k in order)
+        names, cols = np.unique(np.asarray(cols, dtype=str),
+                                return_inverse=True)
+        tag_names = tuple(names.tolist())
         n_tags = len(tag_names)
     data = np.ones(len(rows), dtype=np.float64)
     counts = sp.coo_matrix(

@@ -7,6 +7,7 @@ from scratch per cell and return one flat row per cell.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
@@ -61,10 +62,13 @@ class ClusterStat:
     n_entries: int
 
 
-def improvement_pct(base_rmse: float, other_rmse: float) -> float:
-    """Relative RMSE gain of `other` over `base`, in percent."""
-    if base_rmse <= 0:
-        raise ValueError("base RMSE must be positive")
+def improvement_pct(base_rmse: float, other_rmse: float) -> float | None:
+    """Relative RMSE gain of `other` over `base`, in percent; None for an
+    exact base (RMSE 0), over which no gain is defined."""
+    if base_rmse < 0:
+        raise ValueError("base RMSE must be nonnegative")
+    if base_rmse == 0:
+        return None
     return 100.0 * (base_rmse - other_rmse) / base_rmse
 
 
@@ -93,12 +97,11 @@ class EvalReport:
     per_cluster: tuple[ClusterStat, ...]
 
 
-def config_digest(cfg: TrainConfig, split_spec: SplitSpec | None = None,
-                  data_fingerprint: str | None = None) -> str:
+def config_digest(cfg: TrainConfig, split_spec: SplitSpec,
+                  data_fingerprint: str) -> str:
     """Short stable hash tying a report to its exact configuration."""
-    payload = {"config": cfg.to_dict(),
-               "split": None if split_spec is None else
-               [split_spec.train_fraction, split_spec.seed],
+    payload = {"config": dataclasses.asdict(cfg),
+               "split": [split_spec.train_fraction, split_spec.seed],
                "data": data_fingerprint}
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -164,7 +167,8 @@ def sweep_training_ratio(ratings: RatingMatrix, scale: RatingScale,
                          side=None, jobs: int = 1) -> list[dict]:
     """Retrain at several train fractions, one row per (ratio, seed)."""
     cells = [(ratio, seed) for ratio in ratios for seed in seeds]
-    tasks = [(ratings, scale, cfg.replace(seed=seed), SplitSpec(ratio, seed), side)
+    tasks = [(ratings, scale, dataclasses.replace(cfg, seed=seed),
+              SplitSpec(ratio, seed), side)
              for ratio, seed in cells]
     return [{"ratio": ratio, "seed": seed, "rmse": err, "n_train": n_train,
              "n_test": n_test}
@@ -186,7 +190,8 @@ def sweep_dae(ratings: RatingMatrix, scale: RatingScale, recon_weights,
     cells = [(rw, mr) for rw in recon_weights for mr in mask_ratios]
     valid = [(rw, mr) for rw, mr in cells if not (rw == 0 and mr == 0)]
     tasks = [(ratings, scale,
-              cfg.replace(reconstruction_weight=rw, mask_ratio=mr),
+              dataclasses.replace(cfg, reconstruction_weight=rw,
+                                  mask_ratio=mr),
               split_spec, side)
              for rw, mr in valid]
     results = dict(zip(valid, _run_cells(tasks, jobs)))

@@ -454,9 +454,7 @@ def decompose(params: AutoencoderParams, x: SparseVector):
     """
     if params.p_in or params.p_hidden:
         raise ValueError("decompose requires a network without side columns")
-    if x.dim != params.n:
-        raise ValueError(f"input dim {x.dim} != network dim {params.n}")
-    h = np.tanh(x.to_dense() @ params.W1 + params.b1)
+    h = encode_batch(params, x.to_dense()[None, :])[0]
     u = np.concatenate([h, params.b2])
     v = np.hstack([params.W2, np.eye(params.n)])
     return u, v

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_array
 
-from .data import (RatingMatrix, RatingScale, SplitSpec, aligned_query,
-                   by_entity, open_versioned_npz, write_csv,
+from .data import (DataError, RatingMatrix, RatingScale, SplitSpec,
+                   aligned_query, by_entity, open_versioned_npz, write_csv,
                    write_versioned_npz)
 from .model import (AutoencoderParams, LazyDecay, LossWeights,
                     batch_loss_gradients, dense_rows, draw_corrupted,
@@ -75,28 +75,11 @@ class TrainConfig:
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
-    def resolved_weight_decay(self, input_width: int) -> float:
-        if self.weight_decay is not None:
-            return self.weight_decay
-        return 0.5 / input_width
-
     def loss_weights(self, input_width: int) -> LossWeights:
+        decay = (0.5 / input_width if self.weight_decay is None
+                 else self.weight_decay)
         return LossWeights(self.prediction_weight, self.reconstruction_weight,
-                           self.resolved_weight_decay(input_width))
-
-    def replace(self, **changes) -> "TrainConfig":
-        return dataclasses.replace(self, **changes)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**d)
+                           decay)
 
 
 def learning_rate(cfg: TrainConfig, epoch: int) -> float:
@@ -339,19 +322,19 @@ class Checkpoint:
     state: TrainState
     bias: BiasTable
     scaler: Scaler
-    split: SplitSpec | None = None
-    data_fingerprint: str | None = None
+    split: SplitSpec
+    data_fingerprint: str
     side: SideInfoTable | None = None
 
 
 def save_checkpoint(path, state: TrainState, bias: BiasTable, scaler: Scaler,
-                    split: SplitSpec | None = None,
-                    data_fingerprint: str | None = None,
+                    split: SplitSpec, data_fingerprint: str,
                     side: SideInfoTable | None = None):
-    """Versioned .npz with params, config, preprocessing, and the curve."""
+    """Versioned .npz with params, config, preprocessing, the curve, and
+    the split and data fingerprint that tie the model to its test set."""
     write_versioned_npz(
         path, CHECKPOINT_VERSION,
-        config_json=json.dumps(state.config.to_dict()),
+        config_json=json.dumps(dataclasses.asdict(state.config)),
         w1=state.params.W1.T,  # (hidden, n + p_in), in Fortran order
         b1=state.params.b1,
         w2=state.params.W2,
@@ -365,10 +348,8 @@ def save_checkpoint(path, state: TrainState, bias: BiasTable, scaler: Scaler,
         history_loss=np.array([r.mean_loss for r in state.history]),
         history_rmse=np.array([np.nan if r.rmse is None else r.rmse
                                for r in state.history]),
-        has_split=split is not None,
-        split=np.array([split.train_fraction, float(split.seed)]
-                       if split is not None else [0.0, 0.0]),
-        data_fingerprint=data_fingerprint or "",
+        split=np.array([split.train_fraction, float(split.seed)]),
+        data_fingerprint=data_fingerprint,
         has_side=side is not None,
         side_features=side.features if side is not None else np.zeros((0, 0)),
         side_n_svd=side.n_svd if side is not None else 0,
@@ -377,12 +358,13 @@ def save_checkpoint(path, state: TrainState, bias: BiasTable, scaler: Scaler,
 
 def load_checkpoint(path) -> Checkpoint:
     """Inverse of save_checkpoint; round-trips bit-exactly.  A stored
-    config that does not parse or validate, and weights that are not
-    finite or whose shapes disagree, raise DataError."""
+    config that does not parse or validate, weights that are not finite or
+    whose shapes disagree, and a file without a split or data fingerprint
+    raise DataError."""
     with open_versioned_npz(path, CHECKPOINT_VERSION, "checkpoint") as z:
         params = AutoencoderParams(np.ascontiguousarray(z["w1"].T), z["b1"],
                                    z["w2"], z["b2"])
-        cfg = TrainConfig.from_dict(json.loads(str(z["config_json"])))
+        cfg = TrainConfig(**json.loads(str(z["config_json"])))
         params.validate()
         lo, hi = z["centered_range"]
         scaler = Scaler(RatingScale.from_array(z["scale"]), float(lo), float(hi))
@@ -394,11 +376,13 @@ def load_checkpoint(path) -> Checkpoint:
         history = [EpochRecord(int(e), float(l),
                                None if np.isnan(r) else float(r))
                    for e, l, r in zip(z["history_epoch"], z["history_loss"], rmses)]
-        split = None
-        if bool(z["has_split"]):
-            frac, seed = z["split"]
-            split = SplitSpec(float(frac), int(seed))
-        fingerprint = str(z["data_fingerprint"]) or None
+        frac, seed = z["split"]
+        fingerprint = str(z["data_fingerprint"])
+        # earlier versions wrote fraction 0 and "" for a missing split and
+        # fingerprint; a real split never has fraction 0
+        if frac == 0 or not fingerprint:
+            raise DataError("no train/test split or data fingerprint")
+        split = SplitSpec(float(frac), int(seed))
         side = None
         if bool(z["has_side"]):
             side = SideInfoTable(z["side_features"], int(z["side_n_svd"]))

@@ -268,6 +268,9 @@ def test_train_bad_hyperparameter_exits_1(workspace, tmp_path):
                  id="train-fraction"),
     pytest.param(["train", "--split-seed", "-1"], "seed must be nonnegative",
                  id="split-seed"),
+    # a checkpoint stores the seed as a float64, which holds 2**53 + 1 as 2**53
+    pytest.param(["train", "--split-seed", str(2**53 + 1)],
+                 "seed must be at most 2**53", id="split-seed-above-2**53"),
     pytest.param(["sweep", "--kind", "ratio", "--ratios", "1.5"],
                  "train_fraction", id="ratios"),
     pytest.param(["sweep", "--kind", "dae", "--train-fraction", "0"],
@@ -386,13 +389,13 @@ def test_config_file_sets_every_field(tmp_path):
     assert all(getattr(want, f.name) != f.default
                for f in dataclasses.fields(TrainConfig))
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("".join(f"{key} = {value}\n"
-                                for key, value in want.to_dict().items()))
+    cfg_file.write_text("".join(f"{key} = {value}\n" for key, value
+                                in dataclasses.asdict(want).items()))
     got = _merged_config(parse(["train", "--data", "d", "--out", "o",
                                 "--config", str(cfg_file)]))
     assert got == want
-    assert ({k: type(v) for k, v in got.to_dict().items()}
-            == {k: type(v) for k, v in want.to_dict().items()})
+    assert ({k: type(v) for k, v in dataclasses.asdict(got).items()}
+            == {k: type(v) for k, v in dataclasses.asdict(want).items()})
     cfg_file.write_text("weight_decay = auto\n")
     assert _merged_config(parse(["train", "--data", "d", "--out", "o",
                                  "--config", str(cfg_file)])) == TrainConfig()
@@ -522,7 +525,7 @@ def _stored_config(edit):
     pytest.param(_stored_config(lambda c: json.dumps({**c, "mask_ratio": 1.5})),
                  "mask_ratio", id="mask-ratio"),
     pytest.param(_stored_config(lambda c: json.dumps({**c, "dropout": 0.1})),
-                 "unknown config keys", id="unknown-key"),
+                 "dropout", id="unknown-key"),
     pytest.param(_stored_config(lambda c: json.dumps(c)[:-1]), "Expecting",
                  id="malformed"),
     pytest.param(_stored_config(
@@ -547,6 +550,48 @@ def test_bad_stored_config_exits_2(workspace, tmp_path, capsys, command,
         argv += ["--user", "1", "--item", "1"]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+@pytest.mark.parametrize("absent", [
+    pytest.param({"data_fingerprint": ""}, id="no-fingerprint"),
+    pytest.param({"has_split": False, "split": np.zeros(2)}, id="no-split"),
+])
+def test_checkpoint_without_split_or_fingerprint_exits_2(
+        workspace, tmp_path, capsys, command, absent):
+    # the members earlier versions wrote for a checkpoint saved without them
+    with np.load(workspace["model"] / "checkpoint.npz") as z:
+        arrays = {k: z[k] for k in z.files}
+    path = tmp_path / "checkpoint.npz"
+    np.savez(path, **{**arrays, "has_split": True, **absent})
+    argv = [command, "--model", str(tmp_path), "--data",
+            str(workspace["data"])]
+    if command == "predict":
+        argv += ["--user", "1", "--item", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count(str(path)) == 1
+    assert "no train/test split or data fingerprint" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_evaluate_with_an_exact_baseline_reports_no_improvement(tmp_path):
+    # every rating equal, as unary feedback gives: the bias baseline is
+    # exact, so the gain over it is undefined
+    rng = np.random.default_rng(0)
+    cells = rng.choice(40 * 30, size=400, replace=False)
+    ratings_csv = tmp_path / "ratings.csv"
+    ratings_csv.write_text("user,item,rating\n" + "".join(
+        f"{c // 30},{c % 30},1\n" for c in cells))
+    data, model = tmp_path / "data", tmp_path / "model"
+    assert main(["ingest", "--ratings", str(ratings_csv),
+                 "--out", str(data)]) == 0
+    assert main(["train", "--data", str(data), "--out", str(model),
+                 "--hidden", "4", "--epochs", "1"]) == 0
+    assert main(["evaluate", "--model", str(model), "--data", str(data)]) == 0
+    report = json.loads((model / "report.json").read_text())
+    assert report["baseline_rmse"] == 0.0
+    assert report["improvement_pct_vs_baseline"] is None
 
 
 def _truncate(path):

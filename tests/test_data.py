@@ -502,10 +502,11 @@ def test_split_takes_the_sorted_halves_of_one_permutation(synthetic, seed,
 
 def test_split_spec_validation():
     # a bad split is a usage error, as a bad TrainConfig is, not a data error
-    for fraction, seed in [(0.0, 1), (1.0, 1), (0.5, -1)]:
+    for fraction, seed in [(0.0, 1), (1.0, 1), (0.5, -1), (0.9, 2**53 + 1)]:
         with pytest.raises(ValueError) as err:
             SplitSpec(fraction, seed)
         assert not isinstance(err.value, DataError)
+    assert SplitSpec(0.9, 2**53).seed == 2**53
 
 
 # -------------------------------------------------------------- snapshots

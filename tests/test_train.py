@@ -1,6 +1,7 @@
 """SGD loop, completer predictions, checkpoints, loss curve output."""
 
 import csv
+import dataclasses
 import importlib
 import math
 import pickle
@@ -23,6 +24,7 @@ from cfdae.train import EpochRecord, MatrixCompleter
 train_module = importlib.import_module("cfdae.train")
 
 PARAM_FIELDS = ("W1", "b1", "W2", "b2")
+SPLIT = SplitSpec(0.9, 0)  # what a checkpoint records of the data
 
 
 def small_config(**overrides):
@@ -105,20 +107,20 @@ def test_config_validation(bad):
 
 def test_config_dict_round_trip():
     cfg = small_config(weight_decay=0.01, side_info="both")
-    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
-    with pytest.raises(ValueError, match="unknown config keys"):
-        TrainConfig.from_dict({"hidden": 4, "momentum": 0.9})
+    assert TrainConfig(**dataclasses.asdict(cfg)) == cfg
+    with pytest.raises(TypeError, match="momentum"):
+        TrainConfig(**{"hidden": 4, "momentum": 0.9})
 
 
 def test_config_replace_is_nondestructive():
     cfg = TrainConfig()
-    other = cfg.replace(hidden=12)
+    other = dataclasses.replace(cfg, hidden=12)
     assert other.hidden == 12 and cfg.hidden == 600
 
 
 def test_weight_decay_resolution():
-    assert TrainConfig().resolved_weight_decay(200) == 0.5 / 200
-    assert TrainConfig(weight_decay=0.02).resolved_weight_decay(200) == 0.02
+    assert TrainConfig().loss_weights(200).l2 == 0.5 / 200
+    assert TrainConfig(weight_decay=0.02).loss_weights(200).l2 == 0.02
     w = TrainConfig(weight_decay=0.0).loss_weights(50)
     assert w.l2 == 0.0
 
@@ -507,7 +509,7 @@ def test_per_epoch_checkpoints(tmp_path, monkeypatch, synthetic):
 
     def hook(state):
         save_checkpoint(tmp_path / f"epoch_{state.epoch - 1:03d}.npz", state,
-                        bias, scaler)
+                        bias, scaler, SPLIT, ratings.fingerprint())
 
     state = train(ratings, cfg, bias, scaler, eval_hook=hook)
     files = sorted(tmp_path.iterdir())
@@ -709,7 +711,7 @@ def test_checkpoint_round_trip(tmp_path, synthetic):
     state = train(ratings, cfg, bias, scaler, side=side, eval_hook=hook)
 
     path = tmp_path / "model.npz"
-    spec = SplitSpec(0.8, 4)
+    spec = SplitSpec(0.8, 2**53)  # the largest seed a float64 holds exactly
     save_checkpoint(path, state, bias, scaler, split=spec,
                     data_fingerprint=ratings.fingerprint(), side=side)
     ckpt = load_checkpoint(path)
@@ -745,11 +747,17 @@ def test_checkpoint_optional_fields_absent(tmp_path, synthetic):
     bias, scaler = fitted(ratings, scale, cfg)
     state = train(ratings, cfg, bias, scaler)
     path = tmp_path / "bare.npz"
-    save_checkpoint(path, state, bias, scaler)
-    ckpt = load_checkpoint(path)
-    assert ckpt.split is None
-    assert ckpt.data_fingerprint is None
-    assert ckpt.side is None
+    save_checkpoint(path, state, bias, scaler, SPLIT, ratings.fingerprint())
+    assert load_checkpoint(path).side is None
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    # the members earlier versions wrote for a missing split or fingerprint
+    for member, absent in [("split", np.zeros(2)), ("data_fingerprint", "")]:
+        np.savez(path, **{**arrays, member: absent})
+        with pytest.raises(DataError) as err:
+            load_checkpoint(path)
+        assert str(err.value).count(str(path)) == 1
+        assert "no train/test split or data fingerprint" in str(err.value)
 
 
 def test_checkpoint_is_stored_and_compressed_ones_still_load(tmp_path,
@@ -759,7 +767,7 @@ def test_checkpoint_is_stored_and_compressed_ones_still_load(tmp_path,
     bias, scaler = fitted(ratings, scale, cfg)
     state = train(ratings, cfg, bias, scaler)
     path = tmp_path / "model.npz"
-    save_checkpoint(path, state, bias, scaler)
+    save_checkpoint(path, state, bias, scaler, SPLIT, ratings.fingerprint())
     with zipfile.ZipFile(path) as zf:
         assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_STORED}
     with np.load(path) as z:
@@ -784,7 +792,8 @@ def test_checkpoint_in_the_earlier_layout_loads(tmp_path, synthetic,
     side = side_table(ratings.n_items, 3) if side_info != "none" else None
     state = train(ratings, cfg, bias, scaler, side=side)
     path = tmp_path / "model.npz"
-    save_checkpoint(path, state, bias, scaler, side=side)
+    save_checkpoint(path, state, bias, scaler, SPLIT, ratings.fingerprint(),
+                    side)
     with np.load(path) as z:
         arrays = {k: z[k] for k in z.files}
     width = ratings.n_users + (3 if side is not None else 0)
@@ -818,7 +827,7 @@ def test_checkpoint_version_gate(tmp_path, synthetic):
     bias, scaler = fitted(ratings, scale, cfg)
     state = train(ratings, cfg, bias, scaler)
     path = tmp_path / "model.npz"
-    save_checkpoint(path, state, bias, scaler)
+    save_checkpoint(path, state, bias, scaler, SPLIT, ratings.fingerprint())
     with np.load(path) as z:
         arrays = {k: z[k] for k in z.files}
     arrays["format_version"] = np.array(99)
@@ -834,7 +843,7 @@ def test_failed_checkpoint_write_keeps_the_previous_one(tmp_path, synthetic,
     bias, scaler = fitted(ratings, scale, cfg)
     state = train(ratings, cfg, bias, scaler)
     path = tmp_path / "checkpoint.npz"
-    save_checkpoint(path, state, bias, scaler)
+    save_checkpoint(path, state, bias, scaler, SPLIT, ratings.fingerprint())
     before = path.read_bytes()
 
     def fails_part_way(fh, **arrays):
@@ -845,7 +854,8 @@ def test_failed_checkpoint_write_keeps_the_previous_one(tmp_path, synthetic,
     saved_w1 = state.params.W1.copy()
     state.params.W1 += 1.0
     with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(path, state, bias, scaler)
+        save_checkpoint(path, state, bias, scaler, SPLIT,
+                        ratings.fingerprint())
     assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.npz"]
     assert path.read_bytes() == before
     np.testing.assert_array_equal(load_checkpoint(path).state.params.W1,
@@ -858,7 +868,8 @@ def test_checkpoint_path_is_used_as_given(tmp_path, synthetic):
     cfg = small_config(epochs=1)
     bias, scaler = fitted(ratings, scale, cfg)
     state = train(ratings, cfg, bias, scaler)
-    save_checkpoint(tmp_path / "model", state, bias, scaler)
+    save_checkpoint(tmp_path / "model", state, bias, scaler, SPLIT,
+                    ratings.fingerprint())
     assert [p.name for p in tmp_path.iterdir()] == ["model"]
     loaded = load_checkpoint(tmp_path / "model").state.params
     np.testing.assert_array_equal(loaded.W2, state.params.W2)
