@@ -22,8 +22,7 @@ from .preprocess import (BiasTable, Scaler, SideInfoTable, build_side_info,
                          transform)
 from .train import (Checkpoint, EpochRecord, MatrixCompleter, TrainConfig,
                     TrainState, TrainingDiverged, complete_matrix,
-                    learning_rate, load_checkpoint, save_checkpoint, train,
-                    write_loss_curve)
+                    learning_rate, load_checkpoint, save_checkpoint, train)
 
 __version__ = "0.1.0"
 
@@ -40,5 +39,4 @@ __all__ = [
     "load_tags", "loss", "loss_gradients", "rmse", "save_checkpoint",
     "save_snapshot", "save_tag_snapshot", "split", "summarize_ratio_sweep",
     "svd_embed", "sweep_dae", "sweep_training_ratio", "train", "transform",
-    "write_loss_curve",
 ]

@@ -24,11 +24,10 @@ from .data import (DataError, ENTITIES, SplitSpec, RATING_FORMATS,
                    save_tag_snapshot, split, write_csv, write_json)
 from .evaluate import (BiasPredictor, build_report, config_digest,
                        improvement_pct, rmse, summarize_ratio_sweep,
-                       sweep_dae, sweep_training_ratio, write_cluster_csv)
+                       sweep_dae, sweep_training_ratio)
 from .preprocess import (build_side_info, fit_bias, fit_scaler, svd_embed)
 from .train import (SIDE_MODES, TrainConfig, TrainingDiverged,
-                    complete_matrix, load_checkpoint, save_checkpoint,
-                    train, write_loss_curve)
+                    complete_matrix, load_checkpoint, save_checkpoint, train)
 
 log = logging.getLogger(__name__)
 
@@ -208,10 +207,9 @@ def cmd_train(args) -> int:
 
     fingerprint = ratings.fingerprint()
     epoch_paths = []
+    # --out appears with its first file, so a run that diverges before
+    # then leaves none
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if args.checkpoint_each_epoch:
-        (out / "epochs").mkdir(exist_ok=True)
 
     def eval_hook(state):
         """Scores and checkpoints the epoch just finished, as flagged."""
@@ -221,6 +219,7 @@ def cmd_train(args) -> int:
             record.rmse = rmse(completer, test_m)
         if args.checkpoint_each_epoch:
             path = out / "epochs" / f"epoch_{record.epoch:03d}.npz"
+            path.parent.mkdir(parents=True, exist_ok=True)
             save_checkpoint(path, state, bias, scaler, split_spec,
                             fingerprint, side)
             epoch_paths.append(path)
@@ -228,11 +227,13 @@ def cmd_train(args) -> int:
 
     state = train(train_m, cfg, bias, scaler, side=side, eval_hook=eval_hook)
 
+    out.mkdir(parents=True, exist_ok=True)
     ckpt_path = out / "checkpoint.npz"
     save_checkpoint(ckpt_path, state, bias, scaler, split_spec, fingerprint,
                     side)
-    curve_path = out / "loss_curve.csv"
-    write_loss_curve(curve_path, state.history)
+    curve_path = _write_rows(out / "loss_curve.csv",
+                             [{"epoch": r.epoch, "loss": r.mean_loss,
+                               "rmse": r.rmse} for r in state.history])
     outputs = [ckpt_path, curve_path, *epoch_paths]
     _write_manifest(out, "train", args,
                     {"train": dataclasses.asdict(cfg),
@@ -289,8 +290,10 @@ def cmd_evaluate(args) -> int:
         "baseline_rmse": base_rmse,
         "improvement_pct_vs_baseline": improvement_pct(base_rmse,
                                                        report.rmse)})
-    clusters_path = out / "clusters.csv"
-    write_cluster_csv(clusters_path, report)
+    clusters_path = _write_rows(out / "clusters.csv",
+                                [{"cluster": c.label, "rmse": c.rmse,
+                                  "n_entries": c.n_entries}
+                                 for c in report.per_cluster])
     _write_manifest(out, "evaluate", args,
                     {"train": dataclasses.asdict(cfg), "clusters_by": by,
                      "n_clusters": args.n_clusters},

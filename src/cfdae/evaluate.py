@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (RatingMatrix, RatingScale, SplitSpec, aligned_query,
-                   by_entity, split, write_csv)
+                   by_entity, split)
 from .preprocess import BiasTable, fit_bias, fit_scaler
 from .train import TrainConfig, complete_matrix, train
 
@@ -136,11 +136,6 @@ def build_report(predictor, test: RatingMatrix, train_data: RatingMatrix,
         clusters.append(ClusterStat(name, value, n))
     return EvalReport(float(np.sqrt(np.mean(err2))), test.n_entries,
                       tuple(clusters))
-
-
-def write_cluster_csv(path, report: EvalReport):
-    write_csv(path, ["cluster", "rmse", "n_entries"],
-              ([c.label, c.rmse, c.n_entries] for c in report.per_cluster))
 
 
 def _fit_and_score(ratings: RatingMatrix, scale: RatingScale,

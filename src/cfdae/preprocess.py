@@ -114,7 +114,6 @@ class SideInfoTable:
     """Dense per-entity feature rows: SVD columns first, then binary flags."""
 
     features: np.ndarray
-    n_svd: int = 0
 
     def __post_init__(self):
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -122,8 +121,6 @@ class SideInfoTable:
             raise ValueError("features must be a 2-D array")
         if not np.all(np.isfinite(feats)):
             raise ValueError("features must be finite")
-        if not 0 <= self.n_svd <= feats.shape[1]:
-            raise ValueError("n_svd out of range")
         feats.setflags(write=False)
         object.__setattr__(self, "features", feats)
 
@@ -152,7 +149,7 @@ def svd_embed(tags: TagMatrix, k_prime: int) -> SideInfoTable:
         raise ValueError(f"k_prime must be in [1, {limit}]")
 
     if tags.counts.nnz == 0:
-        return SideInfoTable(np.zeros((n, k_prime)), n_svd=k_prime)
+        return SideInfoTable(np.zeros((n, k_prime)))
 
     counts = tags.counts.astype(np.float64)
     if limit <= _DENSE_SVD_LIMIT or k_prime >= limit - 1:
@@ -176,27 +173,19 @@ def svd_embed(tags: TagMatrix, k_prime: int) -> SideInfoTable:
                     "padding with zero columns", k_prime, effective)
     y = p * np.sqrt(np.maximum(s, 0.0))
     y[:, effective:] = 0.0
-    return SideInfoTable(y, n_svd=k_prime)
+    return SideInfoTable(y)
 
 
 def build_side_info(svd_part: SideInfoTable | None,
                     binary_part: TagMatrix | None) -> SideInfoTable:
     """Concatenate the SVD embedding with binary attribute columns."""
-    if svd_part is None and binary_part is None:
-        raise ValueError("need at least one of svd_part, binary_part")
-    blocks = []
-    n_svd = 0
-    n_entities = None
-    if svd_part is not None:
-        blocks.append(svd_part.features)
-        n_svd = svd_part.dim
-        n_entities = svd_part.n_entities
+    blocks = [] if svd_part is None else [svd_part.features]
     if binary_part is not None and binary_part.n_tags > 0:
         dense = binary_part.toarray()
-        if n_entities is not None and dense.shape[0] != n_entities:
-            raise ValueError(
-                f"entity counts differ: {n_entities} vs {dense.shape[0]}")
+        if blocks and dense.shape[0] != svd_part.n_entities:
+            raise ValueError(f"entity counts differ: {svd_part.n_entities} "
+                             f"vs {dense.shape[0]}")
         blocks.append(dense)
     if not blocks:
         raise ValueError("side information is empty")
-    return SideInfoTable(np.hstack(blocks), n_svd=n_svd)
+    return SideInfoTable(np.hstack(blocks))

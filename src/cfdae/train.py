@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_array
 
-from .data import (DataError, RatingMatrix, RatingScale, SplitSpec,
-                   aligned_query, by_entity, open_versioned_npz, write_csv,
-                   write_versioned_npz)
+from .data import (RatingMatrix, RatingScale, SplitSpec, aligned_query,
+                   by_entity, open_versioned_npz, write_versioned_npz)
 from .model import (AutoencoderParams, LazyDecay, LossWeights,
                     batch_loss_gradients, dense_rows, draw_corrupted,
                     encode_batch, first_nonfinite, init_params)
@@ -327,11 +326,21 @@ class Checkpoint:
     side: SideInfoTable | None = None
 
 
+def _check_split_and_fingerprint(train_fraction: float, data_fingerprint: str):
+    """A checkpoint names the split and the data that tie its model to a
+    test set.  Earlier versions wrote fraction 0 and "" for a missing one;
+    a real split never has fraction 0."""
+    if train_fraction == 0 or not data_fingerprint:
+        raise ValueError("no train/test split or data fingerprint")
+
+
 def save_checkpoint(path, state: TrainState, bias: BiasTable, scaler: Scaler,
                     split: SplitSpec, data_fingerprint: str,
                     side: SideInfoTable | None = None):
     """Versioned .npz with params, config, preprocessing, the curve, and
-    the split and data fingerprint that tie the model to its test set."""
+    the split and data fingerprint that tie the model to its test set; an
+    empty fingerprint raises ValueError."""
+    _check_split_and_fingerprint(split.train_fraction, data_fingerprint)
     write_versioned_npz(
         path, CHECKPOINT_VERSION,
         config_json=json.dumps(dataclasses.asdict(state.config)),
@@ -352,7 +361,6 @@ def save_checkpoint(path, state: TrainState, bias: BiasTable, scaler: Scaler,
         data_fingerprint=data_fingerprint,
         has_side=side is not None,
         side_features=side.features if side is not None else np.zeros((0, 0)),
-        side_n_svd=side.n_svd if side is not None else 0,
     )
 
 
@@ -378,19 +386,9 @@ def load_checkpoint(path) -> Checkpoint:
                    for e, l, r in zip(z["history_epoch"], z["history_loss"], rmses)]
         frac, seed = z["split"]
         fingerprint = str(z["data_fingerprint"])
-        # earlier versions wrote fraction 0 and "" for a missing split and
-        # fingerprint; a real split never has fraction 0
-        if frac == 0 or not fingerprint:
-            raise DataError("no train/test split or data fingerprint")
+        _check_split_and_fingerprint(frac, fingerprint)
         split = SplitSpec(float(frac), int(seed))
-        side = None
-        if bool(z["has_side"]):
-            side = SideInfoTable(z["side_features"], int(z["side_n_svd"]))
+        side = SideInfoTable(z["side_features"]) if z["has_side"] else None
     return Checkpoint(TrainState(params, cfg, history), bias, scaler, split,
                       fingerprint, side)
 
-
-def write_loss_curve(path, history: list[EpochRecord]):
-    """CSV of the training curve: epoch,loss,rmse (rmse blank if absent)."""
-    write_csv(path, ["epoch", "loss", "rmse"],
-              ([rec.epoch, rec.mean_loss, rec.rmse] for rec in history))

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfdae import RatingMatrix, RatingScale
+from cfdae import IdMaps, RatingMatrix, RatingScale, save_snapshot
 
 ML1M_HINT = ("MovieLens-1M not found; download ml-1m.zip from "
              "https://grouplens.org/datasets/movielens/1m/, extract it, and "
@@ -58,6 +58,18 @@ def make_synthetic(n_users=40, n_items=30, density=0.3, seed=0, rank=3):
 @pytest.fixture
 def synthetic():
     return make_synthetic()
+
+
+@pytest.fixture
+def snapshot_dir(tmp_path, synthetic):
+    """The synthetic matrix as an ingested snapshot directory."""
+    ratings, scale = synthetic
+    data = tmp_path / "data"
+    data.mkdir()
+    save_snapshot(data / "ratings.npz", ratings, scale,
+                  IdMaps(tuple(f"u{k}" for k in range(ratings.n_users)),
+                         tuple(f"i{k}" for k in range(ratings.n_items))))
+    return data
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -16,6 +17,9 @@ from cfdae import (SplitSpec, TrainConfig, config_digest, load_checkpoint,
                    load_snapshot, load_tag_snapshot, summarize_ratio_sweep,
                    sweep_dae, sweep_training_ratio)
 from cfdae.cli import _merged_config, build_parser, main
+
+# cfdae re-exports the function train(), which hides the submodule attribute
+train_module = importlib.import_module("cfdae.train")
 
 GENRES = ("Action", "Comedy", "Drama", "Horror", "Romance")
 
@@ -217,7 +221,6 @@ def test_epoch_checkpoints_are_complete(workspace, tmp_path):
         assert ckpt.state.history[-1].rmse > 0
         assert ckpt.split == SplitSpec(0.9, 0)
         assert ckpt.data_fingerprint == fingerprint
-        assert ckpt.side.n_svd == 3
         np.testing.assert_array_equal(ckpt.side.features,
                                       final.side.features)
 
@@ -256,6 +259,24 @@ def test_train_divergence_exits_3(workspace, tmp_path, capsys):
                  "--epochs", "1", "--batch-size", "1",
                  "--lr0", "1e308"]) == 3
     assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_divergence_keeps_finished_epoch_checkpoints(
+        workspace, tmp_path, capsys, monkeypatch):
+    # the first epoch trains at the normal rate, the second at one that
+    # diverges
+    monkeypatch.setattr(train_module, "learning_rate",
+                        lambda cfg, epoch: cfg.lr0 if epoch == 0 else 1e308)
+    out = tmp_path / "m"
+    assert main(["train", "--data", str(workspace["data"]), "--out",
+                 str(out), "--hidden", "4", "--epochs", "2",
+                 "--batch-size", "1", "--checkpoint-each-epoch"]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) \
+        == ["epochs", "epochs/epoch_000.npz"]
+    assert load_checkpoint(out / "epochs" / "epoch_000.npz").state.epoch == 1
 
 
 def test_train_bad_hyperparameter_exits_1(workspace, tmp_path):
@@ -333,7 +354,7 @@ def test_train_side_info_runs(workspace, tmp_path):
                  "--side", "hidden_only", "--side-svd-dim", "3",
                  "--side-binary", "--hidden", "5", "--epochs", "1"]) == 0
     ckpt = load_checkpoint(out / "checkpoint.npz")
-    assert ckpt.side is not None and ckpt.side.n_svd == 3
+    assert ckpt.side is not None
     assert ckpt.state.params.p_hidden == ckpt.side.dim > 3
     assert ckpt.state.params.p_in == 0
 

@@ -13,7 +13,7 @@ from cfdae import (BiasPredictor, ClusterStat, EvalReport, RatingMatrix,
                    complete_matrix, config_digest, fit_bias, fit_scaler,
                    improvement_pct, rmse, split, summarize_ratio_sweep,
                    sweep_dae, sweep_training_ratio, train)
-from cfdae.evaluate import write_cluster_csv
+from cfdae import cli
 
 
 class FixedPredictor:
@@ -235,12 +235,18 @@ def test_report_predicts_each_test_entry_once(synthetic):
     assert report.rmse == rmse(baseline, test_m)
 
 
-def test_write_cluster_csv(tmp_path):
-    # None rmse must serialize as an empty cell
+def test_write_cluster_csv(tmp_path, snapshot_dir, monkeypatch):
+    # clusters.csv as cfdae evaluate writes it; None rmse must serialize as
+    # an empty cell
     report = EvalReport(1.0, 3, (ClusterStat("0-50%", 0.5, 2),
                                  ClusterStat("50-100%", None, 0)))
-    path = tmp_path / "clusters.csv"
-    write_cluster_csv(path, report)
+    model = tmp_path / "model"
+    assert cli.main(["train", "--data", str(snapshot_dir), "--out",
+                     str(model), "--hidden", "4", "--epochs", "1"]) == 0
+    monkeypatch.setattr(cli, "build_report", lambda *args, **kw: report)
+    assert cli.main(["evaluate", "--model", str(model), "--data",
+                     str(snapshot_dir)]) == 0
+    path = model / "clusters.csv"
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0] == {"cluster": "0-50%", "rmse": "0.5", "n_entries": "2"}

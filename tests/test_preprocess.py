@@ -219,14 +219,14 @@ def test_svd_deterministic():
 # --------------------------------------------------------- build_side_info
 
 def test_build_side_info_dims():
-    svd_part = SideInfoTable(np.zeros((5, 50)), n_svd=50)
+    svd_part = SideInfoTable(np.zeros((5, 50)))
     binary = _tag_matrix(np.ones((5, 18)))
     table = build_side_info(svd_part, binary)
-    assert table.dim == 68 and table.n_svd == 50
+    assert table.dim == 68
 
 
 def test_build_side_info_passthrough_and_order():
-    svd_part = SideInfoTable(np.full((2, 2), 7.0), n_svd=2)
+    svd_part = SideInfoTable(np.full((2, 2), 7.0))
     assert build_side_info(svd_part, None).dim == 2
     empty_binary = TagMatrix(sp.csr_matrix((2, 0)))
     assert build_side_info(svd_part, empty_binary).dim == 2
@@ -237,7 +237,7 @@ def test_build_side_info_passthrough_and_order():
 
 
 def test_build_side_info_mismatch():
-    svd_part = SideInfoTable(np.zeros((3, 2)), n_svd=2)
+    svd_part = SideInfoTable(np.zeros((3, 2)))
     with pytest.raises(ValueError):
         build_side_info(svd_part, _tag_matrix(np.ones((4, 2))))
     with pytest.raises(ValueError):

@@ -15,8 +15,8 @@ from cfdae import (BiasTable, CorruptionMask, DataError, LossWeights,
                    SplitSpec, TrainConfig, TrainState, TrainingDiverged,
                    complete_matrix, fit_bias, fit_scaler, forward,
                    init_params, learning_rate, load_checkpoint, loss,
-                   save_checkpoint, split, train, transform,
-                   write_loss_curve)
+                   save_checkpoint, split, train, transform)
+from cfdae import cli
 from cfdae.model import batch_loss_gradients, dense_rows
 from cfdae.train import EpochRecord, MatrixCompleter
 
@@ -526,7 +526,7 @@ def test_per_epoch_checkpoints(tmp_path, monkeypatch, synthetic):
 
 def side_table(n_entities, dim, seed=0):
     rng = np.random.default_rng(seed)
-    return SideInfoTable(rng.uniform(-1, 1, (n_entities, dim)), n_svd=dim)
+    return SideInfoTable(rng.uniform(-1, 1, (n_entities, dim)))
 
 
 @pytest.mark.parametrize("mode,p_in,p_hidden", [
@@ -730,7 +730,6 @@ def test_checkpoint_round_trip(tmp_path, synthetic):
     assert ckpt.split == spec
     assert ckpt.data_fingerprint == ratings.fingerprint()
     np.testing.assert_array_equal(ckpt.side.features, side.features)
-    assert ckpt.side.n_svd == side.n_svd
 
     ours = complete_matrix(ratings, state, bias, scaler, side=side)
     theirs = complete_matrix(ratings, ckpt.state, ckpt.bias, ckpt.scaler,
@@ -758,6 +757,18 @@ def test_checkpoint_optional_fields_absent(tmp_path, synthetic):
             load_checkpoint(path)
         assert str(err.value).count(str(path)) == 1
         assert "no train/test split or data fingerprint" in str(err.value)
+
+
+def test_checkpoint_save_refuses_an_empty_fingerprint(tmp_path, synthetic):
+    ratings, scale = synthetic
+    cfg = small_config(epochs=1)
+    bias, scaler = fitted(ratings, scale, cfg)
+    state = train(ratings, cfg, bias, scaler)
+    path = tmp_path / "model.npz"
+    with pytest.raises(ValueError,
+                       match="no train/test split or data fingerprint"):
+        save_checkpoint(path, state, bias, scaler, SPLIT, "")
+    assert not path.exists()
 
 
 def test_checkpoint_is_stored_and_compressed_ones_still_load(tmp_path,
@@ -800,6 +811,9 @@ def test_checkpoint_in_the_earlier_layout_loads(tmp_path, synthetic,
     assert arrays["w1"].shape == (cfg.hidden, width)
     w1 = np.random.default_rng(7).uniform(-0.3, 0.3, (cfg.hidden, width))
     arrays["w1"] = w1
+    # earlier versions also stored the side table's SVD column count
+    assert "side_n_svd" not in arrays
+    arrays["side_n_svd"] = np.array(0 if side is None else 3)
     np.savez(path, **arrays)
 
     ckpt = load_checkpoint(path)
@@ -875,11 +889,22 @@ def test_checkpoint_path_is_used_as_given(tmp_path, synthetic):
     np.testing.assert_array_equal(loaded.W2, state.params.W2)
 
 
-def test_write_loss_curve_parses_back(tmp_path):
+def test_write_loss_curve_parses_back(tmp_path, snapshot_dir, monkeypatch):
+    # loss_curve.csv as cfdae train writes it, for a curve with an epoch
+    # that was not scored
     history = [EpochRecord(0, 0.75), EpochRecord(1, 0.5, 1.25),
                EpochRecord(2, 1.0 / 3.0, 0.1 + 0.2)]
-    path = tmp_path / "curve.csv"
-    write_loss_curve(path, history)
+    real_train = cli.train
+
+    def with_history(*args, **kwargs):
+        return dataclasses.replace(real_train(*args, **kwargs),
+                                   history=history)
+
+    monkeypatch.setattr(cli, "train", with_history)
+    assert cli.main(["train", "--data", str(snapshot_dir), "--out",
+                     str(tmp_path / "model"), "--hidden", "4",
+                     "--epochs", "1"]) == 0
+    path = tmp_path / "model" / "loss_curve.csv"
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["epoch"] for r in rows] == ["0", "1", "2"]
