@@ -208,7 +208,19 @@ class RatingMatrix:
                 k = int(dup[0]) + 1
                 raise DataError(
                     f"duplicate rating for user {users[k]}, item {items[k]}")
+        self._own(n_users, n_items, users, items, ratings)
 
+    @classmethod
+    def _adopt(cls, n_users, n_items, users, items, ratings) -> "RatingMatrix":
+        """A matrix that takes over entry arrays already checked, sorted,
+        distinct and referenced nowhere else, without copying them."""
+        matrix = cls.__new__(cls)
+        matrix._own(n_users, n_items, users, items, ratings)
+        return matrix
+
+    def _own(self, n_users, n_items, users, items, ratings):
+        """Store the sorted entry arrays, build the row and column views,
+        and make every stored array read-only."""
         self.n_users = int(n_users)
         self.n_items = int(n_items)
         self.users = users
@@ -549,9 +561,11 @@ def split(ratings: RatingMatrix, spec: SplitSpec):
 
 
 def _take(ratings: RatingMatrix, idx: np.ndarray) -> RatingMatrix:
-    return RatingMatrix(ratings.n_users, ratings.n_items,
-                        ratings.users[idx], ratings.items[idx],
-                        ratings.ratings[idx])
+    """The entries at ascending positions idx, a subset of a valid matrix
+    and so valid and sorted; fancy indexing already copied them."""
+    return RatingMatrix._adopt(ratings.n_users, ratings.n_items,
+                               ratings.users[idx], ratings.items[idx],
+                               ratings.ratings[idx])
 
 
 def save_snapshot(path, ratings: RatingMatrix, scale: RatingScale, ids: IdMaps):

@@ -18,7 +18,8 @@ import numpy as np
 from .data import (RatingMatrix, RatingScale, SplitSpec, aligned_query,
                    by_entity, split)
 from .preprocess import BiasTable, fit_bias, fit_scaler
-from .train import TrainConfig, complete_matrix, train
+from .train import (TrainConfig, _predict_on_caller_only, complete_matrix,
+                    train)
 
 
 @dataclass(frozen=True)
@@ -138,8 +139,8 @@ def build_report(predictor, test: RatingMatrix, train_data: RatingMatrix,
                       tuple(clusters))
 
 
-def _fit_and_score(ratings: RatingMatrix, scale: RatingScale,
-                   cfg: TrainConfig, split_spec: SplitSpec, side):
+def _fit_and_score(ratings: RatingMatrix, scale: RatingScale, side,
+                   cfg: TrainConfig, split_spec: SplitSpec):
     """Fresh split, fit, and test RMSE for one sweep cell."""
     train_m, test_m = split(ratings, split_spec)
     bias = fit_bias(train_m, cfg.orientation)
@@ -149,12 +150,33 @@ def _fit_and_score(ratings: RatingMatrix, scale: RatingScale,
     return rmse(completer, test_m), train_m.n_entries, test_m.n_entries
 
 
-def _run_cells(tasks, jobs):
-    """Evaluate _fit_and_score over argument tuples, optionally in parallel."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [_fit_and_score(*t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_fit_and_score, *zip(*tasks)))
+# (ratings, scale, side) of the sweep a worker process serves
+_worker_data = None
+
+
+def _init_worker(ratings: RatingMatrix, scale: RatingScale, side):
+    """Take the sweep's data once per worker process, not once per cell,
+    and predict on the worker's calling thread only, so that J workers run
+    J prediction threads rather than J times the CPU count."""
+    global _worker_data
+    _worker_data = (ratings, scale, side)
+    _predict_on_caller_only()
+
+
+def _score_in_worker(cfg: TrainConfig, split_spec: SplitSpec):
+    """_fit_and_score on the data _init_worker stored in this worker."""
+    return _fit_and_score(*_worker_data, cfg, split_spec)
+
+
+def _run_cells(ratings: RatingMatrix, scale: RatingScale, side, cells, jobs):
+    """_fit_and_score on the data for each (config, split) cell, in jobs
+    worker processes when jobs > 1."""
+    if jobs <= 1 or len(cells) <= 1:
+        return [_fit_and_score(ratings, scale, side, cfg, spec)
+                for cfg, spec in cells]
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                             initargs=(ratings, scale, side)) as pool:
+        return list(pool.map(_score_in_worker, *zip(*cells)))
 
 
 def sweep_training_ratio(ratings: RatingMatrix, scale: RatingScale,
@@ -162,13 +184,12 @@ def sweep_training_ratio(ratings: RatingMatrix, scale: RatingScale,
                          side=None, jobs: int = 1) -> list[dict]:
     """Retrain at several train fractions, one row per (ratio, seed)."""
     cells = [(ratio, seed) for ratio in ratios for seed in seeds]
-    tasks = [(ratings, scale, dataclasses.replace(cfg, seed=seed),
-              SplitSpec(ratio, seed), side)
+    tasks = [(dataclasses.replace(cfg, seed=seed), SplitSpec(ratio, seed))
              for ratio, seed in cells]
     return [{"ratio": ratio, "seed": seed, "rmse": err, "n_train": n_train,
              "n_test": n_test}
             for (ratio, seed), (err, n_train, n_test)
-            in zip(cells, _run_cells(tasks, jobs))]
+            in zip(cells, _run_cells(ratings, scale, side, tasks, jobs))]
 
 
 def sweep_dae(ratings: RatingMatrix, scale: RatingScale, recon_weights,
@@ -184,12 +205,10 @@ def sweep_dae(ratings: RatingMatrix, scale: RatingScale, recon_weights,
         raise ValueError("the grid holds the prediction weight at 1")
     cells = [(rw, mr) for rw in recon_weights for mr in mask_ratios]
     valid = [(rw, mr) for rw, mr in cells if not (rw == 0 and mr == 0)]
-    tasks = [(ratings, scale,
-              dataclasses.replace(cfg, reconstruction_weight=rw,
-                                  mask_ratio=mr),
-              split_spec, side)
+    tasks = [(dataclasses.replace(cfg, reconstruction_weight=rw,
+                                  mask_ratio=mr), split_spec)
              for rw, mr in valid]
-    results = dict(zip(valid, _run_cells(tasks, jobs)))
+    results = dict(zip(valid, _run_cells(ratings, scale, side, tasks, jobs)))
     return [{"reconstruction_weight": rw, "mask_ratio": mr,
              "valid": (rw, mr) in results,
              "rmse": results.get((rw, mr), (None,))[0],

@@ -169,17 +169,17 @@ def _active(params: AutoencoderParams, cols: np.ndarray):
     return np.concatenate([cols, side]), cols
 
 
-def encode_batch(params: AutoencoderParams, x,
+def encode_batch(params: AutoencoderParams, xin,
                  side: np.ndarray | None = None) -> np.ndarray:
-    """Hidden codes of a batch of rows over all n coordinates, x a dense
+    """Hidden codes of a batch of rows over all n + p_in input coordinates
+    (the side inputs appended, as the training kernel's xin), xin a dense
     array or a scipy sparse array, with the side columns the decoder reads
     appended."""
-    if x.shape[1] != params.n:
-        raise ValueError(f"input dim {x.shape[1]} != network dim {params.n}")
-    z = x @ params.W1[:params.n]
-    if params.p_in:
-        z += side @ params.W1[params.n:]
-    h = np.tanh(z + params.b1)
+    width = params.W1.shape[0]
+    if xin.shape[1] != width:
+        raise ValueError(f"input dim {xin.shape[1]} != network input dim "
+                         f"{width}")
+    h = np.tanh(xin @ params.W1 + params.b1)
     return np.hstack([h, side]) if params.p_hidden else h
 
 
@@ -188,7 +188,10 @@ def forward(params: AutoencoderParams, x: SparseVector,
     """Dense output vector for one incomplete input vector."""
     side = _check_side(params, side_info)
     batch_side = side[None, :] if side is not None else None
-    hin = encode_batch(params, x.to_dense()[None, :], batch_side)
+    xin = x.to_dense()[None, :]
+    if params.p_in:
+        xin = np.hstack([xin, batch_side])
+    hin = encode_batch(params, xin, batch_side)
     return np.tanh(hin @ params.W2.T + params.b2)[0]
 
 

@@ -13,6 +13,8 @@ import dataclasses
 import json
 import logging
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,6 +239,53 @@ def train(train_data: RatingMatrix, cfg: TrainConfig, bias: BiasTable,
     return state
 
 
+def _append_columns(vectors: csr_array, dense: np.ndarray) -> csr_array:
+    """The CSR array vectors with the rows of dense appended to its rows,
+    as columns after its own."""
+    n_rows, n = vectors.shape
+    width = dense.shape[1]
+    ptr = vectors.indptr + width * np.arange(n_rows + 1)
+    at = (ptr[1:, None] - width + np.arange(width)).ravel()
+    own = np.ones(ptr[-1], dtype=bool)
+    own[at] = False
+    idx = np.empty(ptr[-1], dtype=vectors.indices.dtype)
+    idx[own] = vectors.indices
+    idx[at] = np.tile(np.arange(n, n + width), n_rows)
+    vals = np.empty(ptr[-1])
+    vals[own] = vectors.data
+    vals[at] = dense.ravel()
+    return csr_array((vals, idx, ptr), shape=(n_rows, n + width))
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: the most threads predict_many uses."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _predict_on_caller_only():
+    """Make predict_many in this process run on its calling thread only,
+    as in a sweep's worker processes, which already run one per job."""
+    global _cpu_count
+
+    def _cpu_count() -> int:
+        return 1
+
+
+def _contiguous_groups(blocks: list, n_groups: int) -> list[list]:
+    """blocks cut into at most n_groups contiguous runs of about equal
+    total size, each block going to the run its midpoint falls in; one
+    empty run if there are no blocks."""
+    if not blocks:
+        return [[]]
+    sizes = np.array([block.size for block in blocks])
+    mids = np.cumsum(sizes) - sizes / 2
+    cuts = np.flatnonzero(np.diff(mids * n_groups // sizes.sum())) + 1
+    return [blocks[a:b] for a, b in zip([0, *cuts], [*cuts, len(blocks)])]
+
+
 class MatrixCompleter:
     """Predicts any (user, item) rating from a trained network.
 
@@ -246,20 +295,24 @@ class MatrixCompleter:
     bias table (their mean is the global mean).
     """
 
-    _CHUNK = 256    # entities encoded together
-    _DECODE = 1024  # predictions decoded together
+    _CHUNK = 128   # entities encoded together
+    _DECODE = 256  # predictions decoded together
 
     def __init__(self, train_data: RatingMatrix, params: AutoencoderParams,
                  cfg: TrainConfig, bias: BiasTable, scaler: Scaler,
                  side: SideInfoTable | None = None):
-        self._vectors, self._features, (p_in, p_hidden) = _training_vectors(
+        vectors, features, (p_in, p_hidden) = _training_vectors(
             train_data, cfg, bias, scaler, side)
         have = (params.n, params.p_in, params.p_hidden)
-        need = (self._vectors.shape[1], p_in, p_hidden)
+        need = (vectors.shape[1], p_in, p_hidden)
         if have != need:
             raise ValueError(f"network widths (n, p_in, p_hidden) {have} do "
                              f"not match the data and side_info mode's {need}")
-        self._counts = np.diff(self._vectors.indptr)
+        self._counts = np.diff(vectors.indptr)
+        # the side inputs as coordinates n..n+p_in-1, so that a block
+        # encodes in one sparse product with all of W1
+        self._vectors = _append_columns(vectors, features) if p_in else vectors
+        self._side = features if p_hidden else None
         self.params = params
         self.bias = bias
         self.scaler = scaler
@@ -270,7 +323,12 @@ class MatrixCompleter:
         return float(self.predict_many([user], [item])[0])
 
     def predict_many(self, users, items) -> np.ndarray:
-        """Clamped rating predictions for aligned index arrays."""
+        """Clamped rating predictions for aligned index arrays.
+
+        The entity blocks the query touches are cut into contiguous groups
+        of about equal query count, one per CPU the process may run on; the
+        calling thread predicts the first group and a thread pool the rest.
+        """
         users, items = aligned_query(users, items)
         if users.size and (users.min() < 0 or users.max() >= self.n_users):
             raise IndexError("user index out of range")
@@ -281,29 +339,52 @@ class MatrixCompleter:
 
         unit = np.zeros(entities.size)
         # Hidden codes come from fixed blocks of entity ids and each output
-        # from its own row-wise dot product, so a prediction does not depend
-        # on which other entries are in the query.
+        # from its own row-wise dot product, so a prediction depends neither
+        # on which other entries are in the query nor on the thread that
+        # runs its block.  Each block writes only its own queries' slots.
         order = np.argsort(entities, kind="stable")
         cuts = np.flatnonzero(np.diff(entities[order] // self._CHUNK)) + 1
-        for queries in np.split(order, cuts) if order.size else []:
-            lo = entities[queries[0]] // self._CHUNK * self._CHUNK
-            hin = self._encode_block(lo)
-            for part in np.split(queries, np.arange(self._DECODE, queries.size,
-                                                    self._DECODE)):
-                cols = counterparts[part]
-                dots = np.einsum("ij,ij->i", hin[entities[part] - lo],
-                                 self.params.W2[cols])
-                unit[part] = np.tanh(dots + self.params.b2[cols])
+        blocks = np.split(order, cuts) if order.size else []
+        first, *rest = _contiguous_groups(blocks, _cpu_count())
+
+        def run(group):
+            for queries in group:
+                self._predict_block(queries, entities, counterparts, unit)
+
+        if rest:
+            # Pool threads call no BLAS (an idle BLAS helper thread spins
+            # against them) and nothing outside this class, so every other
+            # call stays on the calling thread.
+            with ThreadPoolExecutor(len(rest)) as pool:
+                futures = [pool.submit(run, group) for group in rest]
+                run(first)
+                for future in futures:
+                    future.result()
+        else:
+            run(first)
         unit[self._counts[entities] == 0] = 0.0
         return inverse_transform(unit, entities, self.bias, self.scaler)
 
+    def _predict_block(self, queries: np.ndarray, entities: np.ndarray,
+                       counterparts: np.ndarray, unit: np.ndarray):
+        """unit[queries] for queries whose entities share one block."""
+        lo = entities[queries[0]] // self._CHUNK * self._CHUNK
+        hin = self._encode_block(lo)
+        for part in np.split(queries, np.arange(self._DECODE, queries.size,
+                                                self._DECODE)):
+            cols = counterparts[part]
+            dots = np.einsum("ij,ij->i", hin[entities[part] - lo],
+                             self.params.W2[cols])
+            unit[part] = np.tanh(dots + self.params.b2[cols])
+
     def _encode_block(self, lo: int) -> np.ndarray:
         """Hidden codes (side columns appended) of entities lo..lo+_CHUNK-1,
-        encoded from their rows of the CSR training vectors.  The product
-        runs on the block in CSC form, which reads each encoder row once
-        per block, not once per known entry, and sums in the same order."""
+        encoded from their rows of the CSR training vectors, side inputs
+        included.  The product runs on the block in CSC form, which reads
+        each encoder row once per block, not once per known entry, and
+        sums in the same order."""
         block = slice(lo, lo + self._CHUNK)
-        side = self._features[block] if self._features is not None else None
+        side = self._side[block] if self._side is not None else None
         return encode_batch(self.params, self._vectors[block].tocsc(), side)
 
 

@@ -8,10 +8,17 @@ These tests read the benchmark's files and edit none of them.
 
 import ast
 import importlib
+import inspect
+import sys
+import threading
 from pathlib import Path
 
+import numpy as np
+
 import cfdae
-from cfdae import RatingMatrix
+from cfdae import (MatrixCompleter, RatingMatrix, SideInfoTable, TrainConfig,
+                   fit_bias, fit_scaler, init_params)
+from conftest import make_synthetic
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -61,3 +68,63 @@ def test_bindings_the_benchmark_reads_or_replaces_exist():
         assert callable(getattr(train_module, name, None)), name
     assert callable(getattr(importlib.import_module("cfdae.cli"), "main",
                             None))
+
+
+def test_hooked_calls_stay_on_the_calling_thread(monkeypatch):
+    # the tracer's span stack is not thread-safe: whatever HOOKS target
+    # predict_many reaches must run on the thread that called it
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    hooks = importlib.import_module("tracing").HOOKS
+    modules = [m for n, m in list(sys.modules.items())
+               if m is not None and (n == "cfdae" or n.startswith("cfdae."))]
+    calls = []
+
+    def recorder(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, path in hooks.items():
+        modname, _, attrs = path.partition(":")
+        *chain, attr = attrs.split(".")
+        owner = importlib.import_module(modname)
+        for part in chain:
+            owner = getattr(owner, part, None)
+        fn = getattr(owner, attr, None)
+        if not callable(fn):
+            continue  # a known dead hook
+        if inspect.isclass(owner):
+            monkeypatch.setattr(owner, attr, recorder(name, fn))
+            continue
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, key, recorder(name, fn))
+
+    # 800 items make 7 entity blocks; force a pool of 3 threads
+    train_module = importlib.import_module("cfdae.train")
+    monkeypatch.setattr(train_module, "_cpu_count", lambda: 3)
+    block_threads = set()
+    encode = MatrixCompleter._encode_block
+
+    def traced_encode(self, lo):
+        block_threads.add(threading.get_ident())
+        return encode(self, lo)
+
+    monkeypatch.setattr(MatrixCompleter, "_encode_block", traced_encode)
+    ratings, scale = make_synthetic(n_users=300, n_items=800, density=0.01)
+    cfg = TrainConfig(hidden=8, side_info="both")
+    bias = fit_bias(ratings, cfg.orientation)
+    scaler = fit_scaler(scale, bias)
+    side = SideInfoTable(np.random.default_rng(0).uniform(-1, 1, (800, 3)))
+    params = init_params(ratings.n_users, cfg.hidden, 3, 3)
+    completer = MatrixCompleter(ratings, params, cfg, bias, scaler, side)
+    calls.clear()
+    rng = np.random.default_rng(1)
+    completer.predict_many(rng.integers(0, 300, 2000),
+                           rng.integers(0, 800, 2000))
+    assert len(block_threads) > 1  # the pool predicted some blocks
+    names = {name for name, _ in calls}
+    assert {"train.predict_many", "preprocess.inverse_transform"} <= names
+    assert {ident for _, ident in calls} == {threading.main_thread().ident}

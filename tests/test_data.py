@@ -500,6 +500,26 @@ def test_split_takes_the_sorted_halves_of_one_permutation(synthetic, seed,
         np.testing.assert_array_equal(half.ratings, ratings.ratings[idx])
 
 
+def test_split_halves_are_private_read_only_copies(synthetic):
+    # each half adopts the arrays its one fancy-indexing copy made; the
+    # digests are those the halves had when the constructor copied again
+    ratings, _scale = synthetic
+    halves = split(ratings, SplitSpec(0.7, 5))
+    assert [half.fingerprint() for half in halves] == [
+        "f609ee56e001f6d71f90315994b1d59668a14f397b38c553459aed46db79f299",
+        "d6511bae32b2bde58461e61bcaec04b32797dd4a73a447dc3f761a89d32c095c"]
+    parent = [ratings.users, ratings.items, ratings.ratings,
+              *ratings.vectors("user"), *ratings.vectors("item")]
+    for half in halves:
+        stored = [half.users, half.items, half.ratings,
+                  *half.vectors("user"), *half.vectors("item")]
+        assert not any(arr.flags.writeable for arr in stored)
+        assert not any(np.shares_memory(a, b) for a in stored for b in parent)
+    assert not any(np.shares_memory(a, b) for a in (halves[0].users,
+                                                    halves[0].ratings)
+                   for b in (halves[1].users, halves[1].ratings))
+
+
 def test_split_spec_validation():
     # a bad split is a usage error, as a bad TrainConfig is, not a data error
     for fraction, seed in [(0.0, 1), (1.0, 1), (0.5, -1), (0.9, 2**53 + 1)]:

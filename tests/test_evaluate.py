@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import importlib
 import json
 import math
 
@@ -340,11 +341,26 @@ def test_dae_sweep_requires_unit_prediction_weight(synthetic):
                   quick_config(prediction_weight=2.0), SplitSpec(0.8, 0))
 
 
-def test_parallel_sweep_matches_serial(synthetic):
+@pytest.mark.parametrize("sweep", [
+    lambda ratings, scale, cfg, jobs: sweep_training_ratio(
+        ratings, scale, [0.6, 0.8], cfg, seeds=[0], jobs=jobs),
+    lambda ratings, scale, cfg, jobs: sweep_dae(
+        ratings, scale, [0.0, 0.5], [0.0, 0.25], cfg, SplitSpec(0.8, 1),
+        jobs=jobs),
+], ids=["training-ratio", "dae"])
+def test_parallel_sweep_matches_serial(synthetic, sweep):
     ratings, scale = synthetic
     cfg = quick_config(hidden=4)
-    serial = sweep_training_ratio(ratings, scale, [0.6, 0.8], cfg, seeds=[0],
-                                  jobs=1)
-    parallel = sweep_training_ratio(ratings, scale, [0.6, 0.8], cfg, seeds=[0],
-                                    jobs=2)
-    assert serial == parallel
+    assert sweep(ratings, scale, cfg, 1) == sweep(ratings, scale, cfg, 2)
+
+
+def test_sweep_worker_holds_the_data_and_predicts_on_one_thread(
+        synthetic, monkeypatch):
+    ratings, scale = synthetic
+    train_module = importlib.import_module("cfdae.train")
+    evaluate_module = importlib.import_module("cfdae.evaluate")
+    monkeypatch.setattr(train_module, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(evaluate_module, "_worker_data", None)
+    evaluate_module._init_worker(ratings, scale, None)
+    assert train_module._cpu_count() == 1
+    assert evaluate_module._worker_data == (ratings, scale, None)

@@ -9,16 +9,18 @@ import zipfile
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cfdae import (BiasTable, CorruptionMask, DataError, LossWeights,
                    RatingMatrix, RatingScale, SideInfoTable, SparseVector,
-                   SplitSpec, TrainConfig, TrainState, TrainingDiverged,
-                   complete_matrix, fit_bias, fit_scaler, forward,
-                   init_params, learning_rate, load_checkpoint, loss,
-                   save_checkpoint, split, train, transform)
+                   SplitSpec, TagMatrix, TrainConfig, TrainState,
+                   TrainingDiverged, build_side_info, complete_matrix,
+                   fit_bias, fit_scaler, forward, init_params,
+                   inverse_transform, learning_rate, load_checkpoint, loss,
+                   save_checkpoint, split, svd_embed, train, transform)
 from cfdae import cli
 from cfdae.model import batch_loss_gradients, dense_rows
-from cfdae.train import EpochRecord, MatrixCompleter
+from cfdae.train import SIDE_MODES, EpochRecord, MatrixCompleter
 
 # cfdae re-exports the function train(), which hides the submodule attribute
 train_module = importlib.import_module("cfdae.train")
@@ -698,6 +700,102 @@ def test_completer_predictions_do_not_depend_on_the_query(
         np.testing.assert_array_equal(batch, singles)
         flipped = completer.predict_many(users[::-1], items[::-1])
         np.testing.assert_array_equal(batch, flipped[::-1])
+
+
+def _many_block_completer(ratings, scale, side_info, side=None, seed=0):
+    """An untrained item-oriented completer and shuffled queries that touch
+    at least 3 of its entity blocks."""
+    cfg = small_config(orientation="item", side_info=side_info)
+    bias, scaler = fitted(ratings, scale, cfg)
+    if side_info != "none" and side is None:
+        side = side_table(ratings.n_items, 3)
+    p = side.dim if side is not None else 0
+    params = init_params(ratings.n_users, cfg.hidden,
+                         p if side_info in ("input_only", "both") else 0,
+                         p if side_info in ("hidden_only", "both") else 0,
+                         seed=seed)
+    completer = MatrixCompleter(ratings, params, cfg, bias, scaler, side)
+    rng = np.random.default_rng(seed)
+    users = rng.integers(0, ratings.n_users, 600)
+    items = rng.integers(0, ratings.n_items, 600)
+    assert np.unique(items // MatrixCompleter._CHUNK).size >= 3
+    return completer, users, items
+
+
+@pytest.mark.parametrize("side_info", SIDE_MODES)
+def test_threaded_predictions_equal_one_thread(sparse_synthetic, monkeypatch,
+                                               side_info):
+    ratings, scale = sparse_synthetic
+    completer, users, items = _many_block_completer(ratings, scale, side_info)
+    threads = []
+    real_executor = train_module.ThreadPoolExecutor
+
+    def counting_executor(max_workers):
+        threads.append(max_workers)
+        return real_executor(max_workers)
+
+    monkeypatch.setattr(train_module, "ThreadPoolExecutor", counting_executor)
+    monkeypatch.setattr(train_module, "_cpu_count", lambda: 4)
+    pooled = completer.predict_many(users, items)
+    assert threads == [3]
+    monkeypatch.setattr(train_module, "_cpu_count", lambda: 1)
+    alone = completer.predict_many(users, items)
+    assert threads == [3]
+    assert pooled.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("sizes,n_groups,want", [
+    ([10, 10, 10], 2, [[10], [10, 10]]),
+    ([10, 10, 10], 8, [[10], [10], [10]]),
+    ([90, 5, 5], 2, [[90], [5, 5]]),
+    ([5, 5, 90], 3, [[5, 5], [90]]),
+    ([7], 4, [[7]]),
+    ([], 4, [[]]),
+])
+def test_blocks_group_contiguously_by_query_count(sizes, n_groups, want):
+    blocks = [np.zeros(size) for size in sizes]
+    groups = train_module._contiguous_groups(blocks, n_groups)
+    assert [[block.size for block in group] for group in groups] == want
+
+
+def test_single_prediction_starts_no_thread(sparse_synthetic, monkeypatch):
+    completer, _users, _items = _many_block_completer(*sparse_synthetic,
+                                                      "none")
+
+    def no_executor(*args, **kwargs):
+        raise AssertionError("predict started a thread pool")
+
+    monkeypatch.setattr(train_module, "ThreadPoolExecutor", no_executor)
+    monkeypatch.setattr(train_module, "_cpu_count", lambda: 4)
+    assert 1.0 <= completer.predict(3, 7) <= 5.0
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["svd", "svd+binary"])
+def test_predictions_match_forward_with_side_features(sparse_synthetic,
+                                                      monkeypatch, binary):
+    # the completer sums the side inputs inside its sparse product and
+    # forward in a dense one, so the two agree to rounding, not bit for bit
+    ratings, scale = sparse_synthetic
+    rng = np.random.default_rng(4)
+    tags = TagMatrix(sp.random_array((ratings.n_items, 30), density=0.1,
+                                     format="csr", rng=rng) * 5.0)
+    side = build_side_info(svd_embed(tags, 4), tags.binary() if binary
+                           else None)
+    assert side.dim == (34 if binary else 4)
+    completer, users, items = _many_block_completer(ratings, scale, "both",
+                                                    side, seed=2)
+    monkeypatch.setattr(train_module, "_cpu_count", lambda: 3)
+    got = completer.predict_many(users, items)
+    for k, (user, item) in enumerate(zip(users, items)):
+        idx, raw = ratings.col(item)
+        unit = 0.0
+        if idx.size:
+            x = SparseVector(ratings.n_users, idx,
+                             transform(raw, item, completer.bias,
+                                       completer.scaler))
+            unit = forward(completer.params, x, side.features[item])[user]
+        want = inverse_transform(unit, item, completer.bias, completer.scaler)
+        assert abs(got[k] - want) <= 1e-12
 
 
 # ------------------------------------------------------------- checkpoint
