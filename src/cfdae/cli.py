@@ -26,7 +26,7 @@ from .evaluate import (BiasPredictor, build_report, config_digest,
                        improvement_pct, rmse, summarize_ratio_sweep,
                        sweep_dae, sweep_training_ratio)
 from .preprocess import (build_side_info, fit_bias, fit_scaler, svd_embed)
-from .train import (SIDE_MODES, TrainConfig, TrainingDiverged,
+from .train import (SIDE_MODES, TrainConfig, TrainingDiverged, _cpu_count,
                     complete_matrix, load_checkpoint, save_checkpoint, train)
 
 log = logging.getLogger(__name__)
@@ -356,7 +356,7 @@ def cmd_sweep(args) -> int:
                for name, table in tables.items()]
 
     # J workers each run their own BLAS pools: record what sizes them
-    parallel = {"jobs": args.jobs, "cpu_count": os.cpu_count(),
+    parallel = {"jobs": args.jobs, "cpu_count": _cpu_count(),
                 **{var: os.environ.get(var)
                    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
     _write_manifest(out, "sweep", args,

@@ -18,8 +18,7 @@ import numpy as np
 from .data import (RatingMatrix, RatingScale, SplitSpec, aligned_query,
                    by_entity, split)
 from .preprocess import BiasTable, fit_bias, fit_scaler
-from .train import (TrainConfig, _predict_on_caller_only, complete_matrix,
-                    train)
+from .train import TrainConfig, complete_matrix, train
 
 
 @dataclass(frozen=True)
@@ -155,12 +154,12 @@ _worker_data = None
 
 
 def _init_worker(ratings: RatingMatrix, scale: RatingScale, side):
-    """Take the sweep's data once per worker process, not once per cell,
-    and predict on the worker's calling thread only, so that J workers run
-    J prediction threads rather than J times the CPU count."""
+    """Take the sweep's data once per worker process, not once per cell.
+    A process that multiprocessing started predicts on its calling thread
+    only, so J workers run J prediction threads rather than J times the CPU
+    count."""
     global _worker_data
     _worker_data = (ratings, scale, side)
-    _predict_on_caller_only()
 
 
 def _score_in_worker(cfg: TrainConfig, split_spec: SplitSpec):

@@ -13,12 +13,13 @@ import dataclasses
 import json
 import logging
 import math
+import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, hstack
 
 from .data import (RatingMatrix, RatingScale, SplitSpec, aligned_query,
                    by_entity, open_versioned_npz, write_versioned_npz)
@@ -239,51 +240,16 @@ def train(train_data: RatingMatrix, cfg: TrainConfig, bias: BiasTable,
     return state
 
 
-def _append_columns(vectors: csr_array, dense: np.ndarray) -> csr_array:
-    """The CSR array vectors with the rows of dense appended to its rows,
-    as columns after its own."""
-    n_rows, n = vectors.shape
-    width = dense.shape[1]
-    ptr = vectors.indptr + width * np.arange(n_rows + 1)
-    at = (ptr[1:, None] - width + np.arange(width)).ravel()
-    own = np.ones(ptr[-1], dtype=bool)
-    own[at] = False
-    idx = np.empty(ptr[-1], dtype=vectors.indices.dtype)
-    idx[own] = vectors.indices
-    idx[at] = np.tile(np.arange(n, n + width), n_rows)
-    vals = np.empty(ptr[-1])
-    vals[own] = vectors.data
-    vals[at] = dense.ravel()
-    return csr_array((vals, idx, ptr), shape=(n_rows, n + width))
-
-
 def _cpu_count() -> int:
-    """CPUs this process may run on: the most threads predict_many uses."""
+    """CPUs this process may run on: the most threads predict_many uses.
+    A process that multiprocessing started, such as a sweep's worker, runs
+    beside its siblings and counts one."""
+    if multiprocessing.parent_process() is not None:
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
         return os.cpu_count() or 1
-
-
-def _predict_on_caller_only():
-    """Make predict_many in this process run on its calling thread only,
-    as in a sweep's worker processes, which already run one per job."""
-    global _cpu_count
-
-    def _cpu_count() -> int:
-        return 1
-
-
-def _contiguous_groups(blocks: list, n_groups: int) -> list[list]:
-    """blocks cut into at most n_groups contiguous runs of about equal
-    total size, each block going to the run its midpoint falls in; one
-    empty run if there are no blocks."""
-    if not blocks:
-        return [[]]
-    sizes = np.array([block.size for block in blocks])
-    mids = np.cumsum(sizes) - sizes / 2
-    cuts = np.flatnonzero(np.diff(mids * n_groups // sizes.sum())) + 1
-    return [blocks[a:b] for a, b in zip([0, *cuts], [*cuts, len(blocks)])]
 
 
 class MatrixCompleter:
@@ -311,7 +277,8 @@ class MatrixCompleter:
         self._counts = np.diff(vectors.indptr)
         # the side inputs as coordinates n..n+p_in-1, so that a block
         # encodes in one sparse product with all of W1
-        self._vectors = _append_columns(vectors, features) if p_in else vectors
+        self._vectors = (hstack([vectors, csr_array(features)], format="csr")
+                         if p_in else vectors)
         self._side = features if p_hidden else None
         self.params = params
         self.bias = bias
@@ -325,9 +292,9 @@ class MatrixCompleter:
     def predict_many(self, users, items) -> np.ndarray:
         """Clamped rating predictions for aligned index arrays.
 
-        The entity blocks the query touches are cut into contiguous groups
-        of about equal query count, one per CPU the process may run on; the
-        calling thread predicts the first group and a thread pool the rest.
+        The calling thread and a thread pool, one thread per CPU the process
+        may run on in all, take the entity blocks the query touches from
+        one shared queue.
         """
         users, items = aligned_query(users, items)
         if users.size and (users.min() < 0 or users.max() >= self.n_users):
@@ -345,23 +312,26 @@ class MatrixCompleter:
         order = np.argsort(entities, kind="stable")
         cuts = np.flatnonzero(np.diff(entities[order] // self._CHUNK)) + 1
         blocks = np.split(order, cuts) if order.size else []
-        first, *rest = _contiguous_groups(blocks, _cpu_count())
+        threads = min(_cpu_count(), len(blocks))
+        # next() on a list iterator runs under the GIL as one C call, so
+        # each block goes to exactly one thread
+        queue = iter(blocks)
 
-        def run(group):
-            for queries in group:
+        def run():
+            for queries in queue:
                 self._predict_block(queries, entities, counterparts, unit)
 
-        if rest:
+        if threads > 1:
             # Pool threads call no BLAS (an idle BLAS helper thread spins
             # against them) and nothing outside this class, so every other
             # call stays on the calling thread.
-            with ThreadPoolExecutor(len(rest)) as pool:
-                futures = [pool.submit(run, group) for group in rest]
-                run(first)
+            with ThreadPoolExecutor(threads - 1) as pool:
+                futures = [pool.submit(run) for _ in range(threads - 1)]
+                run()
                 for future in futures:
                     future.result()
         else:
-            run(first)
+            run()
         unit[self._counts[entities] == 0] = 0.0
         return inverse_transform(unit, entities, self.bias, self.scaler)
 

@@ -107,9 +107,17 @@ def test_hooked_calls_stay_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(train_module, "_cpu_count", lambda: 3)
     block_threads = set()
     encode = MatrixCompleter._encode_block
+    # the calling thread, or the first pool thread while the caller starts
+    # the others, can take every block of a small query: each side holds
+    # on its first block until the other has taken one
+    on_main, on_pool = threading.Event(), threading.Event()
 
     def traced_encode(self, lo):
         block_threads.add(threading.get_ident())
+        mine, other = ((on_main, on_pool) if threading.current_thread()
+                       is threading.main_thread() else (on_pool, on_main))
+        mine.set()
+        other.wait(timeout=30)
         return encode(self, lo)
 
     monkeypatch.setattr(MatrixCompleter, "_encode_block", traced_encode)

@@ -701,6 +701,9 @@ def test_predict_unknown_id_falls_back(workspace, capsys):
 def test_sweep_ratio_cli(workspace, tmp_path, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    # one CPU in the affinity mask, whatever os.cpu_count() says
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
     out = tmp_path / "sweep"
     assert main(["sweep", "--kind", "ratio", "--data", str(workspace["data"]),
                  "--out", str(out), "--ratios", "0.5,0.8", "--seeds", "0,1",
@@ -740,7 +743,7 @@ def test_sweep_ratio_cli(workspace, tmp_path, monkeypatch):
     assert manifest["config"]["ratios"] == [0.5, 0.8]
     # J x BLAS threads can be read off the manifest
     assert manifest["config"]["jobs"] == 1
-    assert manifest["config"]["cpu_count"] == os.cpu_count()
+    assert manifest["config"]["cpu_count"] == 1
     assert manifest["config"]["OPENBLAS_NUM_THREADS"] == "1"
     assert manifest["config"]["OMP_NUM_THREADS"] is None
     assert any("sweep_ratio_summary" in o for o in manifest["outputs"])

@@ -5,6 +5,9 @@ import dataclasses
 import importlib
 import json
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -341,6 +344,16 @@ def test_dae_sweep_requires_unit_prediction_weight(synthetic):
                   quick_config(prediction_weight=2.0), SplitSpec(0.8, 0))
 
 
+@pytest.fixture(params=["fork", "spawn"])
+def start_method(request):
+    """Worker processes started by the given method; the process's
+    previous method comes back afterwards."""
+    before = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(request.param, force=True)
+    yield request.param
+    multiprocessing.set_start_method(before, force=True)
+
+
 @pytest.mark.parametrize("sweep", [
     lambda ratings, scale, cfg, jobs: sweep_training_ratio(
         ratings, scale, [0.6, 0.8], cfg, seeds=[0], jobs=jobs),
@@ -348,10 +361,16 @@ def test_dae_sweep_requires_unit_prediction_weight(synthetic):
         ratings, scale, [0.0, 0.5], [0.0, 0.25], cfg, SplitSpec(0.8, 1),
         jobs=jobs),
 ], ids=["training-ratio", "dae"])
-def test_parallel_sweep_matches_serial(synthetic, sweep):
+def test_parallel_sweep_matches_serial(synthetic, sweep, start_method):
     ratings, scale = synthetic
     cfg = quick_config(hidden=4)
     assert sweep(ratings, scale, cfg, 1) == sweep(ratings, scale, cfg, 2)
+
+
+def _worker_view():
+    """The sweep data and CPU count a worker process sees."""
+    data = importlib.import_module("cfdae.evaluate")._worker_data
+    return data, importlib.import_module("cfdae.train")._cpu_count()
 
 
 def test_sweep_worker_holds_the_data_and_predicts_on_one_thread(
@@ -359,8 +378,16 @@ def test_sweep_worker_holds_the_data_and_predicts_on_one_thread(
     ratings, scale = synthetic
     train_module = importlib.import_module("cfdae.train")
     evaluate_module = importlib.import_module("cfdae.evaluate")
-    monkeypatch.setattr(train_module, "_cpu_count", lambda: 4)
-    monkeypatch.setattr(evaluate_module, "_worker_data", None)
-    evaluate_module._init_worker(ratings, scale, None)
-    assert train_module._cpu_count() == 1
-    assert evaluate_module._worker_data == (ratings, scale, None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    assert train_module._cpu_count() == 4
+    with ProcessPoolExecutor(1, initializer=evaluate_module._init_worker,
+                             initargs=(ratings, scale, None)) as pool:
+        (held, held_scale, side), cpus = pool.submit(_worker_view).result(
+            timeout=60)
+    assert cpus == 1
+    assert (held.users.tobytes(), held.items.tobytes(),
+            held.ratings.tobytes()) == (ratings.users.tobytes(),
+                                        ratings.items.tobytes(),
+                                        ratings.ratings.tobytes())
+    assert (held_scale, side) == (scale, None)

@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import math
 import pickle
+import threading
 import zipfile
 
 import numpy as np
@@ -744,20 +745,6 @@ def test_threaded_predictions_equal_one_thread(sparse_synthetic, monkeypatch,
     assert pooled.tobytes() == alone.tobytes()
 
 
-@pytest.mark.parametrize("sizes,n_groups,want", [
-    ([10, 10, 10], 2, [[10], [10, 10]]),
-    ([10, 10, 10], 8, [[10], [10], [10]]),
-    ([90, 5, 5], 2, [[90], [5, 5]]),
-    ([5, 5, 90], 3, [[5, 5], [90]]),
-    ([7], 4, [[7]]),
-    ([], 4, [[]]),
-])
-def test_blocks_group_contiguously_by_query_count(sizes, n_groups, want):
-    blocks = [np.zeros(size) for size in sizes]
-    groups = train_module._contiguous_groups(blocks, n_groups)
-    assert [[block.size for block in group] for group in groups] == want
-
-
 def test_single_prediction_starts_no_thread(sparse_synthetic, monkeypatch):
     completer, _users, _items = _many_block_completer(*sparse_synthetic,
                                                       "none")
@@ -768,6 +755,33 @@ def test_single_prediction_starts_no_thread(sparse_synthetic, monkeypatch):
     monkeypatch.setattr(train_module, "ThreadPoolExecutor", no_executor)
     monkeypatch.setattr(train_module, "_cpu_count", lambda: 4)
     assert 1.0 <= completer.predict(3, 7) <= 5.0
+
+
+def test_pool_thread_error_reaches_the_caller(sparse_synthetic, monkeypatch):
+    completer, users, items = _many_block_completer(*sparse_synthetic,
+                                                    "none")
+    encode = MatrixCompleter._encode_block
+    raised = threading.Event()
+    lock = threading.Lock()
+
+    def failing_encode(self, lo):
+        if threading.current_thread() is threading.main_thread():
+            # hold the caller back until a pool thread has taken a block
+            assert raised.wait(timeout=30)
+        else:
+            with lock:
+                first = not raised.is_set()
+                raised.set()
+            if first:
+                raise RuntimeError("block failed")
+        return encode(self, lo)
+
+    monkeypatch.setattr(MatrixCompleter, "_encode_block", failing_encode)
+    monkeypatch.setattr(train_module, "_cpu_count", lambda: 3)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="block failed"):
+        completer.predict_many(users, items)
+    assert set(threading.enumerate()) <= before
 
 
 @pytest.mark.parametrize("binary", [False, True], ids=["svd", "svd+binary"])
