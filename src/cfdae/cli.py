@@ -231,9 +231,9 @@ def cmd_train(args) -> int:
     ckpt_path = out / "checkpoint.npz"
     save_checkpoint(ckpt_path, state, bias, scaler, split_spec, fingerprint,
                     side)
-    curve_path = _write_rows(out / "loss_curve.csv",
-                             [{"epoch": r.epoch, "loss": r.mean_loss,
-                               "rmse": r.rmse} for r in state.history])
+    curve_path = write_csv(out / "loss_curve.csv",
+                           [{"epoch": r.epoch, "loss": r.mean_loss,
+                             "rmse": r.rmse} for r in state.history])
     outputs = [ckpt_path, curve_path, *epoch_paths]
     _write_manifest(out, "train", args,
                     {"train": dataclasses.asdict(cfg),
@@ -290,10 +290,10 @@ def cmd_evaluate(args) -> int:
         "baseline_rmse": base_rmse,
         "improvement_pct_vs_baseline": improvement_pct(base_rmse,
                                                        report.rmse)})
-    clusters_path = _write_rows(out / "clusters.csv",
-                                [{"cluster": c.label, "rmse": c.rmse,
-                                  "n_entries": c.n_entries}
-                                 for c in report.per_cluster])
+    clusters_path = write_csv(out / "clusters.csv",
+                              [{"cluster": c.label, "rmse": c.rmse,
+                                "n_entries": c.n_entries}
+                               for c in report.per_cluster])
     _write_manifest(out, "evaluate", args,
                     {"train": dataclasses.asdict(cfg), "clusters_by": by,
                      "n_clusters": args.n_clusters},
@@ -352,8 +352,7 @@ def cmd_sweep(args) -> int:
         tables = {"sweep_dae.csv": rows}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    outputs = [_write_rows(out / name, table)
-               for name, table in tables.items()]
+    outputs = [write_csv(out / name, table) for name, table in tables.items()]
 
     # J workers each run their own BLAS pools: record what sizes them
     parallel = {"jobs": args.jobs, "cpu_count": _cpu_count(),
@@ -375,12 +374,6 @@ def _parse_grid(args, axis: str, kind) -> list:
     if not values:
         raise ValueError(f"--{axis.replace('_', '-')} lists no values")
     return values
-
-
-def _write_rows(path: Path, rows: list[dict]) -> Path:
-    """The rows as CSV under a header of the first row's keys."""
-    write_csv(path, list(rows[0]), (row.values() for row in rows))
-    return path
 
 
 # ------------------------------------------------------------------ parser

@@ -73,13 +73,15 @@ def write_json(path, obj):
         fh.write("\n")
 
 
-def write_csv(path, header, rows):
-    """header and rows as UTF-8 CSV with \\n line ends, written atomically;
-    None is an empty field and a float its repr."""
+def write_csv(path, rows: list[dict]):
+    """The rows as UTF-8 CSV under a header of the first row's keys, with
+    \\n line ends, written atomically; None is an empty field and a float
+    its repr.  Returns path."""
     with atomic_write(path, newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        writer = csv.DictWriter(fh, list(rows[0]), lineterminator="\n")
+        writer.writeheader()
         writer.writerows(rows)
+    return path
 
 
 def write_versioned_npz(path, version: int, **arrays):
@@ -165,12 +167,11 @@ def infer_scale(values) -> RatingScale:
 class RatingMatrix:
     """Immutable sparse user x item rating store.
 
-    Entries are kept sorted by (user, item), with CSR-style row and column
-    views so a user's or an item's ratings can be sliced out directly.
+    Entries are kept sorted by (user, item), with one CSR-style table per
+    entity kind so a user's or an item's ratings can be sliced out directly.
     """
 
-    __slots__ = ("n_users", "n_items", "users", "items", "ratings",
-                 "_row_ptr", "_col_ptr", "_col_users", "_col_ratings")
+    __slots__ = ("n_users", "n_items", "users", "items", "ratings", "_tables")
 
     def __init__(self, n_users, n_items, users, items, ratings):
         users = np.ascontiguousarray(users, dtype=np.int64)
@@ -219,7 +220,7 @@ class RatingMatrix:
         return matrix
 
     def _own(self, n_users, n_items, users, items, ratings):
-        """Store the sorted entry arrays, build the row and column views,
+        """Store the sorted entry arrays, build the user and item tables,
         and make every stored array read-only."""
         self.n_users = int(n_users)
         self.n_items = int(n_items)
@@ -229,17 +230,13 @@ class RatingMatrix:
 
         row_ptr = np.zeros(self.n_users + 1, dtype=np.int64)
         np.cumsum(np.bincount(users, minlength=self.n_users), out=row_ptr[1:])
-        self._row_ptr = row_ptr
-
         # CSR -> CSC is a counting sort that keeps users ascending per item
         cols = sp.csr_array((ratings, items, row_ptr),
                             shape=(self.n_users, self.n_items)).tocsc()
-        self._col_ptr = cols.indptr.astype(np.int64, copy=False)
-        self._col_users = cols.indices.astype(np.int64, copy=False)
-        self._col_ratings = cols.data
-
-        for arr in (self.users, self.items, self.ratings, self._row_ptr,
-                    self._col_ptr, self._col_users, self._col_ratings):
+        self._tables = ((row_ptr, items, ratings),
+                        (cols.indptr.astype(np.int64, copy=False),
+                         cols.indices.astype(np.int64, copy=False), cols.data))
+        for arr in (users, *self._tables[0], *self._tables[1]):
             arr.setflags(write=False)
 
     @property
@@ -251,33 +248,32 @@ class RatingMatrix:
         cells = self.n_users * self.n_items
         return self.n_entries / cells if cells else 0.0
 
-    def row(self, user: int):
-        """Items rated by ``user`` and the ratings, as aligned arrays: the
-        per-entity oracle for vectors() in tests and in benchmarks."""
-        if not 0 <= user < self.n_users:
-            raise IndexError(f"user index {user} out of range")
-        lo, hi = self._row_ptr[user], self._row_ptr[user + 1]
-        return self.items[lo:hi], self.ratings[lo:hi]
-
-    def col(self, item: int):
-        """Users who rated ``item`` and the ratings; an oracle like row."""
-        if not 0 <= item < self.n_items:
-            raise IndexError(f"item index {item} out of range")
-        lo, hi = self._col_ptr[item], self._col_ptr[item + 1]
-        return self._col_users[lo:hi], self._col_ratings[lo:hi]
-
     def vectors(self, by: str):
         """The stored, read-only CSR arrays (ptr, idx, ratings) of every
         user's row (by="user") or item's column (by="item"): entity e's
         sorted counterparts are idx[ptr[e]:ptr[e + 1]]."""
-        return by_entity(by, (self._row_ptr, self.items, self.ratings),
-                         (self._col_ptr, self._col_users, self._col_ratings))
+        return by_entity(by, *self._tables)
+
+    def _vector(self, by: str, e: int):
+        """Entity e's slice of vectors(by): (counterparts, ratings)."""
+        ptr, idx, values = self.vectors(by)
+        if not 0 <= e < ptr.size - 1:
+            raise IndexError(f"{by} index {e} out of range")
+        return idx[ptr[e]:ptr[e + 1]], values[ptr[e]:ptr[e + 1]]
+
+    # The per-entity oracles for vectors() in tests and in benchmarks: one
+    # user's items or one item's users with the ratings, and every length.
+    def row(self, user: int):
+        return self._vector("user", user)
+
+    def col(self, item: int):
+        return self._vector("item", item)
 
     def row_counts(self) -> np.ndarray:
-        return np.diff(self._row_ptr)
+        return np.diff(self.vectors("user")[0])
 
     def col_counts(self) -> np.ndarray:
-        return np.diff(self._col_ptr)
+        return np.diff(self.vectors("item")[0])
 
     def fingerprint(self) -> str:
         """Content hash of dimensions and all entries."""

@@ -151,34 +151,40 @@ def _nonfinite_param(params: AutoencoderParams,
     return "loss"
 
 
-def _training_vectors(train_data: RatingMatrix, cfg: TrainConfig,
-                      bias: BiasTable, scaler: Scaler,
-                      side: SideInfoTable | None):
-    """Every entity's training vector, centered and rescaled, as one
-    (entities x counterparts) CSR array; the side features; and the
-    (p_in, p_hidden) widths.  The bias table and the side table are
-    checked against cfg here."""
+def _side_widths(cfg: TrainConfig, bias: BiasTable,
+                 side: SideInfoTable | None, n_entities: int):
+    """(p_in, p_hidden) of cfg's side_info mode, once the bias table and
+    the side table, of n_entities rows, are checked against cfg."""
     if bias.orientation != cfg.orientation:
         raise ValueError(f"bias table orientation {bias.orientation!r} does "
                          f"not match config orientation {cfg.orientation!r}")
-    ptr, idx, raw = train_data.vectors(cfg.orientation)
-    n_entities = ptr.size - 1
-    entities = np.repeat(np.arange(n_entities), np.diff(ptr))
-    n = by_entity(cfg.orientation, train_data.n_items, train_data.n_users)
-    vectors = csr_array((transform(raw, entities, bias, scaler), idx, ptr),
-                        shape=(n_entities, n))
     if cfg.side_info == "none":
         if side is not None:
             raise ValueError("side table given but side_info mode is 'none'")
-        return vectors, None, (0, 0)
+        return 0, 0
     if side is None:
         raise ValueError(f"side_info mode {cfg.side_info!r} needs a side table")
     if side.n_entities != n_entities:
         raise ValueError(f"side table has {side.n_entities} rows, "
                          f"expected {n_entities}")
-    p_in = side.dim if cfg.side_info in ("input_only", "both") else 0
-    p_hidden = side.dim if cfg.side_info in ("hidden_only", "both") else 0
-    return vectors, side.features, (p_in, p_hidden)
+    return (side.dim if cfg.side_info in ("input_only", "both") else 0,
+            side.dim if cfg.side_info in ("hidden_only", "both") else 0)
+
+
+def _training_vectors(train_data: RatingMatrix, cfg: TrainConfig,
+                      bias: BiasTable, scaler: Scaler,
+                      side: SideInfoTable | None):
+    """Every entity's training vector, centered and rescaled, as one
+    (entities x counterparts) CSR array; the side features; and the
+    (p_in, p_hidden) widths."""
+    ptr, idx, raw = train_data.vectors(cfg.orientation)
+    n_entities = ptr.size - 1
+    widths = _side_widths(cfg, bias, side, n_entities)
+    entities = np.repeat(np.arange(n_entities), np.diff(ptr))
+    n = by_entity(cfg.orientation, train_data.n_items, train_data.n_users)
+    vectors = csr_array((transform(raw, entities, bias, scaler), idx, ptr),
+                        shape=(n_entities, n))
+    return vectors, None if side is None else side.features, widths
 
 
 def train(train_data: RatingMatrix, cfg: TrainConfig, bias: BiasTable,
@@ -404,22 +410,20 @@ def save_checkpoint(path, state: TrainState, bias: BiasTable, scaler: Scaler,
         bias_global=bias.global_mean,
         scale=scaler.scale.to_array(),
         centered_range=np.array([scaler.centered_low, scaler.centered_high]),
-        history_epoch=np.array([r.epoch for r in state.history], dtype=np.int64),
         history_loss=np.array([r.mean_loss for r in state.history]),
         history_rmse=np.array([np.nan if r.rmse is None else r.rmse
                                for r in state.history]),
         split=np.array([split.train_fraction, float(split.seed)]),
         data_fingerprint=data_fingerprint,
-        has_side=side is not None,
         side_features=side.features if side is not None else np.zeros((0, 0)),
     )
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Inverse of save_checkpoint; round-trips bit-exactly.  A stored
-    config that does not parse or validate, weights that are not finite or
-    whose shapes disagree, and a file without a split or data fingerprint
-    raise DataError."""
+    """Inverse of save_checkpoint; round-trips bit-exactly.  A config that
+    does not parse or validate or that its weights, bias or side table
+    contradict, weights that are not finite or whose shapes disagree, and
+    a file without a split or data fingerprint raise DataError."""
     with open_versioned_npz(path, CHECKPOINT_VERSION, "checkpoint") as z:
         params = AutoencoderParams(np.ascontiguousarray(z["w1"].T), z["b1"],
                                    z["w2"], z["b2"])
@@ -431,15 +435,20 @@ def load_checkpoint(path) -> Checkpoint:
         means.setflags(write=False)
         bias = BiasTable(str(z["bias_orientation"]), means,
                          float(z["bias_global"]))
-        rmses = z["history_rmse"]
-        history = [EpochRecord(int(e), float(l),
-                               None if np.isnan(r) else float(r))
-                   for e, l, r in zip(z["history_epoch"], z["history_loss"], rmses)]
+        features = z["side_features"]
+        side = SideInfoTable(features) if features.size else None
+        need = (cfg.hidden, *_side_widths(cfg, bias, side, means.size))
+        have = (params.hidden, params.p_in, params.p_hidden)
+        if have != need:
+            raise ValueError(f"network widths (hidden, p_in, p_hidden) {have} "
+                             f"do not match the config's {need}")
+        # a record's epoch is its position; earlier versions also stored it
+        history = [EpochRecord(e, float(l), None if np.isnan(r) else float(r))
+                   for e, (l, r) in enumerate(zip(z["history_loss"],
+                                                  z["history_rmse"]))]
         frac, seed = z["split"]
         fingerprint = str(z["data_fingerprint"])
         _check_split_and_fingerprint(frac, fingerprint)
         split = SplitSpec(float(frac), int(seed))
-        side = SideInfoTable(z["side_features"]) if z["has_side"] else None
     return Checkpoint(TrainState(params, cfg, history), bias, scaler, split,
                       fingerprint, side)
-

@@ -3,7 +3,7 @@
 Criteria 1-5 are pure property checks and always run.  Criteria 6-10
 reproduce published-scale results on MovieLens-1M and are skipped with
 download instructions when the dataset is not on disk (see conftest).
-Criteria 6 and 7 also have a planted-world twin that always runs, on
+Criteria 6, 7 and 10 also have a planted-world twin that always runs, on
 ratings drawn from the benchmark's planted low-rank model.
 Run `pytest tests/test_acceptance.py -v -s` for the per-criterion lines.
 """
@@ -379,3 +379,14 @@ def test_criterion_07_planted_twin(planted_corpus):
     assert item["rmse"] < user["rmse"]
     print(f"criterion 07 planted twin: PASS (item {item['rmse']:.4f} < "
           f"user {user['rmse']:.4f})")
+
+
+def test_criterion_10_planted_twin(planted_corpus):
+    """More training data never hurts on the planted world."""
+    ratings, scale, _tags = planted_corpus
+    rows = sweep_training_ratio(ratings, scale, [0.1, 0.5, 0.9],
+                                TrainConfig(**PLANTED_CONFIG), seeds=[0])
+    by_ratio = {row["ratio"]: row["rmse"] for row in rows}
+    assert by_ratio[0.9] <= by_ratio[0.5] <= by_ratio[0.1]
+    print(f"criterion 10 planted twin: PASS (rmse {by_ratio[0.9]:.4f} @0.9 "
+          f"<= {by_ratio[0.5]:.4f} @0.5 <= {by_ratio[0.1]:.4f} @0.1)")

@@ -573,6 +573,38 @@ def test_bad_stored_config_exits_2(workspace, tmp_path, capsys, command,
     assert message in capsys.readouterr().err
 
 
+def _wider_w1(arrays):
+    w1 = arrays["w1"]
+    arrays["w1"] = np.hstack([w1, np.zeros((w1.shape[0], 2))])
+
+
+@pytest.mark.parametrize("change,message", [
+    pytest.param(_stored_config(lambda c: json.dumps({**c, "hidden": 9})),
+                 "(hidden, p_in, p_hidden) (6, 0, 0) do not match the "
+                 "config's (9, 0, 0)", id="hidden"),
+    pytest.param(_stored_config(
+        lambda c: json.dumps({**c, "side_info": "both"})),
+                 "side_info mode 'both' needs a side table", id="side-info"),
+    pytest.param(lambda a: a.update(bias_orientation=np.array("user")),
+                 "bias table orientation 'user' does not match config "
+                 "orientation 'item'", id="bias-orientation"),
+    pytest.param(_wider_w1, "(hidden, p_in, p_hidden) (6, 2, 0) do not "
+                 "match the config's (6, 0, 0)", id="wider-w1"),
+])
+def test_checkpoint_that_contradicts_itself_exits_2(workspace, tmp_path,
+                                                    capsys, change, message):
+    with np.load(workspace["model"] / "checkpoint.npz") as z:
+        arrays = {k: z[k] for k in z.files}
+    change(arrays)
+    model, out = tmp_path / "model", tmp_path / "report"
+    model.mkdir()
+    np.savez(model / "checkpoint.npz", **arrays)
+    assert main(["evaluate", "--model", str(model), "--data",
+                 str(workspace["data"]), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["evaluate", "predict"])
 @pytest.mark.parametrize("absent", [
     pytest.param({"data_fingerprint": ""}, id="no-fingerprint"),

@@ -159,10 +159,12 @@ def test_matrix_vectors_are_the_stored_csr_arrays(toy_ratings, by):
 def test_matrix_counts_and_accessor_bounds(toy_ratings):
     np.testing.assert_array_equal(toy_ratings.row_counts(), [3, 2, 3, 1])
     np.testing.assert_array_equal(toy_ratings.col_counts(), [3, 2, 1, 2, 1])
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match="^user index 4 out of range$"):
         toy_ratings.row(4)
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match="^item index -1 out of range$"):
         toy_ratings.col(-1)
+    with pytest.raises(IndexError, match="^item index 5 out of range$"):
+        toy_ratings.col(5)
 
 
 def test_matrix_arrays_immutable(toy_ratings):

@@ -43,21 +43,13 @@ def fitted(ratings, scale, cfg):
 
 
 class CountingMatrix(RatingMatrix):
-    """Counts every row/col and bulk vectors read so tests can prove what
-    was consulted."""
+    """Counts every per-entity read so tests can prove what was consulted:
+    row, col and the counts all read through vectors."""
 
     def __init__(self, source: RatingMatrix):
         super().__init__(source.n_users, source.n_items, source.users,
                          source.items, source.ratings)
         self.reads = 0
-
-    def row(self, u):
-        self.reads += 1
-        return super().row(u)
-
-    def col(self, i):
-        self.reads += 1
-        return super().col(i)
 
     def vectors(self, by):
         self.reads += 1
@@ -254,6 +246,16 @@ def test_train_never_reads_test_entries(synthetic):
     completer.predict_many(test_users, test_items)
     assert test_part.reads == 0
     assert train_part.reads > 0
+
+
+def test_counting_matrix_counts_every_per_entity_read(synthetic):
+    watched = CountingMatrix(synthetic[0])
+    watched.row(0)
+    watched.col(0)
+    watched.row_counts()
+    watched.col_counts()
+    watched.vectors("item")
+    assert watched.reads == 5
 
 
 @pytest.mark.parametrize("orientation", ["user", "item"])
@@ -923,12 +925,20 @@ def test_checkpoint_in_the_earlier_layout_loads(tmp_path, synthetic,
     assert arrays["w1"].shape == (cfg.hidden, width)
     w1 = np.random.default_rng(7).uniform(-0.3, 0.3, (cfg.hidden, width))
     arrays["w1"] = w1
-    # earlier versions also stored the side table's SVD column count
-    assert "side_n_svd" not in arrays
-    arrays["side_n_svd"] = np.array(0 if side is None else 3)
-    np.savez(path, **arrays)
+    # earlier versions also stored the side table's SVD column count, each
+    # record's epoch (its position) and whether a side table is present
+    earlier = {"side_n_svd": np.array(0 if side is None else 3),
+               "history_epoch": np.arange(len(state.history)),
+               "has_side": np.array(side is not None)}
+    assert not set(earlier) & set(arrays)
+    np.savez(path, **arrays, **earlier)
 
     ckpt = load_checkpoint(path)
+    assert ckpt.state.history == state.history
+    if side is None:
+        assert ckpt.side is None
+    else:
+        np.testing.assert_array_equal(ckpt.side.features, side.features)
     params = ckpt.state.params
     assert params.W1.flags.c_contiguous
     np.testing.assert_array_equal(params.W1, w1.T)
