@@ -104,18 +104,6 @@ class AutoencoderParams:
     def p_hidden(self) -> int:
         return self.W2.shape[1] - self.hidden
 
-    def validate(self):
-        k, n = self.hidden, self.n
-        if self.W1.ndim != 2 or self.W2.ndim != 2:
-            raise ValueError("weight matrices must be 2-D")
-        if self.W1.shape[1] != k or self.W2.shape[0] != n:
-            raise ValueError("weight/bias shapes disagree")
-        if self.p_in < 0 or self.p_hidden < 0:
-            raise ValueError("weight matrices narrower than the data dimension")
-        bad = first_nonfinite(self)
-        if bad is not None:
-            raise ValueError(f"parameters must be finite: {bad} is not")
-
     def copy(self) -> "AutoencoderParams":
         return AutoencoderParams(self.W1.copy(), self.b1.copy(),
                                  self.W2.copy(), self.b2.copy())

@@ -58,6 +58,14 @@ class TrainConfig:
     side_info: str = "none"
 
     def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            kind, _, optional = field.type.partition(" | ")
+            kinds = {"int": int, "float": (int, float), "str": str}[kind]
+            if isinstance(value, bool) or not (
+                    isinstance(value, kinds) or value is None and optional):
+                raise ValueError(f"{field.name} must be {field.type}, not "
+                                 f"{type(value).__name__}")
         by_entity(self.orientation)
         if self.side_info not in SIDE_MODES:
             raise ValueError(f"unknown side_info mode {self.side_info!r}")
@@ -154,10 +162,13 @@ def _nonfinite_param(params: AutoencoderParams,
 def _side_widths(cfg: TrainConfig, bias: BiasTable,
                  side: SideInfoTable | None, n_entities: int):
     """(p_in, p_hidden) of cfg's side_info mode, once the bias table and
-    the side table, of n_entities rows, are checked against cfg."""
+    the side table, of n_entities rows each, are checked against cfg."""
     if bias.orientation != cfg.orientation:
         raise ValueError(f"bias table orientation {bias.orientation!r} does "
                          f"not match config orientation {cfg.orientation!r}")
+    if bias.means.size != n_entities:
+        raise ValueError(f"bias table has {bias.means.size} means, expected "
+                         f"{n_entities}")
     if cfg.side_info == "none":
         if side is not None:
             raise ValueError("side table given but side_info mode is 'none'")
@@ -169,6 +180,20 @@ def _side_widths(cfg: TrainConfig, bias: BiasTable,
                          f"expected {n_entities}")
     return (side.dim if cfg.side_info in ("input_only", "both") else 0,
             side.dim if cfg.side_info in ("hidden_only", "both") else 0)
+
+
+def _check_network(params: AutoencoderParams, cfg: TrainConfig,
+                   bias: BiasTable, side: SideInfoTable | None, n: int):
+    """The one shape rule, for n outputs: W1 (n + p_in, hidden), b1
+    (hidden,), W2 (n, hidden + p_hidden) and b2 (n,), with cfg's hidden and
+    the side widths of its side_info mode.  Reads no weight value."""
+    p_in, p_hidden = _side_widths(cfg, bias, side, bias.means.size)
+    k = cfg.hidden
+    need = ((n + p_in, k), (k,), (n, k + p_hidden), (n,))
+    have = tuple(w.shape for w in (params.W1, params.b1, params.W2, params.b2))
+    if have != need:
+        raise ValueError(f"weight shapes (W1, b1, W2, b2) {have} do not match "
+                         f"the config and tables' {need}")
 
 
 def _training_vectors(train_data: RatingMatrix, cfg: TrainConfig,
@@ -275,11 +300,7 @@ class MatrixCompleter:
                  side: SideInfoTable | None = None):
         vectors, features, (p_in, p_hidden) = _training_vectors(
             train_data, cfg, bias, scaler, side)
-        have = (params.n, params.p_in, params.p_hidden)
-        need = (vectors.shape[1], p_in, p_hidden)
-        if have != need:
-            raise ValueError(f"network widths (n, p_in, p_hidden) {have} do "
-                             f"not match the data and side_info mode's {need}")
+        _check_network(params, cfg, bias, side, vectors.shape[1])
         self._counts = np.diff(vectors.indptr)
         # the side inputs as coordinates n..n+p_in-1, so that a block
         # encodes in one sparse product with all of W1
@@ -395,9 +416,11 @@ def save_checkpoint(path, state: TrainState, bias: BiasTable, scaler: Scaler,
                     split: SplitSpec, data_fingerprint: str,
                     side: SideInfoTable | None = None):
     """Versioned .npz with params, config, preprocessing, the curve, and
-    the split and data fingerprint that tie the model to its test set; an
-    empty fingerprint raises ValueError."""
+    the split and data fingerprint that tie the model to its test set.  An
+    empty fingerprint, or a config or table that the weight shapes
+    contradict, raises ValueError and writes nothing."""
     _check_split_and_fingerprint(split.train_fraction, data_fingerprint)
+    _check_network(state.params, state.config, bias, side, state.params.n)
     write_versioned_npz(
         path, CHECKPOINT_VERSION,
         config_json=json.dumps(dataclasses.asdict(state.config)),
@@ -420,15 +443,13 @@ def save_checkpoint(path, state: TrainState, bias: BiasTable, scaler: Scaler,
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Inverse of save_checkpoint; round-trips bit-exactly.  A config that
-    does not parse or validate or that its weights, bias or side table
-    contradict, weights that are not finite or whose shapes disagree, and
-    a file without a split or data fingerprint raise DataError."""
+    """Inverse of save_checkpoint; round-trips bit-exactly.  What
+    save_checkpoint refuses, a stored config that does not parse, and
+    weights that are not finite (checked on load alone) raise DataError."""
     with open_versioned_npz(path, CHECKPOINT_VERSION, "checkpoint") as z:
         params = AutoencoderParams(np.ascontiguousarray(z["w1"].T), z["b1"],
                                    z["w2"], z["b2"])
         cfg = TrainConfig(**json.loads(str(z["config_json"])))
-        params.validate()
         lo, hi = z["centered_range"]
         scaler = Scaler(RatingScale.from_array(z["scale"]), float(lo), float(hi))
         means = z["bias_means"]
@@ -437,11 +458,10 @@ def load_checkpoint(path) -> Checkpoint:
                          float(z["bias_global"]))
         features = z["side_features"]
         side = SideInfoTable(features) if features.size else None
-        need = (cfg.hidden, *_side_widths(cfg, bias, side, means.size))
-        have = (params.hidden, params.p_in, params.p_hidden)
-        if have != need:
-            raise ValueError(f"network widths (hidden, p_in, p_hidden) {have} "
-                             f"do not match the config's {need}")
+        _check_network(params, cfg, bias, side, params.n)
+        bad = first_nonfinite(params)
+        if bad is not None:
+            raise ValueError(f"parameters must be finite: {bad} is not")
         # a record's epoch is its position; earlier versions also stored it
         history = [EpochRecord(e, float(l), None if np.isnan(r) else float(r))
                    for e, (l, r) in enumerate(zip(z["history_loss"],

@@ -3,7 +3,7 @@
 Criteria 1-5 are pure property checks and always run.  Criteria 6-10
 reproduce published-scale results on MovieLens-1M and are skipped with
 download instructions when the dataset is not on disk (see conftest).
-Criteria 6, 7 and 10 also have a planted-world twin that always runs, on
+Criteria 6, 7, 9 and 10 also have a planted-world twin that always runs, on
 ratings drawn from the benchmark's planted low-rank model.
 Run `pytest tests/test_acceptance.py -v -s` for the per-criterion lines.
 """
@@ -379,6 +379,21 @@ def test_criterion_07_planted_twin(planted_corpus):
     assert item["rmse"] < user["rmse"]
     print(f"criterion 07 planted twin: PASS (item {item['rmse']:.4f} < "
           f"user {user['rmse']:.4f})")
+
+
+def test_criterion_09_planted_twin(planted_corpus):
+    """Dropping the uncorrupted-entry term hurts accuracy at seeds 0-2, each
+    seeding both the config and the split."""
+    seeds = (0, 1, 2)
+    default = [_trained_run(planted_corpus, "item", s, **PLANTED_CONFIG)
+               for s in seeds]
+    ablated = [_trained_run(planted_corpus, "item", s,
+                            reconstruction_weight=0.0, **PLANTED_CONFIG)
+               for s in seeds]
+    gaps = [a["rmse"] - d["rmse"] for a, d in zip(ablated, default)]
+    assert all(gap > 0 for gap in gaps), gaps
+    print(f"criterion 09 planted twin: PASS (weight 0 minus default rmse "
+          f"{', '.join(f'{g:+.4f}' for g in gaps)} at seeds 0, 1, 2)")
 
 
 def test_criterion_10_planted_twin(planted_corpus):

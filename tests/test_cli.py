@@ -7,14 +7,16 @@ import importlib
 import json
 import math
 import os
+import re
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cfdae import (SplitSpec, TrainConfig, config_digest, load_checkpoint,
-                   load_snapshot, load_tag_snapshot, summarize_ratio_sweep,
+from cfdae import (BiasTable, SideInfoTable, SplitSpec, TrainConfig,
+                   TrainState, config_digest, load_checkpoint, load_snapshot,
+                   load_tag_snapshot, save_checkpoint, summarize_ratio_sweep,
                    sweep_dae, sweep_training_ratio)
 from cfdae.cli import _merged_config, build_parser, main
 
@@ -515,13 +517,21 @@ def _with_nan(w):
     return w
 
 
+# the weight shapes (W1, b1, W2, b2) of the workspace's model
+TRAINED = "((30, 6), (6,), (30, 6), (30,))"
+
+
 @pytest.mark.parametrize("key,change,message", [
     pytest.param("w2", _with_nan, "parameters must be finite: W2 is not",
                  id="nan-w2"),
     pytest.param("w1", _with_nan, "parameters must be finite: W1 is not",
                  id="nan-w1"),
-    pytest.param("w1", lambda w: w[:, :-1], "narrower", id="narrow-w1"),
-    pytest.param("b1", lambda b: b[:-1], "disagree", id="short-b1"),
+    pytest.param("w1", lambda w: w[:, :-1],
+                 "((29, 6), (6,), (30, 6), (30,)) do not match the config "
+                 f"and tables' {TRAINED}", id="narrow-w1"),
+    pytest.param("b1", lambda b: b[:-1],
+                 "((30, 6), (5,), (30, 6), (30,)) do not match the config "
+                 f"and tables' {TRAINED}", id="short-b1"),
 ])
 def test_evaluate_bad_weights_exit_2(workspace, tmp_path, capsys, key,
                                      change, message):
@@ -555,6 +565,8 @@ def _stored_config(edit):
                  "'item'", id="orientation"),
     pytest.param(_stored_config(lambda c: json.dumps({**c, "lr0": math.nan})),
                  "lr0 must be positive and finite", id="nan-lr0"),
+    pytest.param(_stored_config(lambda c: json.dumps({**c, "epochs": 2.5})),
+                 "epochs must be int, not float", id="fractional-epochs"),
     # the same check as --train-fraction, but the file is at fault
     pytest.param(lambda a: a.update(split=np.array([1.5, 0.0])),
                  "train_fraction", id="split"),
@@ -580,22 +592,99 @@ def _wider_w1(arrays):
 
 @pytest.mark.parametrize("change,message", [
     pytest.param(_stored_config(lambda c: json.dumps({**c, "hidden": 9})),
-                 "(hidden, p_in, p_hidden) (6, 0, 0) do not match the "
-                 "config's (9, 0, 0)", id="hidden"),
+                 f"{TRAINED} do not match the config and tables' "
+                 "((30, 9), (9,), (30, 9), (30,))", id="hidden"),
     pytest.param(_stored_config(
         lambda c: json.dumps({**c, "side_info": "both"})),
                  "side_info mode 'both' needs a side table", id="side-info"),
     pytest.param(lambda a: a.update(bias_orientation=np.array("user")),
                  "bias table orientation 'user' does not match config "
                  "orientation 'item'", id="bias-orientation"),
-    pytest.param(_wider_w1, "(hidden, p_in, p_hidden) (6, 2, 0) do not "
-                 "match the config's (6, 0, 0)", id="wider-w1"),
+    pytest.param(_wider_w1, "((32, 6), (6,), (30, 6), (30,)) do not match "
+                 f"the config and tables' {TRAINED}", id="wider-w1"),
 ])
 def test_checkpoint_that_contradicts_itself_exits_2(workspace, tmp_path,
                                                     capsys, change, message):
     with np.load(workspace["model"] / "checkpoint.npz") as z:
         arrays = {k: z[k] for k in z.files}
     change(arrays)
+    model, out = tmp_path / "model", tmp_path / "report"
+    model.mkdir()
+    np.savez(model / "checkpoint.npz", **arrays)
+    assert main(["evaluate", "--model", str(model), "--data",
+                 str(workspace["data"]), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _network(cfg=(), side=None, **weights):
+    """A change to (params, config, bias table, side table): cfg's fields
+    replace the config's, side the side table, and each weight keyword
+    edits that weight."""
+    def change(params, config, bias, old_side):
+        params = dataclasses.replace(params, **{
+            name: edit(getattr(params, name))
+            for name, edit in weights.items()})
+        return (params, dataclasses.replace(config, **dict(cfg)), bias,
+                old_side if side is None else side)
+    return change
+
+
+@pytest.mark.parametrize("change,message", [
+    pytest.param(_network(side=SideInfoTable(np.ones((20, 2)))),
+                 "side table given but side_info mode is 'none'",
+                 id="side-under-none"),
+    pytest.param(_network(cfg={"side_info": "both"}),
+                 "side_info mode 'both' needs a side table",
+                 id="both-without-side"),
+    pytest.param(lambda p, c, b, s: (p, c, BiasTable("user", b.means,
+                                                     b.global_mean), s),
+                 "bias table orientation 'user' does not match config "
+                 "orientation 'item'", id="user-bias"),
+    pytest.param(_network(cfg={"hidden": 9}),
+                 f"{TRAINED} do not match the config and tables' "
+                 "((30, 9), (9,), (30, 9), (30,))", id="hidden"),
+    pytest.param(_network(W1=lambda w: w[:-1]),
+                 "((29, 6), (6,), (30, 6), (30,)) do not match the config "
+                 f"and tables' {TRAINED}", id="short-w1"),
+    pytest.param(_network(b1=lambda b: b[:-1]),
+                 "((30, 6), (5,), (30, 6), (30,)) do not match the config "
+                 f"and tables' {TRAINED}", id="short-b1"),
+    pytest.param(_network(W2=lambda w: w[:, :-1]),
+                 "((30, 6), (6,), (30, 5), (30,)) do not match the config "
+                 f"and tables' {TRAINED}", id="narrow-w2"),
+    pytest.param(_network(b2=lambda b: b[:-1]),
+                 "((30, 6), (6,), (30, 6), (29,)) do not match the config "
+                 "and tables' ((29, 6), (6,), (29, 6), (29,))", id="short-b2"),
+    # the side table alone is at fault: mode and W2 fit a 2-wide table
+    pytest.param(_network(cfg={"side_info": "hidden_only"},
+                          side=SideInfoTable(np.ones((19, 2))),
+                          W2=lambda w: np.hstack([w, np.zeros((30, 2))])),
+                 "side table has 19 rows, expected 20", id="side-rows"),
+])
+def test_contradicting_network_is_neither_saved_nor_evaluated(
+        workspace, tmp_path, capsys, change, message):
+    # save_checkpoint refuses to write what load_checkpoint would refuse to
+    # read, and the same contradiction in a file exits 2
+    path = workspace["model"] / "checkpoint.npz"
+    ckpt = load_checkpoint(path)
+    params, cfg, bias, side = change(ckpt.state.params, ckpt.state.config,
+                                     ckpt.bias, ckpt.side)
+    saved = tmp_path / "saved"
+    saved.mkdir()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        save_checkpoint(saved / "checkpoint.npz",
+                        TrainState(params, cfg, ckpt.state.history), bias,
+                        ckpt.scaler, ckpt.split, ckpt.data_fingerprint, side)
+    assert not any(saved.iterdir())
+
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays.update(
+        config_json=json.dumps(dataclasses.asdict(cfg)), w1=params.W1.T,
+        b1=params.b1, w2=params.W2, b2=params.b2,
+        bias_orientation=bias.orientation, bias_means=bias.means,
+        side_features=np.zeros((0, 0)) if side is None else side.features)
     model, out = tmp_path / "model", tmp_path / "report"
     model.mkdir()
     np.savez(model / "checkpoint.npz", **arrays)

@@ -113,7 +113,6 @@ def test_params_widths():
     assert (params.n, params.hidden) == (7, 3)
     assert (params.p_in, params.p_hidden) == (2, 4)
     assert params.W1.shape == (9, 3) and params.W2.shape == (7, 7)
-    params.validate()
 
 
 # ------------------------------------------------------------ init_params

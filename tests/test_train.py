@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import math
 import pickle
+import re
 import threading
 import zipfile
 
@@ -94,10 +95,29 @@ def test_config_defaults():
     dict(reconstruction_weight=math.inf),
     dict(weight_decay=math.nan),
     dict(weight_decay=math.inf),
+    dict(epochs=2.5),
+    dict(hidden=True),
+    dict(seed=0.5),
+    dict(seed=np.int64(3)),
+    dict(lr0="0.7"),
+    dict(mask_ratio=False),
+    dict(weight_decay="auto"),
+    dict(side_info=None),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
         TrainConfig(**bad)
+
+
+def test_config_type_errors_name_the_field():
+    # checked before any range, so a wrong type never raises TypeError and
+    # never reaches a checkpoint's JSON; an int serves as a float
+    with pytest.raises(ValueError, match="^seed must be int, not int64$"):
+        TrainConfig(seed=np.int64(3))
+    with pytest.raises(ValueError, match="^lr0 must be float, not str$"):
+        TrainConfig(lr0="0.7")
+    cfg = TrainConfig(lr0=1, weight_decay=0, prediction_weight=2)
+    assert (cfg.lr0, cfg.weight_decay, cfg.prediction_weight) == (1, 0, 2)
 
 
 def test_config_dict_round_trip():
@@ -548,6 +568,22 @@ def test_train_with_side_info(synthetic, mode, p_in, p_hidden):
     assert scale.min_rating <= value <= scale.max_rating
 
 
+@pytest.mark.parametrize("n_means", [40, 29])
+def test_a_bias_table_of_other_data_is_refused(synthetic, n_means):
+    # the synthetic matrix has 30 items; a table of more means used to
+    # train and predict, and one of fewer raised IndexError
+    ratings, scale = synthetic
+    cfg = small_config()
+    bias, scaler = fitted(ratings, scale, cfg)
+    other = BiasTable("item", np.resize(bias.means, n_means), bias.global_mean)
+    message = f"bias table has {n_means} means, expected 30"
+    with pytest.raises(ValueError, match=message):
+        train(ratings, cfg, other, scaler)
+    params = init_params(ratings.n_users, cfg.hidden)
+    with pytest.raises(ValueError, match=message):
+        MatrixCompleter(ratings, params, cfg, other, scaler)
+
+
 def test_side_info_mode_table_disagreements(synthetic):
     ratings, scale = synthetic
     bias, scaler = fitted(ratings, scale, small_config())
@@ -638,17 +674,21 @@ def test_completer_index_validation(synthetic):
 
 
 def test_completer_checks_the_network_against_the_data(synthetic):
-    # one check names both sides' (n, p_in, p_hidden); the bias table is
-    # checked as train() checks it
+    # one check names both sides' weight shapes; the bias table is checked
+    # as train() checks it
     ratings, scale = synthetic
     cfg = small_config()
     bias, scaler = fitted(ratings, scale, cfg)
     narrow = init_params(ratings.n_users - 1, cfg.hidden)
-    with pytest.raises(ValueError, match=r"\(39, 0, 0\).*\(40, 0, 0\)"):
+    with pytest.raises(ValueError, match=re.escape(
+            "((39, 8), (8,), (39, 8), (39,)) do not match the config and "
+            "tables' ((40, 8), (8,), (40, 8), (40,))")):
         MatrixCompleter(ratings, narrow, cfg, bias, scaler)
     side_cfg = small_config(side_info="input_only")
     wide = init_params(ratings.n_users, cfg.hidden, p_in=4)
-    with pytest.raises(ValueError, match=r"\(40, 4, 0\).*\(40, 3, 0\)"):
+    with pytest.raises(ValueError, match=re.escape(
+            "((44, 8), (8,), (40, 8), (40,)) do not match the config and "
+            "tables' ((43, 8), (8,), (40, 8), (40,))")):
         MatrixCompleter(ratings, wide, side_cfg, bias, scaler,
                         side_table(ratings.n_items, 3))
     user_bias = fit_bias(ratings, "user")
