@@ -26,13 +26,15 @@ from .evaluate import (BiasPredictor, build_report, config_digest,
                        improvement_pct, rmse, summarize_ratio_sweep,
                        sweep_dae, sweep_training_ratio)
 from .preprocess import (build_side_info, fit_bias, fit_scaler, svd_embed)
-from .train import (SIDE_MODES, TrainConfig, TrainingDiverged, _cpu_count,
-                    complete_matrix, load_checkpoint, save_checkpoint, train)
+from .train import (SIDE_MODES, TrainConfig, TrainingDiverged, _config_type,
+                    _cpu_count, complete_matrix, load_checkpoint,
+                    save_checkpoint, train)
 
 log = logging.getLogger(__name__)
 
-# field name -> its annotation, a string such as "int" or "float | None"
-_CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+# field name -> (its type, whether it admits None)
+_CONFIG_TYPES = {f.name: _config_type(f.type)
+                 for f in dataclasses.fields(TrainConfig)}
 _ORIENT_ALIAS = {"u": "user", "i": "item"}
 
 
@@ -48,10 +50,10 @@ def _coerce_config_value(key: str, value):
     """value as TrainConfig's field type; "auto"/"none" is None if optional."""
     if key not in _CONFIG_TYPES:
         raise ValueError(f"unknown config key {key!r}")
-    kind, _, optional = _CONFIG_TYPES[key].partition(" | ")
-    if optional == "None" and str(value).lower() in ("auto", "none"):
+    kind, optional = _CONFIG_TYPES[key]
+    if optional and str(value).lower() in ("auto", "none"):
         return None
-    return {"int": int, "float": float, "str": str}[kind](value)
+    return kind(value)
 
 
 def _read_config_file(path) -> dict:

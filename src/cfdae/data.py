@@ -168,7 +168,8 @@ class RatingMatrix:
     """Immutable sparse user x item rating store.
 
     Entries are kept sorted by (user, item), with one CSR-style table per
-    entity kind so a user's or an item's ratings can be sliced out directly.
+    entity kind, built on first use, so a user's or an item's ratings can
+    be sliced out directly.
     """
 
     __slots__ = ("n_users", "n_items", "users", "items", "ratings", "_tables")
@@ -220,23 +221,15 @@ class RatingMatrix:
         return matrix
 
     def _own(self, n_users, n_items, users, items, ratings):
-        """Store the sorted entry arrays, build the user and item tables,
-        and make every stored array read-only."""
+        """Store the sorted entry arrays and make them read-only; the user
+        and item tables are built when vectors first asks for them."""
         self.n_users = int(n_users)
         self.n_items = int(n_items)
         self.users = users
         self.items = items
         self.ratings = ratings
-
-        row_ptr = np.zeros(self.n_users + 1, dtype=np.int64)
-        np.cumsum(np.bincount(users, minlength=self.n_users), out=row_ptr[1:])
-        # CSR -> CSC is a counting sort that keeps users ascending per item
-        cols = sp.csr_array((ratings, items, row_ptr),
-                            shape=(self.n_users, self.n_items)).tocsc()
-        self._tables = ((row_ptr, items, ratings),
-                        (cols.indptr.astype(np.int64, copy=False),
-                         cols.indices.astype(np.int64, copy=False), cols.data))
-        for arr in (users, *self._tables[0], *self._tables[1]):
+        self._tables = {}
+        for arr in (users, items, ratings):
             arr.setflags(write=False)
 
     @property
@@ -251,8 +244,28 @@ class RatingMatrix:
     def vectors(self, by: str):
         """The stored, read-only CSR arrays (ptr, idx, ratings) of every
         user's row (by="user") or item's column (by="item"): entity e's
-        sorted counterparts are idx[ptr[e]:ptr[e + 1]]."""
-        return by_entity(by, *self._tables)
+        sorted counterparts are idx[ptr[e]:ptr[e + 1]].  The first call
+        for each entity kind builds its table."""
+        by_entity(by)
+        if by not in self._tables:
+            self._tables[by] = self._table(by)
+        return self._tables[by]
+
+    def _table(self, by: str):
+        row_ptr = np.zeros(self.n_users + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.users, minlength=self.n_users),
+                  out=row_ptr[1:])
+        if by == "user":
+            table = (row_ptr, self.items, self.ratings)
+        else:
+            # CSR -> CSC is a counting sort: users stay ascending per item
+            cols = sp.csr_array((self.ratings, self.items, row_ptr),
+                                shape=(self.n_users, self.n_items)).tocsc()
+            table = (cols.indptr.astype(np.int64, copy=False),
+                     cols.indices.astype(np.int64, copy=False), cols.data)
+        for arr in table:
+            arr.setflags(write=False)
+        return table
 
     def _vector(self, by: str, e: int):
         """Entity e's slice of vectors(by): (counterparts, ratings)."""

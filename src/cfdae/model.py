@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import _sparsetools, csc_array
 
 
 @dataclass(frozen=True)
@@ -150,13 +151,6 @@ def _check_side(params: AutoencoderParams, side) -> np.ndarray | None:
     return side
 
 
-def _active(params: AutoencoderParams, cols: np.ndarray):
-    """Rows of W1 and of W2 (and b2) that a batch on the coordinates cols
-    reads: W1's of cols and of the side inputs, W2's of cols."""
-    side = np.arange(params.n, params.W1.shape[0])
-    return np.concatenate([cols, side]), cols
-
-
 def encode_batch(params: AutoencoderParams, xin,
                  side: np.ndarray | None = None) -> np.ndarray:
     """Hidden codes of a batch of rows over all n + p_in input coordinates
@@ -245,9 +239,35 @@ def corrupt(x: SparseVector, mask_ratio: float, rng: np.random.Generator):
 # so that neither the scale nor the stored matrix over- or underflows.
 _RESCALE = 1e32
 
-# The SGD update subtracts the gradient from blocks of this many weight
-# rows, so no temporary outgrows a block; 1024-2048 measured fastest.
-UPDATE_ROWS = 1024
+
+def _add_product(v: np.ndarray, a, b: np.ndarray):
+    """v += a @ b in place, for a scipy CSR array a and a dense b; only
+    the rows of v where a has entries are read or written.  scipy has no
+    public in-place sparse product, so this calls the kernel behind its
+    CSR @ dense one, which raises unless v is float64 like a and b."""
+    _sparsetools.csr_matvecs(a.shape[0], a.shape[1], b.shape[1], a.indptr,
+                             a.indices, a.data, np.ravel(b),
+                             np.reshape(v, -1, copy=False))
+
+
+def _sparse_batch(values: np.ndarray, pos: np.ndarray, row: np.ndarray,
+                  cols: np.ndarray, width: int,
+                  side: np.ndarray | None = None) -> csc_array:
+    """(m, width) CSC array of the entries (row, pos) of values, which is
+    dense over the coordinates cols, listed column by column as
+    np.nonzero(mask.T) lists them; side's columns, if given, are the last
+    coordinates (as the completer's encoder input has them)."""
+    counts = np.zeros(width, dtype=np.int64)
+    counts[cols] = np.bincount(pos, minlength=cols.size)
+    data = values[row, pos]
+    if side is not None:
+        m, p = side.shape
+        counts[width - p:] = m
+        data = np.concatenate([data, side.T.ravel()])
+        row = np.concatenate([row, np.tile(np.arange(m), p)])
+    ptr = np.zeros(width + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    return csc_array((data, row, ptr), shape=(values.shape[0], width))
 
 
 class LazyDecay:
@@ -259,10 +279,15 @@ class LazyDecay:
     Descent Tricks", 2012).  sq_norms tracks ||V||^2 from the rank-m
     inner products of each step, so the L2 loss term needs no pass over
     the weights either.  fold() multiplies the scales back in; after it
-    the arrays hold the true weights.
+    the arrays hold the true weights.  Both matrices must be C-contiguous,
+    so that a step writes into them and not into a copy.
     """
 
     def __init__(self, params: AutoencoderParams, lr: float):
+        for name in ("W1", "W2"):
+            if not getattr(params, name).flags.c_contiguous:
+                raise ValueError(f"{name} must be C-contiguous to step in "
+                                 f"place")
         self.params = params
         self.lr = lr
         self.scales = [1.0, 1.0]
@@ -283,41 +308,36 @@ class LazyDecay:
         """Apply one SGD step in place; False, with nothing changed, if the
         losses or the step are not finite.
 
-        factors holds (at, w, a, b, ip) per weight matrix, w = V[at] being
-        the rows of V that the batch read (see _active).  The data gradient
-        is zero outside them and rank m inside them, g = a.T @ b, so only
-        w's rows move: the decay of the rest lives in the scale.  ip is
-        <V, g>, which is sum(delta * z) for the layer's delta and its
-        pre-activation z, both from the forward pass, and ||g||^2 is
-        sum((a a.T) * (b b.T)); neither reads V.
+        factors holds (a, b, ip, gg) per weight matrix: the data gradient
+        is g = a @ b, a a sparse (rows x m) CSR array and b dense, so it is
+        zero on the rows where a has no entry and only a's rows move: the
+        decay of the rest lives in the scale.  ip is <V, g> and gg is
+        ||g||^2, both computed without reading V (see batch_loss_gradients).
+        The bias gradients are the sums of W1's b over the batch and of
+        W2's a over its columns.
         """
-        ips = [ip for *_, ip in factors]
-        ggs = [float(np.vdot(a @ a.T, b @ b.T)) for _, _, a, b, _ in factors]
+        ips = [ip for _, _, ip, _ in factors]
+        ggs = [gg for _, _, _, gg in factors]
         if not (np.all(np.isfinite(losses))
                 and all(map(math.isfinite, ips + ggs))):
             return False
         params = self.params
         rate = self.lr / losses.size
         decay = 1.0 - 2.0 * l2 * self.lr
-        for k, (v, (at, w, a, b, _)) in enumerate(zip((params.W1, params.W2),
-                                                      factors)):
+        for k, (v, (a, b, _, _)) in enumerate(zip((params.W1, params.W2),
+                                                  factors)):
             scale = self.scales[k] * decay
             if not 1.0 / _RESCALE <= abs(scale) <= _RESCALE:
                 self._fold(k, v, scale)
                 ips[k] *= scale
                 scale = 1.0
-                w = v[at]
             step = rate / scale
-            b_step = step * b
-            for lo in range(0, w.shape[0], UPDATE_ROWS):
-                rows = slice(lo, lo + UPDATE_ROWS)
-                w[rows] -= a[:, rows].T @ b_step
-            v[at] = w
+            _add_product(v, a, -step * b)
             self.scales[k] = scale
             self.sq_norms[k] += step * (step * ggs[k] - 2.0 * ips[k])
-        (_, _, _, delta1, _), (at2, _, delta2, _, _) = factors
+        (_, delta1, _, _), (a2, _, _, _) = factors
         params.b1 -= rate * delta1.sum(axis=0)
-        params.b2[at2] -= rate * delta2.sum(axis=0)
+        params.b2 -= rate * a2.sum(axis=1)
         return True
 
 
@@ -330,10 +350,12 @@ def batch_loss_gradients(params, x, code, weights, side=None, *,
     (1) or corrupted (2); the input is x on the intact entries.  Both are
     dense over the sorted coordinates cols, as dense_rows returns them;
     the passes read only the weights of those coordinates, since missing
-    inputs are zero and missing outputs carry no error.  The two
-    squared-error sums (over corrupted and over intact known entries) are
-    accumulated separately and only then weighted, so the loss is exactly
-    linear in the two weights.
+    inputs are zero and missing outputs carry no error.  The encoder
+    multiplies the input, sparse over its intact entries and the side
+    inputs, with W1 in place; the decoder reads a gathered copy of W2's
+    rows of cols.  The two squared-error sums (over corrupted and over
+    intact known entries) are accumulated separately and only then
+    weighted, so the loss is exactly linear in the two weights.
 
     With ``sgd``, params holds sgd's scaled matrices and the kernel takes
     the SGD step itself, in place, at rate sgd.lr / batch size: it returns
@@ -341,17 +363,19 @@ def batch_loss_gradients(params, x, code, weights, side=None, *,
     step, folds sgd, and returns the gradient at the true weights instead.
     """
     s1, s2 = (1.0, 1.0) if sgd is None else sgd.scales
-    at1, at2 = _active(params, cols)
-    w1, w2 = params.W1[at1], params.W2[at2]
     intact, corrupted = code == 1, code == 2
-    x_in = np.where(intact, x, 0.0)
-    xin = np.hstack([x_in, side]) if params.p_in else x_in
-    z1 = xin @ w1
+    # the known entries, column by column (faster than np.nonzero(code.T))
+    pos, row = np.divmod(np.flatnonzero(code.T), code.shape[0])
+    kept = intact[row, pos]
+    xin = _sparse_batch(x, pos[kept], row[kept], cols, params.W1.shape[0],
+                        side if params.p_in else None)
+    z1 = xin @ params.W1
     h = np.tanh(s1 * z1 + params.b1)
     hin = np.hstack([h, side]) if params.p_hidden else h
+    w2 = params.W2[cols]
     z2 = hin @ w2.T
     out = s2 * z2
-    out += params.b2[at2]
+    out += params.b2[cols]
     np.tanh(out, out=out)
 
     err = out - x
@@ -367,7 +391,7 @@ def batch_loss_gradients(params, x, code, weights, side=None, *,
     delta2 *= err
     table = np.array([0.0, 2.0 * weights.reconstruction,
                       2.0 * weights.prediction])
-    delta2 *= table[code]
+    delta2 *= table.take(code)
     dh = s2 * (delta2 @ w2[:, :params.hidden])
     delta1 = dh * (1.0 - h ** 2)
 
@@ -377,18 +401,26 @@ def batch_loss_gradients(params, x, code, weights, side=None, *,
         else:
             sq_w = s1 * s1 * sgd.sq_norms[0] + s2 * s2 * sgd.sq_norms[1]
         losses = losses + weights.l2 * sq_w
+    # the weight gradients are a1 @ delta1 and a2 @ hin, with a1 the input
+    # and a2 delta2 on the known entries, both transposed to CSR
+    a1, a2 = xin.T, _sparse_batch(delta2, pos, row, cols, params.n).T
     if sgd is not None:
-        factors = ((at1, w1, xin, delta1, float(np.vdot(delta1, z1))),
-                   (at2, w2, delta2, hin, float(np.vdot(delta2, z2))))
+        # <V, g> is sum(delta * z) for the layer's delta and pre-activation
+        # z, and ||a @ b||^2 is sum((a.T a) * (b b.T)), from dense grams
+        x_in = np.where(intact, x, 0.0)
+        gram1 = x_in @ x_in.T + (side @ side.T if params.p_in else 0.0)
+        factors = ((a1, delta1, float(np.vdot(delta1, z1)),
+                    float(np.vdot(gram1, delta1 @ delta1.T))),
+                   (a2, hin, float(np.vdot(delta2, z2)),
+                    float(np.vdot(delta2 @ delta2.T, hin @ hin.T))))
         if sgd.step(weights.l2, losses, factors):
             return losses, None
         sgd.fold()
 
-    grads = AutoencoderParams(np.zeros_like(params.W1), delta1.sum(axis=0),
-                              np.zeros_like(params.W2), np.zeros(params.n))
-    grads.W1[at1] = xin.T @ delta1
-    grads.W2[at2] = delta2.T @ hin
-    grads.b2[at2] = delta2.sum(axis=0)
+    grads = AutoencoderParams(np.zeros(params.W1.shape), delta1.sum(axis=0),
+                              np.zeros(params.W2.shape), a2.sum(axis=1))
+    _add_product(grads.W1, a1, delta1)
+    _add_product(grads.W2, a2, hin)
     if weights.l2:
         n_samples = x.shape[0]
         grads.W1 += (2.0 * weights.l2 * n_samples) * params.W1

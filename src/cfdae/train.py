@@ -35,6 +35,13 @@ SIDE_MODES = ("none", "input_only", "hidden_only", "both")
 CHECKPOINT_VERSION = 1
 
 
+def _config_type(annotation: str) -> tuple[type, bool]:
+    """The type a TrainConfig field annotation such as "int" or "float |
+    None" names, and whether the field admits None."""
+    kind, _, optional = annotation.partition(" | ")
+    return {"int": int, "float": float, "str": str}[kind], optional == "None"
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Loss weights, network width, SGD schedule, and sampling seed.
@@ -60,12 +67,15 @@ class TrainConfig:
     def __post_init__(self):
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            kind, _, optional = field.type.partition(" | ")
-            kinds = {"int": int, "float": (int, float), "str": str}[kind]
-            if isinstance(value, bool) or not (
-                    isinstance(value, kinds) or value is None and optional):
+            kind, optional = _config_type(field.type)
+            if value is None and optional:
+                continue
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float) if kind is float else kind):
                 raise ValueError(f"{field.name} must be {field.type}, not "
                                  f"{type(value).__name__}")
+            if kind is float:  # lr0=1 and lr0=1.0 get one config_digest
+                object.__setattr__(self, field.name, float(value))
         by_entity(self.orientation)
         if self.side_info not in SIDE_MODES:
             raise ValueError(f"unknown side_info mode {self.side_info!r}")

@@ -156,6 +156,19 @@ def test_matrix_vectors_are_the_stored_csr_arrays(toy_ratings, by):
         toy_ratings.vectors("rows")
 
 
+def test_matrix_builds_each_table_on_first_use(toy_ratings):
+    # a matrix that no one slices (a full snapshot, a test half) pays for
+    # no table; a second call returns the arrays the first one built
+    m = RatingMatrix(toy_ratings.n_users, toy_ratings.n_items,
+                     toy_ratings.users, toy_ratings.items, toy_ratings.ratings)
+    assert m._tables == {}
+    first = m.vectors("item")
+    assert list(m._tables) == ["item"]
+    assert all(a is b for a, b in zip(m.vectors("item"), first))
+    m.vectors("user")
+    assert sorted(m._tables) == ["item", "user"]
+
+
 def test_matrix_counts_and_accessor_bounds(toy_ratings):
     np.testing.assert_array_equal(toy_ratings.row_counts(), [3, 2, 3, 1])
     np.testing.assert_array_equal(toy_ratings.col_counts(), [3, 2, 1, 2, 1])

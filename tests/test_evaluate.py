@@ -271,6 +271,18 @@ def test_config_digest_sensitivity(synthetic):
     assert base != config_digest(cfg, SplitSpec(0.9, 0), "other")
 
 
+def test_config_digest_is_one_per_config():
+    # a float field stores a float even when given an int, so a library
+    # run and a CLI run (which parses floats) report one digest
+    spec = SplitSpec(0.9, 0)
+    as_int = TrainConfig(lr0=1, weight_decay=0)
+    as_float = TrainConfig(lr0=1.0, weight_decay=0.0)
+    assert type(as_int.lr0) is float and type(as_int.weight_decay) is float
+    assert config_digest(as_int, spec, "x") == config_digest(as_float, spec,
+                                                             "x")
+    assert config_digest(TrainConfig(lr0=1), spec, "x") == "c203503f39d8892d"
+
+
 # ------------------------------------------------------------------ sweeps
 
 def test_ratio_sweep_matches_direct_run(synthetic):

@@ -471,12 +471,16 @@ def test_package_exports_resolve():
     assert [name for name in cfdae.__all__ if not hasattr(cfdae, name)] == []
 
 
-# Weight order x update block size: None keeps UPDATE_ROWS, which holds
-# these test matrices in one block; 7 rows splits each of them into two to
-# five blocks, the last one partial.
-ORDER_ROWS = [pytest.param("C", None, id="C"), pytest.param("F", None, id="F"),
-              pytest.param("C", 7, id="C-rows7"),
-              pytest.param("F", 7, id="F-rows7")]
+# The order the weights arrive in.  LazyDecay steps C-ordered matrices
+# only: Fortran-ordered ones are read by the gradient path alone, which
+# takes any layout, or reach a step through AutoencoderParams.copy().
+ORDERS = [pytest.param("C", id="C"), pytest.param("F", id="F")]
+
+
+def _in_order(params, order):
+    params.W1 = np.asarray(params.W1, order=order)
+    params.W2 = np.asarray(params.W2, order=order)
+    return params
 
 
 # Learning rate, L2 weight, and whether the weight scale ends three steps
@@ -489,25 +493,15 @@ STEP_DECAYS = [pytest.param(0.3, 0.02, False, id="decay"),
                pytest.param(1.0, 0.5 - 5e-13, True, id="scale-folded")]
 
 
-def _set_update_rows(monkeypatch, rows, params):
-    if rows is not None:
-        monkeypatch.setattr(model, "UPDATE_ROWS", rows)
-        for w in (params.W1, params.W2):
-            assert w.shape[0] > rows and w.shape[0] % rows
-
-
-@pytest.mark.parametrize("order,rows", ORDER_ROWS)
+@pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("lr,l2,folded", STEP_DECAYS)
-def test_sgd_step_matches_explicit_update(lr, l2, folded, order, rows,
-                                          monkeypatch):
-    # three in-place lazy-decay steps against W -= lr/m * (full gradient)
+def test_sgd_step_matches_explicit_update(lr, l2, folded, order):
+    # three in-place lazy-decay steps against W -= lr/m * (full gradient),
+    # the gradient read from a reference model held in the given order
     rng = np.random.default_rng(5)
     n, hidden, p, m = 9, 4, 2, 5
     params = init_params(n, hidden, p_in=p, p_hidden=p, seed=3)
-    params.W1 = np.asarray(params.W1, order=order)
-    params.W2 = np.asarray(params.W2, order=order)
-    _set_update_rows(monkeypatch, rows, params)
-    ref = params.copy()
+    ref = _in_order(params.copy(), order)
     arrays = [getattr(params, f) for f in PARAM_FIELDS]
     weights = LossWeights(1.0, 0.5, l2)
     sgd = LazyDecay(params, lr=lr)
@@ -524,6 +518,7 @@ def test_sgd_step_matches_explicit_update(lr, l2, folded, order, rows,
         np.testing.assert_allclose(got, want, rtol=1e-9)
         for f in PARAM_FIELDS:
             setattr(ref, f, getattr(ref, f) - lr / m * getattr(grads, f))
+        _in_order(ref, order)
         for k, v in enumerate((params.W1, params.W2)):
             assert sgd.sq_norms[k] == pytest.approx(np.vdot(v, v), rel=1e-9)
     assert (sgd.scales == [1.0, 1.0]) == folded
@@ -535,21 +530,20 @@ def test_sgd_step_matches_explicit_update(lr, l2, folded, order, rows,
                                    atol=1e-12)
 
 
-@pytest.mark.parametrize("order,rows", ORDER_ROWS)
+@pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("lr,l2,folded", STEP_DECAYS)
-def test_active_step_matches_dense_step(lr, l2, folded, order, rows,
-                                        monkeypatch):
+def test_active_step_matches_dense_step(lr, l2, folded, order):
     # three steps on each batch's known coordinates against the same steps
-    # on all of them: only the order of BLAS sums may differ
+    # on all of them: only the order of floating-point sums may differ
     rng = np.random.default_rng(6)
     n, hidden, p, m = 30, 4, 2, 5
-    dense = init_params(n, hidden, p_in=p, p_hidden=p, seed=4)
-    dense.W1 = np.asarray(dense.W1, order=order)
-    dense.W2 = np.asarray(dense.W2, order=order)
-    active = dense.copy()
-    active.W1 = np.asarray(active.W1, order=order)
-    active.W2 = np.asarray(active.W2, order=order)
-    _set_update_rows(monkeypatch, rows, dense)
+    start = _in_order(init_params(n, hidden, p_in=p, p_hidden=p, seed=4),
+                      order)
+    if order == "F":
+        with pytest.raises(ValueError, match="C-contiguous"):
+            LazyDecay(start, lr=lr)
+    dense, active = start.copy(), start.copy()
+    assert all(w.flags.c_contiguous for w in (dense.W1, dense.W2))
     weights = LossWeights(1.0, 0.5, l2)
     sgds = LazyDecay(dense, lr=lr), LazyDecay(active, lr=lr)
     for _ in range(3):
@@ -568,12 +562,62 @@ def test_active_step_matches_dense_step(lr, l2, folded, order, rows,
         assert sgds[1].scales == sgds[0].scales
         np.testing.assert_allclose(sgds[1].sq_norms, sgds[0].sq_norms,
                                    rtol=1e-12)
+        # each side's tracked norm is that of its own arrays: no update
+        # went to a copy
+        for sgd, params in zip(sgds, (dense, active)):
+            for k, v in enumerate((params.W1, params.W2)):
+                assert sgd.sq_norms[k] == pytest.approx(np.vdot(v, v),
+                                                        rel=1e-9)
     assert (sgds[1].scales == [1.0, 1.0]) == folded
     for sgd in sgds:
         sgd.fold()
     for f in PARAM_FIELDS:
         np.testing.assert_allclose(getattr(active, f), getattr(dense, f),
                                    rtol=1e-12, atol=1e-300)
+
+
+@pytest.mark.parametrize("name", ["W1", "W2"])
+def test_lazy_decay_refuses_non_c_contiguous_weights(name):
+    # a step writes through a flat view of each matrix; on any other
+    # layout the view would be a copy and the step would be lost
+    params = init_params(9, 4, p_in=2, p_hidden=2, seed=3)
+    setattr(params, name, np.asfortranarray(getattr(params, name)))
+    before = getattr(params, name).copy()
+    with pytest.raises(ValueError, match=f"{name} must be C-contiguous"):
+        LazyDecay(params, lr=0.1)
+    np.testing.assert_array_equal(getattr(params, name), before)
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("case", ["no-entries", "entries", "side-rows"])
+def test_add_product_adds_in_place(case, index_dtype):
+    # the SGD step's one update kernel, a private scipy routine, against a
+    # dense product: v += a @ b lands in v itself, and rows of v where a
+    # has no entry keep their bits
+    rng = np.random.default_rng(11)
+    n, m, k, p = 8, 3, 4, 2
+    cols = np.array([0, 2, 3, 5, 6])
+    keep = rng.random((m, cols.size)) < (0.0 if case == "no-entries" else 0.5)
+    side = rng.uniform(-1, 1, (m, p)) if case == "side-rows" else None
+    pos, row = np.nonzero(keep.T)
+    a = model._sparse_batch(rng.uniform(-1, 1, keep.shape), pos, row, cols,
+                            n + p, side).T
+    assert a.format == "csr" and a.shape == (n + p, m)
+    assert a.indices.dtype in (np.int32, np.int64)  # what the step passes
+    a.indptr, a.indices = (a.indptr.astype(index_dtype),
+                           a.indices.astype(index_dtype))
+    v = rng.uniform(-1, 1, (n + p, k))
+    b = rng.uniform(-1, 1, (m, k))
+    before = v.copy()
+    want = v + a.toarray() @ b
+    assert model._add_product(v, a, b) is None
+    np.testing.assert_allclose(v, want, rtol=1e-14, atol=1e-15)
+    empty = np.diff(a.indptr) == 0
+    assert empty.all() == (case == "no-entries")
+    assert (~empty[n:]).all() == (case == "side-rows")
+    np.testing.assert_array_equal(v[empty], before[empty])
+    with pytest.raises(ValueError):  # no silent copy of another layout
+        model._add_product(np.asfortranarray(v), a, b)
 
 
 # -------------------------------------------------------------- decompose
