@@ -124,6 +124,9 @@ def _build_side(cfg: TrainConfig, data_dir: Path, svd_dim: int,
     if entity != cfg.orientation:
         raise DataError(f"ingested tags describe each {entity}, but the "
                         f"model is {cfg.orientation}-oriented")
+    if tags.n_tags == 0:
+        raise DataError(f"{tag_path} holds no tags; re-run ingest with a "
+                        "tag file that names known entities")
     svd_part = None
     if svd_dim > 0:
         limit = min(tags.n_entities, tags.n_tags)

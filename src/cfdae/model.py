@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import _sparsetools, csc_array
+from scipy.sparse import _sparsetools, csc_array, csr_array
 
 
 @dataclass(frozen=True)
@@ -153,10 +153,10 @@ def _check_side(params: AutoencoderParams, side) -> np.ndarray | None:
 
 def encode_batch(params: AutoencoderParams, xin,
                  side: np.ndarray | None = None) -> np.ndarray:
-    """Hidden codes of a batch of rows over all n + p_in input coordinates
-    (the side inputs appended, as the training kernel's xin), xin a dense
-    array or a scipy sparse array, with the side columns the decoder reads
-    appended."""
+    """Hidden codes of a batch of inputs, with the side columns the
+    decoder reads appended.  xin, a dense array or a scipy sparse array,
+    holds each input over all n + p_in coordinates, the side inputs last,
+    as the training kernel's CSC input and the completer's blocks do."""
     width = params.W1.shape[0]
     if xin.shape[1] != width:
         raise ValueError(f"input dim {xin.shape[1]} != network input dim "
@@ -189,36 +189,28 @@ def draw_corrupted(n_known: int, mask_ratio: float,
     return rng.choice(n_known, size=n_corrupt, replace=False)
 
 
-def dense_rows(vectors, ids: np.ndarray, mask_ratio: float,
-               rng: np.random.Generator):
-    """Rows ids of the scipy CSR array vectors, corrupted, dense over the
-    batch's active coordinates cols: the sorted union of their indices.
+def corrupted_batch(vectors, ids: np.ndarray, mask_ratio: float,
+                    rng: np.random.Generator):
+    """Rows ids of the scipy CSR array vectors, corrupted.
 
-    Returns (cols, x, code), the batch that batch_loss_gradients takes
-    with cols=cols.  Each row in turn corrupts draw_corrupted(n_known,
-    mask_ratio, rng) of its entries, and code marks every entry unknown
-    (0), intact (1) or corrupted (2).
+    Returns (x, hit), the batch that batch_loss_gradients takes: x the
+    rows as an (ids.size, n) CSR array and hit a boolean flag per entry of
+    x.data, True where it is corrupted.  Each row in turn corrupts
+    draw_corrupted(n_known, mask_ratio, rng) of its entries.
     """
-    ptr, idx, vals = vectors.indptr, vectors.indices, vectors.data
-    n = vectors.shape[1]
+    ptr = vectors.indptr
     # a flat gather on the CSR arrays: scipy's vectors[ids] takes up to 4x
     # as long on a 32-row batch
     counts = ptr[ids + 1] - ptr[ids]
-    starts = np.cumsum(counts) - counts  # of each row in the flat entries
-    at = np.arange(counts.sum()) + np.repeat(ptr[ids] - starts, counts)
-    row, col = np.repeat(np.arange(ids.size), counts), idx[at]
-    known_any = np.zeros(n, dtype=bool)
-    known_any[col] = True
-    cols = np.flatnonzero(known_any)
-    pos = np.searchsorted(cols, col)
-    x = np.zeros((ids.size, cols.size))
-    x[row, pos] = vals[at]
-    code = np.zeros(x.shape, dtype=np.uint8)
-    code[row, pos] = 1
-    hit = np.concatenate([start + draw_corrupted(k, mask_ratio, rng)
-                          for start, k in zip(starts, counts)])
-    code[row[hit], pos[hit]] = 2
-    return cols, x, code
+    starts = np.zeros(ids.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    at = np.arange(starts[-1]) + np.repeat(ptr[ids] - starts[:-1], counts)
+    x = csr_array((vectors.data[at], vectors.indices[at], starts),
+                  shape=(ids.size, vectors.shape[1]))
+    hit = np.zeros(at.size, dtype=bool)
+    hit[np.concatenate([start + draw_corrupted(k, mask_ratio, rng)
+                        for start, k in zip(starts, counts)])] = True
+    return x, hit
 
 
 def corrupt(x: SparseVector, mask_ratio: float, rng: np.random.Generator):
@@ -250,24 +242,23 @@ def _add_product(v: np.ndarray, a, b: np.ndarray):
                              np.reshape(v, -1, copy=False))
 
 
-def _sparse_batch(values: np.ndarray, pos: np.ndarray, row: np.ndarray,
-                  cols: np.ndarray, width: int,
-                  side: np.ndarray | None = None) -> csc_array:
-    """(m, width) CSC array of the entries (row, pos) of values, which is
-    dense over the coordinates cols, listed column by column as
-    np.nonzero(mask.T) lists them; side's columns, if given, are the last
-    coordinates (as the completer's encoder input has them)."""
-    counts = np.zeros(width, dtype=np.int64)
-    counts[cols] = np.bincount(pos, minlength=cols.size)
-    data = values[row, pos]
+def _csc_batch(data: np.ndarray, row: np.ndarray, col: np.ndarray, m: int,
+               width: int, side: np.ndarray | None = None) -> csc_array:
+    """(m, width) CSC array of the entries (row, col) of data, listed row
+    by row: each column's entries keep that row order, and side's columns,
+    if given, are the last coordinates (as the completer's encoder input
+    has them)."""
+    order = np.argsort(col, kind="stable")
+    counts = np.bincount(col, minlength=width)
+    data, row = data[order], row[order]
     if side is not None:
-        m, p = side.shape
+        p = side.shape[1]
         counts[width - p:] = m
         data = np.concatenate([data, side.T.ravel()])
         row = np.concatenate([row, np.tile(np.arange(m), p)])
     ptr = np.zeros(width + 1, dtype=np.int64)
     np.cumsum(counts, out=ptr[1:])
-    return csc_array((data, row, ptr), shape=(values.shape[0], width))
+    return csc_array((data, row, ptr), shape=(m, width))
 
 
 class LazyDecay:
@@ -341,21 +332,22 @@ class LazyDecay:
         return True
 
 
-def batch_loss_gradients(params, x, code, weights, side=None, *,
-                         cols: np.ndarray, sgd: LazyDecay | None = None):
+def batch_loss_gradients(params, x, hit, weights, side=None, *,
+                         sgd: LazyDecay | None = None):
     """Per-sample losses and, as an AutoencoderParams, the gradient summed
     over the batch.
 
-    x holds the known values and code marks each entry unknown (0), intact
-    (1) or corrupted (2); the input is x on the intact entries.  Both are
-    dense over the sorted coordinates cols, as dense_rows returns them;
-    the passes read only the weights of those coordinates, since missing
-    inputs are zero and missing outputs carry no error.  The encoder
-    multiplies the input, sparse over its intact entries and the side
-    inputs, with W1 in place; the decoder reads a gathered copy of W2's
-    rows of cols.  The two squared-error sums (over corrupted and over
-    intact known entries) are accumulated separately and only then
-    weighted, so the loss is exactly linear in the two weights.
+    x holds the batch's known values as an (m, n) CSR array and hit flags
+    each entry of x.data corrupted (True) or intact (False), as
+    corrupted_batch returns them; the input is x on its intact entries.
+    The passes read only the weights of the batch's active coordinates
+    cols, the sorted union of x's indices, since missing inputs are zero
+    and missing outputs carry no error.  The encoder multiplies the input,
+    sparse over its intact entries and the side inputs, with W1 in place;
+    the decoder reads a gathered copy of W2's rows of cols.  The two
+    squared-error sums (over corrupted and over intact known entries) are
+    accumulated separately and only then weighted, so the loss is exactly
+    linear in the two weights.
 
     With ``sgd``, params holds sgd's scaled matrices and the kernel takes
     the SGD step itself, in place, at rate sgd.lr / batch size: it returns
@@ -363,12 +355,16 @@ def batch_loss_gradients(params, x, code, weights, side=None, *,
     step, folds sgd, and returns the gradient at the true weights instead.
     """
     s1, s2 = (1.0, 1.0) if sgd is None else sgd.scales
-    intact, corrupted = code == 1, code == 2
-    # the known entries, column by column (faster than np.nonzero(code.T))
-    pos, row = np.divmod(np.flatnonzero(code.T), code.shape[0])
-    kept = intact[row, pos]
-    xin = _sparse_batch(x, pos[kept], row[kept], cols, params.W1.shape[0],
-                        side if params.p_in else None)
+    m = x.shape[0]
+    row = np.repeat(np.arange(m), np.diff(x.indptr))
+    col, val, kept = x.indices, x.data, ~hit
+    place = np.zeros(params.n, dtype=np.int64)
+    place[col] = 1
+    cols = np.flatnonzero(place)
+    place[cols] = np.arange(cols.size)
+    pos = place[col]  # each entry's place in cols
+    xin = _csc_batch(val[kept], row[kept], col[kept], m, params.W1.shape[0],
+                     side if params.p_in else None)
     z1 = xin @ params.W1
     h = np.tanh(s1 * z1 + params.b1)
     hin = np.hstack([h, side]) if params.p_hidden else h
@@ -378,20 +374,19 @@ def batch_loss_gradients(params, x, code, weights, side=None, *,
     out += params.b2[cols]
     np.tanh(out, out=out)
 
-    err = out - x
+    o = out[row, pos]
+    err = o - val
     sq = err * err
-    pred_sum = np.einsum("ij,ij->i", sq, corrupted)
-    recon_sum = np.einsum("ij,ij->i", sq, intact)
+    pred_sum = np.bincount(row[hit], sq[hit], minlength=m)
+    recon_sum = np.bincount(row[kept], sq[kept], minlength=m)
     losses = weights.prediction * pred_sum + weights.reconstruction * recon_sum
 
-    # delta2 = 2 w (out - target) (1 - out^2), in sq's buffer; w is each
-    # entry's error weight, looked up from its code
-    delta2 = np.multiply(out, out, out=sq)
-    np.subtract(1.0, delta2, out=delta2)
-    delta2 *= err
-    table = np.array([0.0, 2.0 * weights.reconstruction,
-                      2.0 * weights.prediction])
-    delta2 *= table.take(code)
+    # delta2 = 2 w (out - target) (1 - out^2) on the known entries, w each
+    # entry's error weight; the backprop product reads it dense over cols
+    d2 = (1.0 - o * o) * err * np.where(hit, 2.0 * weights.prediction,
+                                        2.0 * weights.reconstruction)
+    delta2 = np.zeros_like(out)
+    delta2[row, pos] = d2
     dh = s2 * (delta2 @ w2[:, :params.hidden])
     delta1 = dh * (1.0 - h ** 2)
 
@@ -403,11 +398,12 @@ def batch_loss_gradients(params, x, code, weights, side=None, *,
         losses = losses + weights.l2 * sq_w
     # the weight gradients are a1 @ delta1 and a2 @ hin, with a1 the input
     # and a2 delta2 on the known entries, both transposed to CSR
-    a1, a2 = xin.T, _sparse_batch(delta2, pos, row, cols, params.n).T
+    a1, a2 = xin.T, _csc_batch(d2, row, col, m, params.n).T
     if sgd is not None:
         # <V, g> is sum(delta * z) for the layer's delta and pre-activation
         # z, and ||a @ b||^2 is sum((a.T a) * (b b.T)), from dense grams
-        x_in = np.where(intact, x, 0.0)
+        x_in = np.zeros_like(out)
+        x_in[row[kept], pos[kept]] = val[kept]
         gram1 = x_in @ x_in.T + (side @ side.T if params.p_in else 0.0)
         factors = ((a1, delta1, float(np.vdot(delta1, z1)),
                     float(np.vdot(gram1, delta1 @ delta1.T))),
@@ -422,9 +418,8 @@ def batch_loss_gradients(params, x, code, weights, side=None, *,
     _add_product(grads.W1, a1, delta1)
     _add_product(grads.W2, a2, hin)
     if weights.l2:
-        n_samples = x.shape[0]
-        grads.W1 += (2.0 * weights.l2 * n_samples) * params.W1
-        grads.W2 += (2.0 * weights.l2 * n_samples) * params.W2
+        grads.W1 += (2.0 * weights.l2 * m) * params.W1
+        grads.W2 += (2.0 * weights.l2 * m) * params.W2
     return losses, grads
 
 
@@ -439,14 +434,14 @@ def _single_vector(params: AutoencoderParams, x: SparseVector,
         raise ValueError("mask contains indices that are not known in x")
     if np.any(np.isin(mask.indices, x_tilde.indices)):
         raise ValueError("corrupted indices must be absent from x_tilde")
-    dims = np.arange(x.dim)[None, :]
-    code = np.isin(dims, x.indices).astype(np.uint8) + np.isin(dims, mask.indices)
-    dense = x.to_dense()[None, :]
-    if not np.array_equal(x_tilde.to_dense(), np.where(code == 1, dense, 0)[0]):
+    intact = x.to_dense()
+    intact[mask.indices] = 0.0
+    if not np.array_equal(x_tilde.to_dense(), intact):
         raise ValueError("x_tilde must be x with the mask's entries zeroed")
+    batch = csr_array((x.values, x.indices, [0, x.n_known]), shape=(1, x.dim))
+    hit = np.isin(x.indices, mask.indices)
     batch_side = side[None, :] if side is not None else None
-    return batch_loss_gradients(params, dense, code, weights, batch_side,
-                                cols=np.arange(x.dim))
+    return batch_loss_gradients(params, batch, hit, weights, batch_side)
 
 
 def loss(params: AutoencoderParams, x: SparseVector, x_tilde: SparseVector,

@@ -24,7 +24,7 @@ from scipy.sparse import csr_array, hstack
 from .data import (RatingMatrix, RatingScale, SplitSpec, aligned_query,
                    by_entity, open_versioned_npz, write_versioned_npz)
 from .model import (AutoencoderParams, LazyDecay, LossWeights,
-                    batch_loss_gradients, dense_rows, draw_corrupted,
+                    batch_loss_gradients, corrupted_batch, draw_corrupted,
                     encode_batch, first_nonfinite, init_params)
 from .preprocess import (BiasTable, Scaler, SideInfoTable, inverse_transform,
                          transform)
@@ -252,11 +252,10 @@ def train(train_data: RatingMatrix, cfg: TrainConfig, bias: BiasTable,
         last_loss = state.history[-1].mean_loss if state.history else None
         for batch, start in enumerate(range(0, order.size, cfg.batch_size)):
             sel = order[start:start + cfg.batch_size]
-            cols, x, code = dense_rows(vectors, sel, cfg.mask_ratio, rng)
+            x, hit = corrupted_batch(vectors, sel, cfg.mask_ratio, rng)
             batch_side = features[sel] if features is not None else None
-            losses, grads = batch_loss_gradients(params, x, code, weights,
-                                                 batch_side, cols=cols,
-                                                 sgd=sgd)
+            losses, grads = batch_loss_gradients(params, x, hit, weights,
+                                                 batch_side, sgd=sgd)
             if grads is not None:
                 grad_max = max(float(np.max(np.abs(g))) for g in
                                (grads.W1, grads.b1, grads.W2, grads.b2))

@@ -350,6 +350,28 @@ def test_train_side_info_without_tags_exits_2(workspace, tmp_path, capsys):
     assert "--tags" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [[], ["--side-svd-dim", "0",
+                                        "--side-binary"]],
+                         ids=["svd", "binary"])
+def test_train_side_info_with_no_tags_exits_2(workspace, tmp_path, capsys,
+                                              flags):
+    # ingest keeps a tag snapshot whose only row names an unknown movie:
+    # it warns and drops the row, leaving a table with no tags
+    movies = tmp_path / "movies.dat"
+    movies.write_text("999::Unknown (1999)::Drama\n")
+    data = tmp_path / "data"
+    assert main(["ingest", "--ratings", str(workspace["raw_ratings"]),
+                 "--format", "csv", "--tags", str(movies), "--tag-format",
+                 "genre_flags", "--out", str(data)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "m"
+    assert main(["train", "--data", str(data), "--out", str(out), "--side",
+                 "both", *flags, "--hidden", "4", "--epochs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "tags.npz holds no tags" in err
+    assert not out.exists()
+
+
 def test_train_side_info_runs(workspace, tmp_path):
     out = tmp_path / "side_model"
     assert main(["train", "--data", str(workspace["data"]), "--out", str(out),

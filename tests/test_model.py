@@ -11,7 +11,7 @@ from cfdae import (AutoencoderParams, CorruptionMask, LossWeights,
                    loss, loss_gradients)
 import cfdae
 from cfdae import model
-from cfdae.model import LazyDecay, batch_loss_gradients, dense_rows
+from cfdae.model import LazyDecay, batch_loss_gradients, corrupted_batch
 
 PARAM_FIELDS = ("W1", "b1", "W2", "b2")
 
@@ -392,8 +392,6 @@ def test_batch_matches_single_vector_path():
     weights = LossWeights(1.0, 0.5, 0.02)
     side_rows = rng.uniform(-1, 1, (batch, p))
 
-    x_tgt = np.zeros((batch, n))
-    code = np.zeros((batch, n), dtype=np.uint8)
     singles = []
     for r in range(batch):
         n_known = int(rng.integers(1, n + 1))
@@ -401,12 +399,11 @@ def test_batch_matches_single_vector_path():
         x = SparseVector(n, idx, rng.uniform(-1, 1, n_known))
         x_tilde, mask = corrupt(x, 0.4, rng)
         singles.append((x, x_tilde, mask))
-        x_tgt[r, idx] = x.values
-        code[r, idx] = 1
-        code[r, mask.indices] = 2
+    x_b = _csr([(x.indices, x.values) for x, _, _ in singles], n)
+    hit = np.concatenate([np.isin(x.indices, mask.indices)
+                          for x, _, mask in singles])
 
-    losses, grads = batch_loss_gradients(params, x_tgt, code, weights,
-                                         side_rows, cols=np.arange(n))
+    losses, grads = batch_loss_gradients(params, x_b, hit, weights, side_rows)
     total = {f: np.zeros_like(getattr(params, f)) for f in PARAM_FIELDS}
     for r, (x, x_tilde, mask) in enumerate(singles):
         single = loss(params, x, x_tilde, mask, weights, side_rows[r])
@@ -422,8 +419,8 @@ def test_batch_matches_single_vector_path():
 @pytest.mark.parametrize("mask_ratio", [0.0, 0.3, 0.9])
 def test_training_rows_match_per_row_corrupt(mask_ratio):
     # the batch builder draws each row's corruption exactly as corrupt()
-    # does, in row order, from the same stream, over the union of the
-    # rows' known coordinates, whether that is all of n (12) or few (200)
+    # does, in row order, from the same stream, whether the rows' known
+    # coordinates cover all of n (12) or few of them (200)
     rng = np.random.default_rng(8)
     vectors = []
     for n_known in (0, 1, 5, 12, 7):
@@ -432,23 +429,21 @@ def test_training_rows_match_per_row_corrupt(mask_ratio):
     ids = np.array([3, 0, 4, 1, 2])
     for n in (12, 200):
         built = np.random.default_rng(3)
-        cols, x_b, code_b = dense_rows(_csr(vectors, n), ids, mask_ratio,
-                                       built)
-        np.testing.assert_array_equal(
-            cols, np.unique(np.concatenate([vectors[e][0] for e in ids])))
-        assert code_b.dtype == np.uint8 and code_b.max() <= 2
-        x_tgt, code = (_scatter(a, cols, n) for a in (x_b, code_b))
+        x_b, hit = corrupted_batch(_csr(vectors, n), ids, mask_ratio, built)
+        assert x_b.format == "csr" and x_b.shape == (ids.size, n)
+        assert hit.dtype == bool and hit.shape == x_b.data.shape
         oracle = np.random.default_rng(3)
         for r, e in enumerate(ids):
             idx, vals = vectors[e]
             x = SparseVector(n, idx, vals)
             x_tilde, mask = corrupt(x, mask_ratio, oracle)
-            np.testing.assert_array_equal(np.flatnonzero(code[r] == 2),
-                                          mask.indices)
-            np.testing.assert_array_equal(np.flatnonzero(code[r]), idx)
-            np.testing.assert_array_equal(x_tgt[r], x.to_dense())
-            np.testing.assert_array_equal(np.where(code[r] == 1, x_tgt[r], 0),
-                                          x_tilde.to_dense())
+            at = slice(x_b.indptr[r], x_b.indptr[r + 1])
+            got_idx, got_hit = x_b.indices[at], hit[at]
+            np.testing.assert_array_equal(got_idx, idx)
+            np.testing.assert_array_equal(x_b.data[at], vals)
+            np.testing.assert_array_equal(got_idx[got_hit], mask.indices)
+            np.testing.assert_array_equal(got_idx[~got_hit],
+                                          x_tilde.indices)
         assert built.random() == oracle.random()  # both streams at one point
 
 
@@ -460,11 +455,28 @@ def _csr(vectors, n):
                      shape=(len(vectors), n))
 
 
-def _scatter(a, cols, n):
-    """Rows dense over cols spread back onto all n coordinates."""
-    full = np.zeros((a.shape[0], n), dtype=a.dtype)
-    full[:, cols] = a
-    return full
+@pytest.mark.parametrize("with_side", [False, True], ids=["no-side", "side"])
+def test_csc_batch_lists_each_coordinate_in_row_order(with_side):
+    # the one builder of the kernel's CSC arrays lists each coordinate's
+    # entries in row order, the side columns last, exactly as scipy's
+    # conversion of the same entries does: that order fixes the bits of
+    # the encoder product and of both updates
+    rng = np.random.default_rng(12)
+    n, m, p = 11, 6, 3
+    x = _csr([(np.sort(rng.choice(n, k, replace=False)),
+               rng.uniform(-1, 1, k)) for k in rng.integers(0, 6, m)], n)
+    row = np.repeat(np.arange(m), np.diff(x.indptr))
+    side = rng.uniform(-1, 1, (m, p)) if with_side else None
+    width = n + p if with_side else n
+    got = model._csc_batch(x.data, row, x.indices, m, width, side)
+    full = x.toarray()
+    if with_side:
+        full = np.hstack([full, side])
+    want = csr_array(full).tocsc()
+    assert got.format == "csc" and got.shape == (m, width)
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_array_equal(got.data, want.data)
 
 
 def test_package_exports_resolve():
@@ -473,7 +485,7 @@ def test_package_exports_resolve():
 
 # The order the weights arrive in.  LazyDecay steps C-ordered matrices
 # only: Fortran-ordered ones are read by the gradient path alone, which
-# takes any layout, or reach a step through AutoencoderParams.copy().
+# takes any layout.
 ORDERS = [pytest.param("C", id="C"), pytest.param("F", id="F")]
 
 
@@ -497,23 +509,24 @@ STEP_DECAYS = [pytest.param(0.3, 0.02, False, id="decay"),
 @pytest.mark.parametrize("lr,l2,folded", STEP_DECAYS)
 def test_sgd_step_matches_explicit_update(lr, l2, folded, order):
     # three in-place lazy-decay steps against W -= lr/m * (full gradient),
-    # the gradient read from a reference model held in the given order
+    # the gradient read from a reference model held in the given order;
+    # each batch knows a few of the n coordinates, so the step moves only
+    # those rows and decays the rest through the scale
     rng = np.random.default_rng(5)
-    n, hidden, p, m = 9, 4, 2, 5
+    n, hidden, p, m = 30, 4, 2, 5
     params = init_params(n, hidden, p_in=p, p_hidden=p, seed=3)
     ref = _in_order(params.copy(), order)
     arrays = [getattr(params, f) for f in PARAM_FIELDS]
     weights = LossWeights(1.0, 0.5, l2)
     sgd = LazyDecay(params, lr=lr)
     for _ in range(3):
-        known = rng.random((m, n)) < 0.6
-        corrupted = known & (rng.random((m, n)) < 0.3)
-        x_tgt = np.where(known, rng.uniform(-1, 1, (m, n)), 0.0)
-        code = known.astype(np.uint8) + corrupted
-        args = (x_tgt, code, weights, rng.uniform(-1, 1, (m, p)))
-        want, grads = batch_loss_gradients(ref, *args, cols=np.arange(n))
-        got, stepped = batch_loss_gradients(params, *args, cols=np.arange(n),
-                                            sgd=sgd)
+        vectors = [(np.sort(rng.choice(n, k, replace=False)),
+                    rng.uniform(-1, 1, k)) for k in rng.integers(1, 6, m)]
+        x, hit = corrupted_batch(_csr(vectors, n), np.arange(m), 0.4, rng)
+        assert 0 < hit.sum() < hit.size and np.unique(x.indices).size < n
+        args = (x, hit, weights, rng.uniform(-1, 1, (m, p)))
+        want, grads = batch_loss_gradients(ref, *args)
+        got, stepped = batch_loss_gradients(params, *args, sgd=sgd)
         assert stepped is None
         np.testing.assert_allclose(got, want, rtol=1e-9)
         for f in PARAM_FIELDS:
@@ -528,52 +541,6 @@ def test_sgd_step_matches_explicit_update(lr, l2, folded, order):
         assert getattr(params, f) is arr
         np.testing.assert_allclose(arr, getattr(ref, f), rtol=1e-9,
                                    atol=1e-12)
-
-
-@pytest.mark.parametrize("order", ORDERS)
-@pytest.mark.parametrize("lr,l2,folded", STEP_DECAYS)
-def test_active_step_matches_dense_step(lr, l2, folded, order):
-    # three steps on each batch's known coordinates against the same steps
-    # on all of them: only the order of floating-point sums may differ
-    rng = np.random.default_rng(6)
-    n, hidden, p, m = 30, 4, 2, 5
-    start = _in_order(init_params(n, hidden, p_in=p, p_hidden=p, seed=4),
-                      order)
-    if order == "F":
-        with pytest.raises(ValueError, match="C-contiguous"):
-            LazyDecay(start, lr=lr)
-    dense, active = start.copy(), start.copy()
-    assert all(w.flags.c_contiguous for w in (dense.W1, dense.W2))
-    weights = LossWeights(1.0, 0.5, l2)
-    sgds = LazyDecay(dense, lr=lr), LazyDecay(active, lr=lr)
-    for _ in range(3):
-        vectors = [(np.sort(rng.choice(n, k, replace=False)),
-                    rng.uniform(-1, 1, k)) for k in rng.integers(1, 3, m)]
-        side = rng.uniform(-1, 1, (m, p))
-        cols, *rows = dense_rows(_csr(vectors, n), np.arange(m), 0.4,
-                                 np.random.default_rng(1))
-        assert cols.size < n
-        full = [_scatter(a, cols, n) for a in rows]
-        want, _ = batch_loss_gradients(dense, *full, weights, side,
-                                       cols=np.arange(n), sgd=sgds[0])
-        got, _ = batch_loss_gradients(active, *rows, weights, side,
-                                      cols=cols, sgd=sgds[1])
-        np.testing.assert_allclose(got, want, rtol=1e-12)
-        assert sgds[1].scales == sgds[0].scales
-        np.testing.assert_allclose(sgds[1].sq_norms, sgds[0].sq_norms,
-                                   rtol=1e-12)
-        # each side's tracked norm is that of its own arrays: no update
-        # went to a copy
-        for sgd, params in zip(sgds, (dense, active)):
-            for k, v in enumerate((params.W1, params.W2)):
-                assert sgd.sq_norms[k] == pytest.approx(np.vdot(v, v),
-                                                        rel=1e-9)
-    assert (sgds[1].scales == [1.0, 1.0]) == folded
-    for sgd in sgds:
-        sgd.fold()
-    for f in PARAM_FIELDS:
-        np.testing.assert_allclose(getattr(active, f), getattr(dense, f),
-                                   rtol=1e-12, atol=1e-300)
 
 
 @pytest.mark.parametrize("name", ["W1", "W2"])
@@ -596,12 +563,11 @@ def test_add_product_adds_in_place(case, index_dtype):
     # has no entry keep their bits
     rng = np.random.default_rng(11)
     n, m, k, p = 8, 3, 4, 2
-    cols = np.array([0, 2, 3, 5, 6])
-    keep = rng.random((m, cols.size)) < (0.0 if case == "no-entries" else 0.5)
+    keep = rng.random((m, n)) < (0.0 if case == "no-entries" else 0.5)
     side = rng.uniform(-1, 1, (m, p)) if case == "side-rows" else None
-    pos, row = np.nonzero(keep.T)
-    a = model._sparse_batch(rng.uniform(-1, 1, keep.shape), pos, row, cols,
-                            n + p, side).T
+    row, col = np.nonzero(keep)
+    a = model._csc_batch(rng.uniform(-1, 1, row.size), row, col, m, n + p,
+                         side).T
     assert a.format == "csr" and a.shape == (n + p, m)
     assert a.indices.dtype in (np.int32, np.int64)  # what the step passes
     a.indptr, a.indices = (a.indptr.astype(index_dtype),

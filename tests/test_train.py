@@ -21,7 +21,7 @@ from cfdae import (BiasTable, CorruptionMask, DataError, LossWeights,
                    inverse_transform, learning_rate, load_checkpoint, loss,
                    save_checkpoint, split, svd_embed, train, transform)
 from cfdae import cli
-from cfdae.model import batch_loss_gradients, dense_rows
+from cfdae.model import batch_loss_gradients, corrupted_batch
 from cfdae.train import SIDE_MODES, EpochRecord, MatrixCompleter
 
 # cfdae re-exports the function train(), which hides the submodule attribute
@@ -388,34 +388,34 @@ def test_train_steps_the_initial_arrays_in_place(synthetic, monkeypatch):
                                   getattr(fresh, f))
 
 
-def _on_all_coordinates(args, cols, n):
-    """A batch_loss_gradients batch on cols spread onto all n coordinates."""
-    spread = []
-    for a in args[:2]:  # x and code
-        full = np.zeros((a.shape[0], n), dtype=a.dtype)
-        full[:, cols] = a
-        spread.append(full)
-    return (*spread, *args[2:])
-
-
-def _spy_on_unions(monkeypatch, ratings, orientation):
-    """Records, for each batch that train() builds, the sorted union of
-    its entities' known coordinates, read from the rating matrix."""
+def _spy_on_steps(monkeypatch, ratings, orientation):
+    """Records the batch of each SGD step that train() takes, and checks
+    that the step moves only its batch's rows: the stored rows of W1
+    outside the intact coordinates and of W2 outside the entities' known
+    coordinates, read from the rating matrix, keep their bits, since the
+    decay of every other row lives in the weight scale."""
     pull = ratings.col if orientation == "item" else ratings.row
-    unions = []
+    unions, steps = [], []
 
     def rows_spy(vectors, ids, *args):
         unions.append(np.unique(np.concatenate([pull(e)[0] for e in ids])))
-        return dense_rows(vectors, ids, *args)
+        return corrupted_batch(vectors, ids, *args)
 
-    monkeypatch.setattr(train_module, "dense_rows", rows_spy)
-    return unions
+    def step_spy(params, x, hit, *args, **kwargs):
+        steps.append((x, hit, *args))
+        before = params.W1.copy(), params.W2.copy()
+        out = batch_loss_gradients(params, x, hit, *args, **kwargs)
+        known = unions[len(steps) - 1]
+        np.testing.assert_array_equal(np.unique(x.indices), known)
+        for w, was, rows in zip((params.W1, params.W2), before,
+                                (np.unique(x.indices[~hit]), known)):
+            still = np.setdiff1d(np.arange(params.n), rows)
+            np.testing.assert_array_equal(w[still], was[still])
+        return out
 
-
-def _assert_steps_on_unions(seen_cols, unions):
-    assert seen_cols and len(seen_cols) == len(unions)
-    for cols, union in zip(seen_cols, unions):
-        np.testing.assert_array_equal(cols, union)
+    monkeypatch.setattr(train_module, "corrupted_batch", rows_spy)
+    monkeypatch.setattr(train_module, "batch_loss_gradients", step_spy)
+    return steps
 
 
 @pytest.mark.parametrize("data,orientation,side_info", [
@@ -428,8 +428,8 @@ def _assert_steps_on_unions(seen_cols, unions):
 def test_lazy_decay_matches_explicit_sgd_on_active_columns(
         request, monkeypatch, data, orientation, side_info):
     # train() against an SGD loop that decays every weight on each step,
-    # over the oracle kernel on all coordinates; every step runs on its
-    # batch's known coordinates
+    # over the kernel's gradient path; every step moves only the rows of
+    # its batch's known coordinates
     ratings, scale = request.getfixturevalue(data)
     cfg = small_config(orientation=orientation, side_info=side_info,
                        epochs=3, weight_decay=0.02)
@@ -439,33 +439,27 @@ def test_lazy_decay_matches_explicit_sgd_on_active_columns(
     side = None
     if cfg.side_info != "none":
         side = side_table(ratings.n_items if by_item else ratings.n_users, 3)
-    unions = _spy_on_unions(monkeypatch, ratings, orientation)
-    batches, hooked, seen_cols = [], [], []
-
-    def spy(params, *args, **kwargs):
-        seen_cols.append(kwargs["cols"])
-        batches.append((len(hooked),
-                        _on_all_coordinates(args, kwargs["cols"], n)))
-        return batch_loss_gradients(params, *args, **kwargs)
+    steps = _spy_on_steps(monkeypatch, ratings, orientation)
+    hooked = []
 
     def hook(state):
         hooked.append(state.params.copy())
 
-    monkeypatch.setattr(train_module, "batch_loss_gradients", spy)
     state = train(ratings, cfg, bias, scaler, side=side, eval_hook=hook)
 
-    _assert_steps_on_unions(seen_cols, unions)
     ref = init_params(n, cfg.hidden, state.params.p_in, state.params.p_hidden,
                       seed=cfg.seed)
+    per_batch = len(steps) // cfg.epochs  # steps in each epoch
     per_epoch, sums, counts = [], np.zeros(cfg.epochs), np.zeros(cfg.epochs)
-    for k, (epoch, args) in enumerate(batches):
-        losses, grads = batch_loss_gradients(ref, *args, cols=np.arange(n))
+    for k, args in enumerate(steps):
+        epoch = k // per_batch
+        losses, grads = batch_loss_gradients(ref, *args)
         step = learning_rate(cfg, epoch) / losses.size
         for f in PARAM_FIELDS:
             setattr(ref, f, getattr(ref, f) - step * getattr(grads, f))
         sums[epoch] += losses.sum()
         counts[epoch] += losses.size
-        if k + 1 == len(batches) or batches[k + 1][0] != epoch:
+        if (k + 1) % per_batch == 0:
             per_epoch.append(ref.copy())
 
     assert len(per_epoch) == len(hooked) == cfg.epochs
@@ -482,23 +476,16 @@ def test_lazy_decay_matches_explicit_sgd_on_active_columns(
 
 @pytest.mark.parametrize("data", ["synthetic", "sparse_synthetic"])
 def test_batches_choose_their_coordinates(request, monkeypatch, data):
-    # each SGD step runs on the sorted union of its batch's known
-    # coordinates, and the completer's CSR blocks predict as forward does
+    # each SGD step moves only the rows of its batch's known coordinates,
+    # and the completer's CSR blocks predict as forward does
     ratings, scale = request.getfixturevalue(data)
     cfg = small_config(epochs=1)
     bias, scaler = fitted(ratings, scale, cfg)
-    unions = _spy_on_unions(monkeypatch, ratings, cfg.orientation)
-    steps = []
-
-    def step_spy(*args, **kwargs):
-        steps.append(kwargs["cols"])
-        return batch_loss_gradients(*args, **kwargs)
-
-    monkeypatch.setattr(train_module, "batch_loss_gradients", step_spy)
+    steps = _spy_on_steps(monkeypatch, ratings, cfg.orientation)
     state = train(ratings, cfg, bias, scaler)
+    assert steps
     got = complete_matrix(ratings, state, bias, scaler).predict_many(
         ratings.users, ratings.items)
-    _assert_steps_on_unions(steps, unions)
     for k in range(0, ratings.n_entries, ratings.n_entries // 20):
         user, item = ratings.users[k], ratings.items[k]
         idx, raw = ratings.col(item)
