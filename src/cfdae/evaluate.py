@@ -155,9 +155,9 @@ _worker_data = None
 
 def _init_worker(ratings: RatingMatrix, scale: RatingScale, side):
     """Take the sweep's data once per worker process, not once per cell.
-    A process that multiprocessing started predicts on its calling thread
-    only, so J workers run J prediction threads rather than J times the CPU
-    count."""
+    A process that multiprocessing started predicts and trains on its
+    calling thread only, so J workers run J threads rather than J times the
+    CPU count."""
     global _worker_data
     _worker_data = (ratings, scale, side)
 

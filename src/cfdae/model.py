@@ -11,10 +11,12 @@ hidden layer, or to both.
 from __future__ import annotations
 
 import math
+from concurrent.futures import wait
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import _sparsetools, csc_array, csr_array
+from scipy.sparse import _sparsetools
 
 
 @dataclass(frozen=True)
@@ -189,14 +191,32 @@ def draw_corrupted(n_known: int, mask_ratio: float,
     return rng.choice(n_known, size=n_corrupt, replace=False)
 
 
+class _Compressed(NamedTuple):
+    """A CSR or CSC array as scipy stores one, for the kernel's products:
+    building one runs none of the checks of scipy's constructor, which
+    take longer than a small batch's products."""
+
+    format: str
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def T(self) -> "_Compressed":
+        return _Compressed({"csr": "csc", "csc": "csr"}[self.format],
+                           self.shape[::-1], self.indptr, self.indices,
+                           self.data)
+
+
 def corrupted_batch(vectors, ids: np.ndarray, mask_ratio: float,
                     rng: np.random.Generator):
     """Rows ids of the scipy CSR array vectors, corrupted.
 
     Returns (x, hit), the batch that batch_loss_gradients takes: x the
-    rows as an (ids.size, n) CSR array and hit a boolean flag per entry of
-    x.data, True where it is corrupted.  Each row in turn corrupts
-    draw_corrupted(n_known, mask_ratio, rng) of its entries.
+    rows as an (ids.size, n) CSR array, a _Compressed, and hit a boolean
+    flag per entry of x.data, True where it is corrupted.  Each row in turn
+    corrupts draw_corrupted(n_known, mask_ratio, rng) of its entries.
     """
     ptr = vectors.indptr
     # a flat gather on the CSR arrays: scipy's vectors[ids] takes up to 4x
@@ -205,8 +225,8 @@ def corrupted_batch(vectors, ids: np.ndarray, mask_ratio: float,
     starts = np.zeros(ids.size + 1, dtype=np.int64)
     np.cumsum(counts, out=starts[1:])
     at = np.arange(starts[-1]) + np.repeat(ptr[ids] - starts[:-1], counts)
-    x = csr_array((vectors.data[at], vectors.indices[at], starts),
-                  shape=(ids.size, vectors.shape[1]))
+    x = _Compressed("csr", (ids.size, vectors.shape[1]), starts,
+                    vectors.indices[at], vectors.data[at])
     hit = np.zeros(at.size, dtype=bool)
     hit[np.concatenate([start + draw_corrupted(k, mask_ratio, rng)
                         for start, k in zip(starts, counts)])] = True
@@ -231,26 +251,67 @@ def corrupt(x: SparseVector, mask_ratio: float, rng: np.random.Generator):
 # so that neither the scale nor the stored matrix over- or underflows.
 _RESCALE = 1e32
 
+# A step splits its coordinates into _PARTS contiguous row ranges of each
+# weight matrix once its decoder work, m * |cols| * (hidden + p_hidden)
+# multiply-adds, reaches _PART_WORK; a smaller step runs as one part.  Both
+# are constants, so the parts of a step, and so its bits, depend on the
+# batch alone and never on the machine.
+_PARTS = 2
+_PART_WORK = 20_000_000
 
-def _add_product(v: np.ndarray, a, b: np.ndarray):
-    """v += a @ b in place, for a scipy CSR array a and a dense b; only
-    the rows of v where a has entries are read or written.  scipy has no
-    public in-place sparse product, so this calls the kernel behind its
-    CSR @ dense one, which raises unless v is float64 like a and b."""
-    _sparsetools.csr_matvecs(a.shape[0], a.shape[1], b.shape[1], a.indptr,
-                             a.indices, a.data, np.ravel(b),
-                             np.reshape(v, -1, copy=False))
+
+def _part_rows(rows: int, parts: int, k: int) -> tuple[int, int]:
+    """Bounds (lo, hi) of part k of rows rows split into parts ranges."""
+    return rows * k // parts, rows * (k + 1) // parts
+
+
+def _each_part(fn, parts: int, pool) -> list:
+    """[fn(0), ..., fn(parts - 1)], part 0 on the calling thread and the
+    rest on pool, or all on the calling thread without one.  Every part
+    has finished when this returns or raises."""
+    if pool is None:
+        return [fn(k) for k in range(parts)]
+    later = [pool.submit(fn, k) for k in range(1, parts)]
+    try:
+        first = fn(0)
+    finally:
+        wait(later)
+    return [first] + [future.result() for future in later]
+
+
+def _add_product(v: np.ndarray, a, b: np.ndarray, lo: int = 0,
+                 hi: int | None = None):
+    """v += a @ b in place, for a CSR or CSC array a (a _Compressed or a
+    scipy array) and a dense b, over a's compressed coordinates lo:hi
+    alone: for CSR, rows lo:hi of a and v, of which only the rows where a
+    has entries are read or written; for CSC, columns lo:hi of a and rows
+    lo:hi of b.  scipy has no public in-place sparse product, so this
+    calls the kernel behind its sparse @ dense one, which raises unless v
+    is float64 like a and b."""
+    hi = a.indptr.size - 1 if hi is None else hi
+    if a.format == "csr":
+        shape, v = (hi - lo, a.shape[1]), v[lo:hi]
+    else:
+        shape, b = (a.shape[0], hi - lo), b[lo:hi]
+    getattr(_sparsetools, a.format + "_matvecs")(
+        *shape, b.shape[1], a.indptr[lo:hi + 1], a.indices, a.data,
+        np.ravel(b), np.reshape(v, -1, copy=False))
+
+
+def _by_coordinate(x, hit: np.ndarray):
+    """(row, col, value, hit) of each entry of the CSR array x, listed by
+    coordinate, each coordinate's in row order: one stable sort."""
+    order = np.argsort(x.indices, kind="stable")
+    row = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
+    return row[order], x.indices[order], x.data[order], hit[order]
 
 
 def _csc_batch(data: np.ndarray, row: np.ndarray, col: np.ndarray, m: int,
-               width: int, side: np.ndarray | None = None) -> csc_array:
-    """(m, width) CSC array of the entries (row, col) of data, listed row
-    by row: each column's entries keep that row order, and side's columns,
-    if given, are the last coordinates (as the completer's encoder input
-    has them)."""
-    order = np.argsort(col, kind="stable")
+               width: int, side: np.ndarray | None = None) -> _Compressed:
+    """(m, width) CSC array of the entries (row, col) of data, listed by
+    coordinate, each coordinate's in row order; side's columns, if given,
+    are the last coordinates (as the completer's encoder input has them)."""
     counts = np.bincount(col, minlength=width)
-    data, row = data[order], row[order]
     if side is not None:
         p = side.shape[1]
         counts[width - p:] = m
@@ -258,7 +319,7 @@ def _csc_batch(data: np.ndarray, row: np.ndarray, col: np.ndarray, m: int,
         row = np.concatenate([row, np.tile(np.arange(m), p)])
     ptr = np.zeros(width + 1, dtype=np.int64)
     np.cumsum(counts, out=ptr[1:])
-    return csc_array((data, row, ptr), shape=(m, width))
+    return _Compressed("csc", (m, width), ptr, row, data)
 
 
 class LazyDecay:
@@ -271,16 +332,18 @@ class LazyDecay:
     inner products of each step, so the L2 loss term needs no pass over
     the weights either.  fold() multiplies the scales back in; after it
     the arrays hold the true weights.  Both matrices must be C-contiguous,
-    so that a step writes into them and not into a copy.
+    so that a step writes into them and not into a copy.  pool, if given,
+    runs a step's parts beside the calling thread.
     """
 
-    def __init__(self, params: AutoencoderParams, lr: float):
+    def __init__(self, params: AutoencoderParams, lr: float, pool=None):
         for name in ("W1", "W2"):
             if not getattr(params, name).flags.c_contiguous:
                 raise ValueError(f"{name} must be C-contiguous to step in "
                                  f"place")
         self.params = params
         self.lr = lr
+        self.pool = pool
         self.scales = [1.0, 1.0]
         self.sq_norms = [0.0, 0.0]
         self.fold()
@@ -295,7 +358,8 @@ class LazyDecay:
         self.scales[k] = 1.0
         self.sq_norms[k] = float(np.vdot(w, w))
 
-    def step(self, l2: float, losses: np.ndarray, factors) -> bool:
+    def step(self, l2: float, losses: np.ndarray, factors, bias_grads,
+             parts: int) -> bool:
         """Apply one SGD step in place; False, with nothing changed, if the
         losses or the step are not finite.
 
@@ -304,8 +368,8 @@ class LazyDecay:
         zero on the rows where a has no entry and only a's rows move: the
         decay of the rest lives in the scale.  ip is <V, g> and gg is
         ||g||^2, both computed without reading V (see batch_loss_gradients).
-        The bias gradients are the sums of W1's b over the batch and of
-        W2's a over its columns.
+        Each of the parts updates its row range of both matrices.
+        bias_grads holds the gradients of b1 and b2.
         """
         ips = [ip for _, _, ip, _ in factors]
         ggs = [gg for _, _, _, gg in factors]
@@ -313,22 +377,28 @@ class LazyDecay:
                 and all(map(math.isfinite, ips + ggs))):
             return False
         params = self.params
+        matrices = (params.W1, params.W2)
         rate = self.lr / losses.size
         decay = 1.0 - 2.0 * l2 * self.lr
-        for k, (v, (a, b, _, _)) in enumerate(zip((params.W1, params.W2),
-                                                  factors)):
+        steps = []
+        for k, (v, (_, b, _, _)) in enumerate(zip(matrices, factors)):
             scale = self.scales[k] * decay
             if not 1.0 / _RESCALE <= abs(scale) <= _RESCALE:
                 self._fold(k, v, scale)
                 ips[k] *= scale
                 scale = 1.0
             step = rate / scale
-            _add_product(v, a, -step * b)
+            steps.append(-step * b)
             self.scales[k] = scale
             self.sq_norms[k] += step * (step * ggs[k] - 2.0 * ips[k])
-        (_, delta1, _, _), (a2, _, _, _) = factors
-        params.b1 -= rate * delta1.sum(axis=0)
-        params.b2 -= rate * a2.sum(axis=1)
+
+        def update(part):
+            for v, (a, _, _, _), b in zip(matrices, factors, steps):
+                _add_product(v, a, b, *_part_rows(v.shape[0], parts, part))
+
+        _each_part(update, parts, self.pool)
+        params.b1 -= rate * bias_grads[0]
+        params.b2 -= rate * bias_grads[1]
         return True
 
 
@@ -349,46 +419,76 @@ def batch_loss_gradients(params, x, hit, weights, side=None, *,
     accumulated separately and only then weighted, so the loss is exactly
     linear in the two weights.
 
+    A step with at least _PART_WORK decoder multiply-adds runs in _PARTS
+    parts, contiguous row ranges of W1 and of W2, else in one.  Each part
+    computes its share of the encoder product, whose partial sums are
+    added in part order, and the decoder, output deltas and backprop of
+    its coordinates; the parts of sgd's step write their own rows.  With
+    sgd's pool, the parts run on its threads beside the calling one.
+
     With ``sgd``, params holds sgd's scaled matrices and the kernel takes
     the SGD step itself, in place, at rate sgd.lr / batch size: it returns
     (losses, None).  If the losses or the step are not finite it takes no
     step, folds sgd, and returns the gradient at the true weights instead.
     """
     s1, s2 = (1.0, 1.0) if sgd is None else sgd.scales
-    m = x.shape[0]
-    row = np.repeat(np.arange(m), np.diff(x.indptr))
-    col, val, kept = x.indices, x.data, ~hit
-    place = np.zeros(params.n, dtype=np.int64)
-    place[col] = 1
-    cols = np.flatnonzero(place)
-    place[cols] = np.arange(cols.size)
-    pos = place[col]  # each entry's place in cols
-    xin = _csc_batch(val[kept], row[kept], col[kept], m, params.W1.shape[0],
+    pool = None if sgd is None else sgd.pool
+    m, n, width = x.shape[0], params.n, params.W1.shape[0]
+    # the entries listed by coordinate: the intact ones make the encoder
+    # input, and the entries of each part's coordinates are one slice
+    row, col, val, hit = _by_coordinate(x, hit)
+    kept = ~hit
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(col, minlength=n), out=ptr[1:])
+    counts = np.diff(ptr)
+    cols = np.flatnonzero(counts)
+    pos = np.repeat(np.arange(cols.size), counts[cols])  # places in cols
+    xin = _csc_batch(val[kept], row[kept], col[kept], m, width,
                      side if params.p_in else None)
-    z1 = xin @ params.W1
+
+    parts = (_PARTS if m * cols.size * params.W2.shape[1] >= _PART_WORK
+             else 1)
+    outs = [_part_rows(n, parts, k) for k in range(parts)]
+    at = np.searchsorted(cols, [lo for lo, _ in outs] + [n])
+
+    def encode(k):
+        z = np.zeros((m, params.hidden))
+        _add_product(z, xin, params.W1, *_part_rows(width, parts, k))
+        return z, params.W2[cols[at[k]:at[k + 1]]]
+
+    z1s, w2s = zip(*_each_part(encode, parts, pool))
+    z1 = sum(z1s)
     h = np.tanh(s1 * z1 + params.b1)
     hin = np.hstack([h, side]) if params.p_hidden else h
-    w2 = params.W2[cols]
-    z2 = hin @ w2.T
-    out = s2 * z2
-    out += params.b2[cols]
-    np.tanh(out, out=out)
+    two_w = (2.0 * weights.prediction, 2.0 * weights.reconstruction)
 
-    o = out[row, pos]
-    err = o - val
-    sq = err * err
+    def decode(k):
+        e = slice(ptr[outs[k][0]], ptr[outs[k][1]])
+        r, p, w2 = row[e], pos[e] - at[k], w2s[k]
+        z2 = hin @ w2.T
+        out = s2 * z2
+        out += params.b2[cols[at[k]:at[k + 1]]]
+        np.tanh(out, out=out)
+        o = out[r, p]
+        err = o - val[e]
+        # delta2 = 2 w (out - target) (1 - out^2) on the known entries, w
+        # each entry's error weight; the backprop reads it dense
+        d2 = (1.0 - o * o) * err * np.where(hit[e], *two_w)
+        delta2 = np.zeros_like(out)
+        delta2[r, p] = d2
+        # the part's shares of <V2, g2> and of the two grams of ||g||^2
+        x_in = np.zeros_like(out)
+        x_in[r[kept[e]], p[kept[e]]] = val[e][kept[e]]
+        return (err * err, d2, delta2 @ w2[:, :params.hidden],
+                float(np.vdot(delta2, z2)), delta2 @ delta2.T,
+                x_in @ x_in.T)
+
+    sqs, d2s, dhs, ip2s, dds, xxs = zip(*_each_part(decode, parts, pool))
+    sq = np.concatenate(sqs)
     pred_sum = np.bincount(row[hit], sq[hit], minlength=m)
     recon_sum = np.bincount(row[kept], sq[kept], minlength=m)
     losses = weights.prediction * pred_sum + weights.reconstruction * recon_sum
-
-    # delta2 = 2 w (out - target) (1 - out^2) on the known entries, w each
-    # entry's error weight; the backprop product reads it dense over cols
-    d2 = (1.0 - o * o) * err * np.where(hit, 2.0 * weights.prediction,
-                                        2.0 * weights.reconstruction)
-    delta2 = np.zeros_like(out)
-    delta2[row, pos] = d2
-    dh = s2 * (delta2 @ w2[:, :params.hidden])
-    delta1 = dh * (1.0 - h ** 2)
+    delta1 = s2 * sum(dhs) * (1.0 - h ** 2)
 
     if weights.l2:
         if sgd is None:
@@ -397,24 +497,25 @@ def batch_loss_gradients(params, x, hit, weights, side=None, *,
             sq_w = s1 * s1 * sgd.sq_norms[0] + s2 * s2 * sgd.sq_norms[1]
         losses = losses + weights.l2 * sq_w
     # the weight gradients are a1 @ delta1 and a2 @ hin, with a1 the input
-    # and a2 delta2 on the known entries, both transposed to CSR
-    a1, a2 = xin.T, _csc_batch(d2, row, col, m, params.n).T
+    # and a2 delta2 on the known entries, both transposed to CSR; the bias
+    # gradients are delta1's sums over the batch and a2's over its columns
+    d2 = np.concatenate(d2s)
+    a1, a2 = xin.T, _Compressed("csr", (n, m), ptr, row, d2)
+    bias_grads = delta1.sum(axis=0), np.bincount(col, d2, minlength=n)
     if sgd is not None:
         # <V, g> is sum(delta * z) for the layer's delta and pre-activation
         # z, and ||a @ b||^2 is sum((a.T a) * (b b.T)), from dense grams
-        x_in = np.zeros_like(out)
-        x_in[row[kept], pos[kept]] = val[kept]
-        gram1 = x_in @ x_in.T + (side @ side.T if params.p_in else 0.0)
+        gram1 = sum(xxs) + (side @ side.T if params.p_in else 0.0)
         factors = ((a1, delta1, float(np.vdot(delta1, z1)),
                     float(np.vdot(gram1, delta1 @ delta1.T))),
-                   (a2, hin, float(np.vdot(delta2, z2)),
-                    float(np.vdot(delta2 @ delta2.T, hin @ hin.T))))
-        if sgd.step(weights.l2, losses, factors):
+                   (a2, hin, sum(ip2s),
+                    float(np.vdot(sum(dds), hin @ hin.T))))
+        if sgd.step(weights.l2, losses, factors, bias_grads, parts):
             return losses, None
         sgd.fold()
 
-    grads = AutoencoderParams(np.zeros(params.W1.shape), delta1.sum(axis=0),
-                              np.zeros(params.W2.shape), a2.sum(axis=1))
+    grads = AutoencoderParams(np.zeros(params.W1.shape), bias_grads[0],
+                              np.zeros(params.W2.shape), bias_grads[1])
     _add_product(grads.W1, a1, delta1)
     _add_product(grads.W2, a2, hin)
     if weights.l2:
@@ -438,7 +539,8 @@ def _single_vector(params: AutoencoderParams, x: SparseVector,
     intact[mask.indices] = 0.0
     if not np.array_equal(x_tilde.to_dense(), intact):
         raise ValueError("x_tilde must be x with the mask's entries zeroed")
-    batch = csr_array((x.values, x.indices, [0, x.n_known]), shape=(1, x.dim))
+    batch = _Compressed("csr", (1, x.dim), np.array([0, x.n_known]),
+                        x.indices, x.values)
     hit = np.isin(x.indices, mask.indices)
     batch_side = side[None, :] if side is not None else None
     return batch_loss_gradients(params, batch, hit, weights, batch_side)

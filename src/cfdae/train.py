@@ -9,7 +9,10 @@ depends on how earlier epochs consumed randomness.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -17,15 +20,17 @@ import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_array, hstack
 
 from .data import (RatingMatrix, RatingScale, SplitSpec, aligned_query,
                    by_entity, open_versioned_npz, write_versioned_npz)
-from .model import (AutoencoderParams, LazyDecay, LossWeights,
-                    batch_loss_gradients, corrupted_batch, draw_corrupted,
-                    encode_batch, first_nonfinite, init_params)
+from .model import (_PARTS, AutoencoderParams, LazyDecay, LossWeights,
+                    _each_part, batch_loss_gradients, corrupted_batch,
+                    draw_corrupted, encode_batch, first_nonfinite,
+                    init_params)
 from .preprocess import (BiasTable, Scaler, SideInfoTable, inverse_transform,
                          transform)
 
@@ -230,7 +235,9 @@ def train(train_data: RatingMatrix, cfg: TrainConfig, bias: BiasTable,
     Samples with no known entries are skipped.  eval_hook, if given, is
     called with the state after each epoch and may return an RMSE to
     record on that epoch's curve point.  It is the one per-epoch hook, so
-    a caller that keeps per-epoch checkpoints writes them from it.
+    a caller that keeps per-epoch checkpoints writes them from it.  The
+    run holds numpy's BLAS at one thread and runs each step's parts on
+    _step_threads' pool (see batch_loss_gradients).
     """
     vectors, features, (p_in, p_hidden) = _training_vectors(
         train_data, cfg, bias, scaler, side)
@@ -243,45 +250,92 @@ def train(train_data: RatingMatrix, cfg: TrainConfig, bias: BiasTable,
     weights = cfg.loss_weights(n + p_in)
     state = TrainState(params, cfg, [])
 
-    for epoch in range(cfg.epochs):
-        rng = np.random.default_rng([cfg.seed, epoch])
-        order = rng.permutation(pool)
-        lr = learning_rate(cfg, epoch)
-        sgd = LazyDecay(params, lr)
-        loss_sum, seen = 0.0, 0
-        last_loss = state.history[-1].mean_loss if state.history else None
-        for batch, start in enumerate(range(0, order.size, cfg.batch_size)):
-            sel = order[start:start + cfg.batch_size]
-            x, hit = corrupted_batch(vectors, sel, cfg.mask_ratio, rng)
-            batch_side = features[sel] if features is not None else None
-            losses, grads = batch_loss_gradients(params, x, hit, weights,
-                                                 batch_side, sgd=sgd)
-            if grads is not None:
-                grad_max = max(float(np.max(np.abs(g))) for g in
-                               (grads.W1, grads.b1, grads.W2, grads.b2))
-                raise TrainingDiverged(epoch, batch, grad_max,
-                                       _nonfinite_param(params, grads),
-                                       last_loss)
-            loss_sum += float(losses.sum())
-            seen += sel.size
-            last_loss = loss_sum / seen
-        sgd.fold()
-        bad = first_nonfinite(params)
-        if bad is not None:
-            raise TrainingDiverged(epoch, batch, None, bad, last_loss)
+    with _step_threads() as step_pool:
+        for epoch in range(cfg.epochs):
+            rng = np.random.default_rng([cfg.seed, epoch])
+            order = rng.permutation(pool)
+            lr = learning_rate(cfg, epoch)
+            sgd = LazyDecay(params, lr, step_pool)
+            loss_sum, seen = 0.0, 0
+            last_loss = state.history[-1].mean_loss if state.history else None
+            for batch, start in enumerate(range(0, order.size,
+                                                cfg.batch_size)):
+                sel = order[start:start + cfg.batch_size]
+                x, hit = corrupted_batch(vectors, sel, cfg.mask_ratio, rng)
+                batch_side = features[sel] if features is not None else None
+                losses, grads = batch_loss_gradients(params, x, hit, weights,
+                                                     batch_side, sgd=sgd)
+                if grads is not None:
+                    grad_max = max(float(np.max(np.abs(g))) for g in
+                                   (grads.W1, grads.b1, grads.W2, grads.b2))
+                    raise TrainingDiverged(epoch, batch, grad_max,
+                                           _nonfinite_param(params, grads),
+                                           last_loss)
+                loss_sum += float(losses.sum())
+                seen += sel.size
+                last_loss = loss_sum / seen
+            sgd.fold()
+            bad = first_nonfinite(params)
+            if bad is not None:
+                raise TrainingDiverged(epoch, batch, None, bad, last_loss)
 
-        record = EpochRecord(epoch, loss_sum / order.size)
-        state.history.append(record)
-        if eval_hook is not None:
-            record.rmse = eval_hook(state)
-        log.info("epoch %d: lr=%.5f mean_loss=%.6f%s", epoch, lr,
-                 record.mean_loss,
-                 "" if record.rmse is None else f" rmse={record.rmse:.4f}")
+            record = EpochRecord(epoch, loss_sum / order.size)
+            state.history.append(record)
+            if eval_hook is not None:
+                record.rmse = eval_hook(state)
+            log.info("epoch %d: lr=%.5f mean_loss=%.6f%s", epoch, lr,
+                     record.mean_loss,
+                     "" if record.rmse is None else f" rmse={record.rmse:.4f}")
     return state
 
 
+@functools.cache
+def _numpy_blas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, through
+    ctypes, or None where numpy bundles no such library or it lacks either
+    symbol."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    found = sorted(libs.glob("libscipy_openblas64_-*.so"))
+    if not found:
+        return None
+    lib = ctypes.CDLL(str(found[0]))
+    try:
+        get = lib.scipy_openblas_get_num_threads64_
+        set_to = lib.scipy_openblas_set_num_threads64_
+    except AttributeError:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_to.argtypes, set_to.restype = [ctypes.c_int], None
+    return get, set_to
+
+
+@contextlib.contextmanager
+def _step_threads():
+    """Hold numpy's OpenBLAS at one thread, restoring its count on the way
+    out, and yield the pool that runs a step's parts beside the calling
+    thread: min(_cpu_count(), _PARTS) threads in all, as predict_many
+    sizes its own.  Where the thread count cannot be set nothing is, and
+    the yield is None: every part runs on the calling thread, because a
+    BLAS thread pool would contend with the pool's threads."""
+    blas = _numpy_blas_threads()
+    if blas is None:
+        yield None
+        return
+    get, set_to = blas
+    before = get()
+    set_to(1)
+    threads = min(_cpu_count(), _PARTS)
+    try:
+        with (ThreadPoolExecutor(threads - 1) if threads > 1
+              else contextlib.nullcontext()) as pool:
+            yield pool
+    finally:
+        set_to(before)
+
+
 def _cpu_count() -> int:
-    """CPUs this process may run on: the most threads predict_many uses.
+    """CPUs this process may run on: the most threads predict_many or a
+    training run uses.
     A process that multiprocessing started, such as a sweep's worker, runs
     beside its siblings and counts one."""
     if multiprocessing.parent_process() is not None:
@@ -362,10 +416,7 @@ class MatrixCompleter:
             # against them) and nothing outside this class, so every other
             # call stays on the calling thread.
             with ThreadPoolExecutor(threads - 1) as pool:
-                futures = [pool.submit(run) for _ in range(threads - 1)]
-                run()
-                for future in futures:
-                    future.result()
+                _each_part(lambda _: run(), threads, pool)
         else:
             run()
         unit[self._counts[entities] == 0] = 0.0

@@ -67,8 +67,10 @@ def _gradient_case(seed, with_side, with_corruption):
     return params, x, x_tilde, mask, weights, side
 
 
-def test_criterion_01_gradient_check():
-    """Analytic gradients vs central differences, >=100 random setups."""
+def test_criterion_01_gradient_check(monkeypatch):
+    """Analytic gradients vs central differences, >=100 random setups,
+    each with the kernel in one part and, with no work threshold, in two."""
+    model = importlib.import_module("cfdae.model")
     worst = 0.0
     n_cases = 0
     n_corrupted = 0
@@ -80,12 +82,14 @@ def test_criterion_01_gradient_check():
                 if with_corruption:
                     assert mask.indices.size >= 1
                     n_corrupted += 1
-                analytic = loss_gradients(params, x, x_tilde, mask, weights,
-                                          side)
-                numeric = finite_difference_gradients(params, x, x_tilde,
-                                                      mask, weights, side)
-                worst = max(worst, max_relative_error(analytic, numeric,
-                                                      floor=1e-4))
+                for work in (model._PART_WORK, 0):
+                    monkeypatch.setattr(model, "_PART_WORK", work)
+                    analytic = loss_gradients(params, x, x_tilde, mask,
+                                              weights, side)
+                    numeric = finite_difference_gradients(
+                        params, x, x_tilde, mask, weights, side)
+                    worst = max(worst, max_relative_error(analytic, numeric,
+                                                          floor=1e-4))
                 n_cases += 1
     assert n_cases >= 100 and n_corrupted == 50
     assert worst < 1e-5

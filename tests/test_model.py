@@ -1,5 +1,7 @@
 """Autoencoder forward pass, masked loss, exact gradients, decomposition."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -457,18 +459,19 @@ def _csr(vectors, n):
 
 @pytest.mark.parametrize("with_side", [False, True], ids=["no-side", "side"])
 def test_csc_batch_lists_each_coordinate_in_row_order(with_side):
-    # the one builder of the kernel's CSC arrays lists each coordinate's
-    # entries in row order, the side columns last, exactly as scipy's
-    # conversion of the same entries does: that order fixes the bits of
-    # the encoder product and of both updates
+    # the kernel's one coordinate sort and the builder of its CSC input
+    # list each coordinate's entries in row order, the side columns last,
+    # exactly as scipy's conversion of the same entries does: that order
+    # fixes the bits of the encoder product and of both updates
     rng = np.random.default_rng(12)
     n, m, p = 11, 6, 3
     x = _csr([(np.sort(rng.choice(n, k, replace=False)),
                rng.uniform(-1, 1, k)) for k in rng.integers(0, 6, m)], n)
-    row = np.repeat(np.arange(m), np.diff(x.indptr))
+    row, col, data, hit = model._by_coordinate(x, x.data > 0)
+    np.testing.assert_array_equal(hit, data > 0)  # each flag with its entry
     side = rng.uniform(-1, 1, (m, p)) if with_side else None
     width = n + p if with_side else n
-    got = model._csc_batch(x.data, row, x.indices, m, width, side)
+    got = model._csc_batch(data, row, col, m, width, side)
     full = x.toarray()
     if with_side:
         full = np.hstack([full, side])
@@ -507,18 +510,26 @@ STEP_DECAYS = [pytest.param(0.3, 0.02, False, id="decay"),
 
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("lr,l2,folded", STEP_DECAYS)
-def test_sgd_step_matches_explicit_update(lr, l2, folded, order):
+def test_sgd_step_matches_explicit_update(lr, l2, folded, order, monkeypatch):
     # three in-place lazy-decay steps against W -= lr/m * (full gradient),
     # the gradient read from a reference model held in the given order;
     # each batch knows a few of the n coordinates, so the step moves only
-    # those rows and decays the rest through the scale
+    # those rows and decays the rest through the scale.  The steps run as
+    # one part, then, with no work threshold, in two parts on a pool
+    for work in (model._PART_WORK, 0):
+        monkeypatch.setattr(model, "_PART_WORK", work)
+        with ThreadPoolExecutor(1) as pool:
+            _check_sgd_steps(lr, l2, folded, order, pool)
+
+
+def _check_sgd_steps(lr, l2, folded, order, pool):
     rng = np.random.default_rng(5)
     n, hidden, p, m = 30, 4, 2, 5
     params = init_params(n, hidden, p_in=p, p_hidden=p, seed=3)
     ref = _in_order(params.copy(), order)
     arrays = [getattr(params, f) for f in PARAM_FIELDS]
     weights = LossWeights(1.0, 0.5, l2)
-    sgd = LazyDecay(params, lr=lr)
+    sgd = LazyDecay(params, lr=lr, pool=pool)
     for _ in range(3):
         vectors = [(np.sort(rng.choice(n, k, replace=False)),
                     rng.uniform(-1, 1, k)) for k in rng.integers(1, 6, m)]
@@ -565,17 +576,18 @@ def test_add_product_adds_in_place(case, index_dtype):
     n, m, k, p = 8, 3, 4, 2
     keep = rng.random((m, n)) < (0.0 if case == "no-entries" else 0.5)
     side = rng.uniform(-1, 1, (m, p)) if case == "side-rows" else None
-    row, col = np.nonzero(keep)
+    col, row = np.nonzero(keep.T)  # listed by coordinate
     a = model._csc_batch(rng.uniform(-1, 1, row.size), row, col, m, n + p,
                          side).T
     assert a.format == "csr" and a.shape == (n + p, m)
     assert a.indices.dtype in (np.int32, np.int64)  # what the step passes
-    a.indptr, a.indices = (a.indptr.astype(index_dtype),
-                           a.indices.astype(index_dtype))
+    a = a._replace(indptr=a.indptr.astype(index_dtype),
+                   indices=a.indices.astype(index_dtype))
     v = rng.uniform(-1, 1, (n + p, k))
     b = rng.uniform(-1, 1, (m, k))
     before = v.copy()
-    want = v + a.toarray() @ b
+    dense = csr_array((a.data, a.indices, a.indptr), shape=a.shape).toarray()
+    want = v + dense @ b
     assert model._add_product(v, a, b) is None
     np.testing.assert_allclose(v, want, rtol=1e-14, atol=1e-15)
     empty = np.diff(a.indptr) == 0

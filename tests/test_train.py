@@ -4,10 +4,14 @@ import csv
 import dataclasses
 import importlib
 import math
+import os
 import pickle
 import re
+import subprocess
+import sys
 import threading
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -532,6 +536,136 @@ def test_per_epoch_checkpoints(tmp_path, monkeypatch, synthetic):
     for f in PARAM_FIELDS:
         np.testing.assert_array_equal(getattr(last.params, f),
                                       getattr(state.params, f))
+
+
+# ------------------------------------------------ threads of the SGD step
+
+model_module = importlib.import_module("cfdae.model")
+_BLAS = train_module._numpy_blas_threads()
+needs_blas_control = pytest.mark.skipif(
+    _BLAS is None, reason="numpy bundles no OpenBLAS with thread symbols")
+
+
+def _train_in_parts(ratings, scale, monkeypatch):
+    """train() with every step in two parts, and per part whether it ran
+    on the calling thread."""
+    monkeypatch.setattr(model_module, "_PART_WORK", 0)
+    each_part = model_module._each_part
+    ran = []
+
+    def spy(fn, parts, pool):
+        def traced(k):
+            ran.append((parts, k, threading.current_thread()
+                        is threading.main_thread()))
+            return fn(k)
+        return each_part(traced, parts, pool)
+
+    monkeypatch.setattr(model_module, "_each_part", spy)
+    cfg = small_config(epochs=2)
+    state = train(ratings, cfg, *fitted(ratings, scale, cfg))
+    assert {parts for parts, _, _ in ran} == {2}
+    return state, ran
+
+
+def _same_run(a: TrainState, b: TrainState):
+    for f in PARAM_FIELDS:
+        assert getattr(a.params, f).tobytes() == getattr(b.params, f).tobytes()
+    assert a.history == b.history
+
+
+@needs_blas_control
+def test_step_parts_give_the_same_bits_on_a_pool_or_alone(synthetic,
+                                                           monkeypatch):
+    # the parts of a step are fixed by the batch, so a pool thread, the
+    # calling thread alone, and a numpy whose BLAS threads cannot be set
+    # all train the same bits
+    ratings, scale = synthetic
+    pools = []
+    real_executor = train_module.ThreadPoolExecutor
+
+    def counting_executor(max_workers):
+        pools.append(max_workers)
+        return real_executor(max_workers)
+
+    monkeypatch.setattr(train_module, "ThreadPoolExecutor", counting_executor)
+    monkeypatch.setattr(train_module, "_cpu_count", lambda: 4)
+    pooled, ran = _train_in_parts(ratings, scale, monkeypatch)
+    assert pools == [1]  # two parts: the calling thread and one more
+    assert {(k, main) for _, k, main in ran} == {(0, True), (1, False)}
+    monkeypatch.setattr(train_module, "_cpu_count", lambda: 1)
+    alone, ran = _train_in_parts(ratings, scale, monkeypatch)
+    assert pools == [1] and all(main for _, _, main in ran)
+    _same_run(pooled, alone)
+    # with the symbol gone nothing is set, and the parts stay on the
+    # calling thread however many CPUs there are
+    monkeypatch.setattr(train_module, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(train_module, "_numpy_blas_threads", lambda: None)
+    unset, ran = _train_in_parts(ratings, scale, monkeypatch)
+    assert pools == [1] and all(main for _, _, main in ran)
+    _same_run(pooled, unset)
+
+
+@needs_blas_control
+@pytest.mark.parametrize("diverges", [False, True],
+                         ids=["returns", "diverges"])
+def test_train_holds_blas_at_one_thread_then_restores_it(synthetic,
+                                                         diverges):
+    ratings, scale = synthetic
+    cfg = small_config(**({"lr0": 1e308, "batch_size": 1} if diverges
+                          else {}))
+    bias, scaler = fitted(ratings, scale, cfg)
+    get, set_to = _BLAS
+    was = get()
+    during = []
+    try:
+        set_to(2)  # not 1, so that both the hold and the restore show
+        before = get()
+        if diverges:
+            with pytest.raises(TrainingDiverged), \
+                    np.errstate(over="ignore", invalid="ignore"):
+                train(ratings, cfg, bias, scaler)
+        else:
+            train(ratings, cfg, bias, scaler,
+                  eval_hook=lambda state: during.append(get()))
+            assert during == [1] * cfg.epochs
+        assert get() == before
+    finally:
+        set_to(was)
+
+
+_CHILD = """
+import os, sys
+if sys.argv[1] == "pin":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from cfdae import cli, model
+model._PART_WORK = 0  # every step in two parts
+sys.exit(cli.main(["train", "--data", sys.argv[2], "--out", sys.argv[3],
+                   "--hidden", "16", "--epochs", "3", "--batch-size", "8"]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no CPU affinity on this platform")
+def test_weights_do_not_depend_on_cpus_or_blas_threads(tmp_path,
+                                                       snapshot_dir):
+    # two processes, one pinned to one CPU with one BLAS thread, the other
+    # unpinned with two, train the same bytes
+    src = str(Path(train_module.__file__).resolve().parents[1])
+    outs = []
+    for pin, threads in (("pin", "1"), ("free", "2")):
+        out = tmp_path / pin
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", _CHILD, pin, str(snapshot_dir),
+                        str(out)], env=env, check=True, capture_output=True,
+                       timeout=300)
+        outs.append(out)
+    pinned, free = (load_checkpoint(out / "checkpoint.npz").state
+                    for out in outs)
+    _same_run(pinned, free)
+    assert ((outs[0] / "loss_curve.csv").read_bytes()
+            == (outs[1] / "loss_curve.csv").read_bytes())
 
 
 # -------------------------------------------------------------- side info
