@@ -359,7 +359,7 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     outputs = [write_csv(out / name, table) for name, table in tables.items()]
 
-    # J workers each run their own BLAS pools: record what sizes them
+    # workers train at one BLAS thread; record what sizes their other pools
     parallel = {"jobs": args.jobs, "cpu_count": _cpu_count(),
                 **{var: os.environ.get(var)
                    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}

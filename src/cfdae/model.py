@@ -179,16 +179,23 @@ def forward(params: AutoencoderParams, x: SparseVector,
     return np.tanh(hin @ params.W2.T + params.b2)[0]
 
 
-def draw_corrupted(n_known: int, mask_ratio: float,
-                   rng: np.random.Generator | None) -> np.ndarray:
-    """Positions of round(mask_ratio * n_known) of n_known known entries,
-    drawn uniformly without replacement; rng is unused when none are."""
+def corrupted_flags(counts: np.ndarray, mask_ratio: float,
+                    rng: np.random.Generator | None) -> np.ndarray:
+    """One flag per entry of rows of counts entries each, row after row,
+    True on each row's rint(mask_ratio * count) entries with the smallest
+    of one uniform key per entry.  rng is unused when there are no entries."""
     if not 0.0 <= mask_ratio < 1.0:
         raise ValueError("mask_ratio must be in [0, 1)")
-    n_corrupt = int(round(mask_ratio * n_known))
-    if n_corrupt == 0:
-        return np.empty(0, dtype=np.int64)
-    return rng.choice(n_known, size=n_corrupt, replace=False)
+    row = np.repeat(np.arange(counts.size), counts)
+    key = rng.random(row.size) if row.size else 0.0
+    # row + key lies in [row, row + 1]; where it rounds up to row + 1 it ties
+    # the next row's smallest sums, and the stable sort still puts it first,
+    # so each row's entries stay together and its count stays exact
+    order = np.argsort(row + key, kind="stable")
+    rank = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
+    flags = np.empty(row.size, dtype=bool)
+    flags[order] = rank < np.rint(mask_ratio * counts)[row]
+    return flags
 
 
 class _Compressed(NamedTuple):
@@ -211,13 +218,9 @@ class _Compressed(NamedTuple):
 
 def corrupted_batch(vectors, ids: np.ndarray, mask_ratio: float,
                     rng: np.random.Generator):
-    """Rows ids of the scipy CSR array vectors, corrupted.
-
-    Returns (x, hit), the batch that batch_loss_gradients takes: x the
-    rows as an (ids.size, n) CSR array, a _Compressed, and hit a boolean
-    flag per entry of x.data, True where it is corrupted.  Each row in turn
-    corrupts draw_corrupted(n_known, mask_ratio, rng) of its entries.
-    """
+    """(x, hit), the batch that batch_loss_gradients takes: x rows ids of
+    the scipy CSR array vectors as an (ids.size, n) CSR _Compressed, and
+    hit the corrupted_flags(counts, mask_ratio, rng) of their entries."""
     ptr = vectors.indptr
     # a flat gather on the CSR arrays: scipy's vectors[ids] takes up to 4x
     # as long on a 32-row batch
@@ -227,24 +230,16 @@ def corrupted_batch(vectors, ids: np.ndarray, mask_ratio: float,
     at = np.arange(starts[-1]) + np.repeat(ptr[ids] - starts[:-1], counts)
     x = _Compressed("csr", (ids.size, vectors.shape[1]), starts,
                     vectors.indices[at], vectors.data[at])
-    hit = np.zeros(at.size, dtype=bool)
-    hit[np.concatenate([start + draw_corrupted(k, mask_ratio, rng)
-                        for start, k in zip(starts, counts)])] = True
-    return x, hit
+    return x, corrupted_flags(counts, mask_ratio, rng)
 
 
 def corrupt(x: SparseVector, mask_ratio: float, rng: np.random.Generator):
-    """Zero out round(mask_ratio * n_known) known entries, chosen uniformly.
-
-    Returns the corrupted vector (those entries removed from its known set)
-    and the mask of corrupted indices.
-    """
-    hit = np.sort(draw_corrupted(x.n_known, mask_ratio, rng))
-    if hit.size == 0:
-        return x, CorruptionMask(hit)
-    keep = np.setdiff1d(np.arange(x.n_known), hit, assume_unique=True)
-    corrupted = SparseVector(x.dim, x.indices[keep], x.values[keep])
-    return corrupted, CorruptionMask(x.indices[hit])
+    """x with round(mask_ratio * n_known) known entries, drawn by
+    corrupted_flags, removed from its known set, and the mask of them."""
+    hit = corrupted_flags(np.array([x.n_known]), mask_ratio, rng)
+    x_tilde = (SparseVector(x.dim, x.indices[~hit], x.values[~hit])
+               if hit.any() else x)
+    return x_tilde, CorruptionMask(x.indices[hit])
 
 
 # A weight scale outside [1/_RESCALE, _RESCALE] is folded into its matrix,

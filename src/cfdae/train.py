@@ -18,6 +18,7 @@ import logging
 import math
 import multiprocessing
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +30,7 @@ from .data import (RatingMatrix, RatingScale, SplitSpec, aligned_query,
                    by_entity, open_versioned_npz, write_versioned_npz)
 from .model import (_PARTS, AutoencoderParams, LazyDecay, LossWeights,
                     _each_part, batch_loss_gradients, corrupted_batch,
-                    draw_corrupted, encode_batch, first_nonfinite,
+                    corrupted_flags, encode_batch, first_nonfinite,
                     init_params)
 from .preprocess import (BiasTable, Scaler, SideInfoTable, inverse_transform,
                          transform)
@@ -38,6 +39,9 @@ log = logging.getLogger(__name__)
 
 SIDE_MODES = ("none", "input_only", "hidden_only", "both")
 CHECKPOINT_VERSION = 1
+# numpy's BLAS thread count before the first active train(), once per run
+_blas_before: list[int] = []
+_blas_lock = threading.Lock()
 
 
 def _config_type(annotation: str) -> tuple[type, bool]:
@@ -88,7 +92,7 @@ class TrainConfig:
             raise ValueError("hidden width must be at least 1")
         LossWeights(self.prediction_weight, self.reconstruction_weight,
                     self.weight_decay or 0.0)
-        draw_corrupted(0, self.mask_ratio, None)
+        corrupted_flags(np.zeros(0, dtype=np.int64), self.mask_ratio, None)
         if not 0 < self.lr0 < math.inf:
             raise ValueError("lr0 must be positive and finite")
         if not 0 <= self.lr_decay < math.inf:
@@ -311,26 +315,30 @@ def _numpy_blas_threads():
 
 @contextlib.contextmanager
 def _step_threads():
-    """Hold numpy's OpenBLAS at one thread, restoring its count on the way
-    out, and yield the pool that runs a step's parts beside the calling
-    thread: min(_cpu_count(), _PARTS) threads in all, as predict_many
-    sizes its own.  Where the thread count cannot be set nothing is, and
-    the yield is None: every part runs on the calling thread, because a
-    BLAS thread pool would contend with the pool's threads."""
+    """Hold numpy's OpenBLAS at one thread while any train() runs, the last
+    to end restoring its count, and yield the pool that runs a step's parts
+    beside the calling thread: min(_cpu_count(), _PARTS) threads in all, as
+    predict_many sizes its own.  Where the thread count cannot be set nothing
+    is, and the yield is None: every part runs on the calling thread, because
+    a BLAS thread pool would contend with the pool's threads."""
     blas = _numpy_blas_threads()
     if blas is None:
         yield None
         return
     get, set_to = blas
-    before = get()
-    set_to(1)
+    with _blas_lock:
+        _blas_before.append(_blas_before[0] if _blas_before else get())
+        set_to(1)
     threads = min(_cpu_count(), _PARTS)
     try:
         with (ThreadPoolExecutor(threads - 1) if threads > 1
               else contextlib.nullcontext()) as pool:
             yield pool
     finally:
-        set_to(before)
+        with _blas_lock:
+            before = _blas_before.pop()
+            if not _blas_before:
+                set_to(before)
 
 
 def _cpu_count() -> int:

@@ -252,6 +252,34 @@ def test_corrupt_subset_property(seed, ratio):
     assert np.array_equal(np.union1d(x_tilde.indices, mask.indices), x.indices)
 
 
+def test_corrupted_flags_keep_rows_apart_where_the_sum_rounds_up():
+    # row 1's last key is the largest below 1, so its row + key rounds to
+    # 2.0 and ties row 2's first, whose key is 0; each row still corrupts
+    # exactly rint(0.5 * count) of its own entries, those with the
+    # smallest keys
+    key = np.array([0.7, 0.1, 0.4,
+                    0.3, 0.9, 0.2, np.nextafter(1.0, 0.0),
+                    0.0, 0.5])
+    assert 1.0 + key[6] == 2.0 + key[7]
+
+    class Keys:
+        def random(self, size):
+            assert size == key.size
+            return key.copy()
+
+    hit = model.corrupted_flags(np.array([3, 4, 2]), 0.5, Keys())
+    np.testing.assert_array_equal(np.flatnonzero(hit), [1, 2, 3, 5, 7])
+
+
+def test_corrupted_flags_draw_each_position_alike():
+    # 20000 rows of 7 entries at ratio 0.3 corrupt 2 each; every position's
+    # share is within 5 binomial standard deviations (0.016) of 2/7
+    hit = model.corrupted_flags(np.full(20000, 7), 0.3,
+                                np.random.default_rng(0)).reshape(-1, 7)
+    assert (hit.sum(axis=1) == 2).all()
+    np.testing.assert_allclose(hit.mean(axis=0), 2 / 7, rtol=0, atol=0.016)
+
+
 def test_corrupt_ratio_bounds():
     x = SparseVector(4, [0], [0.5])
     with pytest.raises(ValueError):

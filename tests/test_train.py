@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -631,6 +632,53 @@ def test_train_holds_blas_at_one_thread_then_restores_it(synthetic,
         assert get() == before
     finally:
         set_to(was)
+
+
+@needs_blas_control
+def test_concurrent_runs_hold_blas_at_one_thread_then_restore_it(synthetic):
+    # two train() calls on two threads of one process: the short run enters
+    # first and returns while the long run trains, and the long run still
+    # trains at one BLAS thread, to its solo run's bytes; the count after
+    # both is the one before them
+    ratings, scale = synthetic
+    short, long = small_config(epochs=1), small_config(epochs=3, seed=2)
+    bias, scaler = fitted(ratings, scale, long)
+    solo = train(ratings, long, bias, scaler)
+    get, set_to = _BLAS
+    was = get()
+    short_in, long_in, short_done = (threading.Event() for _ in range(3))
+    during = []
+
+    def short_hook(state):
+        short_in.set()
+        long_in.wait(60)
+
+    def long_hook(state):
+        long_in.set()
+        during.append(short_done.wait(60) and get())
+
+    def run_short():
+        try:
+            return train(ratings, short, bias, scaler, eval_hook=short_hook)
+        finally:
+            short_done.set()
+
+    def run_long():
+        short_in.wait(60)
+        return train(ratings, long, bias, scaler, eval_hook=long_hook)
+
+    try:
+        set_to(2)  # not 1, so that both the hold and the restore show
+        before = get()
+        with ThreadPoolExecutor(2) as threads:
+            runs = [threads.submit(run_short), threads.submit(run_long)]
+            runs[0].result()
+            concurrent = runs[1].result()
+        assert during == [1] * long.epochs
+        assert get() == before
+    finally:
+        set_to(was)
+    _same_run(concurrent, solo)
 
 
 _CHILD = """
