@@ -42,12 +42,18 @@ def by_entity(kind: str, user_side=None, item_side=None):
 
 
 def aligned_query(users, items):
-    """users and items as int64 arrays; they must be aligned and 1-D."""
-    users = np.asarray(users, dtype=np.int64)
-    items = np.asarray(items, dtype=np.int64)
+    """users and items as int64 arrays; they must be aligned and 1-D, and
+    hold integers unless empty, since a cast would make a float or bool
+    index another entity."""
+    users, items = np.asarray(users), np.asarray(items)
     if users.shape != items.shape or users.ndim != 1:
         raise ValueError("users and items must be aligned 1-D arrays")
-    return users, items
+    for name, index in (("users", users), ("items", items)):
+        if index.size and not np.issubdtype(index.dtype, np.integer):
+            raise ValueError(f"{name} must be integer indices, not "
+                             f"{index.dtype}")
+    return (users.astype(np.int64, copy=False),
+            items.astype(np.int64, copy=False))
 
 
 @contextlib.contextmanager

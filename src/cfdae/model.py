@@ -158,7 +158,7 @@ def encode_batch(params: AutoencoderParams, xin,
     """Hidden codes of a batch of inputs, with the side columns the
     decoder reads appended.  xin, a dense array or a scipy sparse array,
     holds each input over all n + p_in coordinates, the side inputs last,
-    as the training kernel's CSC input and the completer's blocks do."""
+    as the training kernel's CSC input and the completer's chunks do."""
     width = params.W1.shape[0]
     if xin.shape[1] != width:
         raise ValueError(f"input dim {xin.shape[1]} != network input dim "

@@ -13,7 +13,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .data import RatingMatrix, RatingScale, TagMatrix, by_entity
 
@@ -156,9 +155,11 @@ def svd_embed(tags: TagMatrix, k_prime: int) -> SideInfoTable:
         p_full, s_full, _ = np.linalg.svd(counts.toarray(), full_matrices=False)
         p, s = p_full[:, :k_prime], s_full[:k_prime]
     else:
+        # imported here, as only this branch needs it and it is slow to load
+        from scipy.sparse.linalg import svds
         # a fixed start vector, so ARPACK's result is reproducible
         v0 = np.random.default_rng(0).standard_normal(limit)
-        u, s_asc, _ = spla.svds(counts, k=k_prime, v0=v0)
+        u, s_asc, _ = svds(counts, k=k_prime, v0=v0)
         desc = np.argsort(s_asc)[::-1]
         p, s = u[:, desc], s_asc[desc]
 

@@ -363,7 +363,7 @@ class MatrixCompleter:
     bias table (their mean is the global mean).
     """
 
-    _CHUNK = 128   # entities encoded together
+    _CHUNK = 128   # distinct entities encoded together
     _DECODE = 256  # predictions decoded together
 
     def __init__(self, train_data: RatingMatrix, params: AutoencoderParams,
@@ -373,7 +373,7 @@ class MatrixCompleter:
             train_data, cfg, bias, scaler, side)
         _check_network(params, cfg, bias, side, vectors.shape[1])
         self._counts = np.diff(vectors.indptr)
-        # the side inputs as coordinates n..n+p_in-1, so that a block
+        # the side inputs as coordinates n..n+p_in-1, so that a chunk
         # encodes in one sparse product with all of W1
         self._vectors = (hstack([vectors, csr_array(features)], format="csr")
                          if p_in else vectors)
@@ -391,8 +391,8 @@ class MatrixCompleter:
         """Clamped rating predictions for aligned index arrays.
 
         The calling thread and a thread pool, one thread per CPU the process
-        may run on in all, take the entity blocks the query touches from
-        one shared queue.
+        may run on in all, take the chunks of queried entities from one
+        shared queue.
         """
         users, items = aligned_query(users, items)
         if users.size and (users.min() < 0 or users.max() >= self.n_users):
@@ -402,18 +402,22 @@ class MatrixCompleter:
         entities, counterparts = by_entity(self.bias.orientation,
                                            (users, items), (items, users))
 
+        # A chunk encodes up to _CHUNK of the distinct queried entities
+        # with training ratings; the others keep unit 0, the bias fallback.
+        # An encoder row sums in column order whatever the other rows, and
+        # each output is its own row-wise dot product, so a prediction
+        # depends neither on the rest of the query nor on the thread that
+        # runs its chunk.  Each chunk writes only its own queries' slots.
         unit = np.zeros(entities.size)
-        # Hidden codes come from fixed blocks of entity ids and each output
-        # from its own row-wise dot product, so a prediction depends neither
-        # on which other entries are in the query nor on the thread that
-        # runs its block.  Each block writes only its own queries' slots.
         order = np.argsort(entities, kind="stable")
-        cuts = np.flatnonzero(np.diff(entities[order] // self._CHUNK)) + 1
-        blocks = np.split(order, cuts) if order.size else []
-        threads = min(_cpu_count(), len(blocks))
+        order = order[self._counts[entities[order]] > 0]
+        starts = np.flatnonzero(np.diff(entities[order], prepend=-1))
+        chunks = (np.split(order, starts[self._CHUNK::self._CHUNK])
+                  if order.size else [])
+        threads = min(_cpu_count(), len(chunks))
         # next() on a list iterator runs under the GIL as one C call, so
-        # each block goes to exactly one thread
-        queue = iter(blocks)
+        # each chunk goes to exactly one thread
+        queue = iter(chunks)
 
         def run():
             for queries in queue:
@@ -427,30 +431,29 @@ class MatrixCompleter:
                 _each_part(lambda _: run(), threads, pool)
         else:
             run()
-        unit[self._counts[entities] == 0] = 0.0
         return inverse_transform(unit, entities, self.bias, self.scaler)
 
     def _predict_block(self, queries: np.ndarray, entities: np.ndarray,
                        counterparts: np.ndarray, unit: np.ndarray):
-        """unit[queries] for queries whose entities share one block."""
-        lo = entities[queries[0]] // self._CHUNK * self._CHUNK
-        hin = self._encode_block(lo)
-        for part in np.split(queries, np.arange(self._DECODE, queries.size,
-                                                self._DECODE)):
+        """unit[queries] for queries sorted by entity, one chunk's worth."""
+        ranked = entities[queries]
+        ids = ranked[np.diff(ranked, prepend=-1) != 0]
+        hin = self._encode_block(ids)
+        rows = np.searchsorted(ids, ranked)
+        cuts = np.arange(self._DECODE, queries.size, self._DECODE)
+        for part, at in zip(np.split(queries, cuts), np.split(rows, cuts)):
             cols = counterparts[part]
-            dots = np.einsum("ij,ij->i", hin[entities[part] - lo],
-                             self.params.W2[cols])
+            dots = np.einsum("ij,ij->i", hin[at], self.params.W2[cols])
             unit[part] = np.tanh(dots + self.params.b2[cols])
 
-    def _encode_block(self, lo: int) -> np.ndarray:
-        """Hidden codes (side columns appended) of entities lo..lo+_CHUNK-1,
-        encoded from their rows of the CSR training vectors, side inputs
-        included.  The product runs on the block in CSC form, which reads
-        each encoder row once per block, not once per known entry, and
-        sums in the same order."""
-        block = slice(lo, lo + self._CHUNK)
-        side = self._side[block] if self._side is not None else None
-        return encode_batch(self.params, self._vectors[block].tocsc(), side)
+    def _encode_block(self, ids: np.ndarray) -> np.ndarray:
+        """Hidden codes (side columns appended) of the entities ids, sorted
+        and distinct, encoded from their rows of the CSR training vectors,
+        side inputs included.  The product runs on the gathered rows in CSC
+        form, which reads each encoder row once per chunk, not once per
+        known entry, and sums each row in the same column order."""
+        side = self._side[ids] if self._side is not None else None
+        return encode_batch(self.params, self._vectors[ids].tocsc(), side)
 
 
 def complete_matrix(train_data: RatingMatrix, state: TrainState,

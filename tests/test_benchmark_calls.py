@@ -102,7 +102,8 @@ def test_hooked_calls_stay_on_the_calling_thread(monkeypatch):
                 if value is fn:
                     monkeypatch.setattr(mod, key, recorder(name, fn))
 
-    # 800 items make 7 entity blocks; force a pool of 3 threads
+    # the query's 709 distinct items with training ratings make 6 chunks;
+    # force a pool of 3 threads
     train_module = importlib.import_module("cfdae.train")
     monkeypatch.setattr(train_module, "_cpu_count", lambda: 3)
     block_threads = set()

@@ -123,6 +123,22 @@ def test_bias_baseline_takes_aligned_1d_queries_only(toy_ratings, orientation,
         predictor.predict_many(users, items)
 
 
+@pytest.mark.parametrize("users,items,name", [
+    ([1.7, 2.2], [0, 1], "users"),
+    ([True, False], [0, 1], "users"),
+    ([0, 1], np.array([0.0, 1.0]), "items"),
+    ([0, 1], [False, True], "items"),
+])
+def test_bias_baseline_refuses_indices_that_are_not_integers(
+        toy_ratings, users, items, name):
+    # a cast would turn 1.7 into entity 1 and True into entity 1
+    predictor = BiasPredictor(fit_bias(toy_ratings, "user"),
+                              RatingScale(1.0, 5.0))
+    with pytest.raises(ValueError, match=f"{name} must be integer indices"):
+        predictor.predict_many(users, items)
+    assert predictor.predict_many([], []).shape == (0,)
+
+
 # ---------------------------------------------------------------- cluster
 
 def test_cluster_sizes_and_tie_break():

@@ -1,11 +1,17 @@
 """Centering/rescaling and side-information feature construction."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cfdae
 from cfdae import (BiasTable, RatingMatrix, RatingScale, Scaler,
                    SideInfoTable, TagMatrix, build_side_info, fit_bias,
                    fit_scaler, inverse_transform, svd_embed, transform)
@@ -190,6 +196,19 @@ def test_svd_sparse_path_matches_dense_oracle():
     singular = np.linalg.svd(counts.toarray(), compute_uv=False)[:4]
     np.testing.assert_allclose(np.diag(gram), singular, rtol=1e-8)
     assert np.all(np.diff(np.diag(gram)) <= 1e-9)
+
+
+def test_importing_the_package_leaves_the_sparse_solvers_unloaded():
+    # only svd_embed's iterative branch needs scipy.sparse.linalg, which
+    # takes over 0.1 s to import, so a run without tags never pays for it
+    src = str(Path(cfdae.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, cfdae, cfdae.cli; "
+            "print('scipy.sparse.linalg' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.strip() == "False"
 
 
 def test_svd_rank_deficient_pads_with_zeros(caplog):

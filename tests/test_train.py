@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cfdae import (BiasTable, CorruptionMask, DataError, LossWeights,
-                   RatingMatrix, RatingScale, SideInfoTable, SparseVector,
-                   SplitSpec, TagMatrix, TrainConfig, TrainState,
+from cfdae import (BiasPredictor, BiasTable, CorruptionMask, DataError,
+                   LossWeights, RatingMatrix, RatingScale, SideInfoTable,
+                   SparseVector, SplitSpec, TagMatrix, TrainConfig, TrainState,
                    TrainingDiverged, build_side_info, complete_matrix,
                    fit_bias, fit_scaler, forward, init_params,
                    inverse_transform, learning_rate, load_checkpoint, loss,
@@ -842,6 +842,26 @@ def test_completer_index_validation(synthetic):
     assert completer.predict_many([], []).shape == (0,)
 
 
+@pytest.mark.parametrize("users,items,name", [
+    ([1.7, 2.2], [0, 1], "users"),
+    ([True, False], [0, 1], "users"),
+    ([0, 1], np.array([0.0, 1.0]), "items"),
+    ([0, 1], [False, True], "items"),
+])
+def test_completer_refuses_indices_that_are_not_integers(synthetic, users,
+                                                         items, name):
+    # a cast would turn 1.7 into entity 1 and True into entity 1
+    ratings, scale = synthetic
+    cfg = small_config()
+    bias, scaler = fitted(ratings, scale, cfg)
+    completer = MatrixCompleter(ratings, init_params(ratings.n_users,
+                                                     cfg.hidden),
+                                cfg, bias, scaler)
+    with pytest.raises(ValueError, match=f"{name} must be integer indices"):
+        completer.predict_many(users, items)
+    assert completer.predict_many([], []).shape == (0,)
+
+
 def test_completer_checks_the_network_against_the_data(synthetic):
     # one check names both sides' weight shapes; the bias table is checked
     # as train() checks it
@@ -915,8 +935,9 @@ def test_completer_predictions_do_not_depend_on_the_query(
 
 
 def _many_block_completer(ratings, scale, side_info, side=None, seed=0):
-    """An untrained item-oriented completer and shuffled queries that touch
-    at least 3 of its entity blocks."""
+    """An untrained item-oriented completer and shuffled queries whose
+    distinct items with training ratings make at least 4 chunks, one for
+    each thread of a pool sized for 4 CPUs."""
     cfg = small_config(orientation="item", side_info=side_info)
     bias, scaler = fitted(ratings, scale, cfg)
     if side_info != "none" and side is None:
@@ -928,10 +949,61 @@ def _many_block_completer(ratings, scale, side_info, side=None, seed=0):
                          seed=seed)
     completer = MatrixCompleter(ratings, params, cfg, bias, scaler, side)
     rng = np.random.default_rng(seed)
-    users = rng.integers(0, ratings.n_users, 600)
-    items = rng.integers(0, ratings.n_items, 600)
-    assert np.unique(items // MatrixCompleter._CHUNK).size >= 3
+    users = rng.integers(0, ratings.n_users, 1000)
+    items = rng.integers(0, ratings.n_items, 1000)
+    rated = np.bincount(ratings.items, minlength=ratings.n_items) > 0
+    assert np.count_nonzero(rated[np.unique(items)]) > 3 * completer._CHUNK
     return completer, users, items
+
+
+def _spy_on_encodes(monkeypatch):
+    """The ids of every _encode_block call, appended as they are made."""
+    encoded = []
+    encode = MatrixCompleter._encode_block
+
+    def spy(self, ids):
+        encoded.append(ids.copy())
+        return encode(self, ids)
+
+    monkeypatch.setattr(MatrixCompleter, "_encode_block", spy)
+    return encoded
+
+
+@pytest.mark.parametrize("side_info", ["none", "both"])
+def test_completer_encodes_the_distinct_queried_entities_with_ratings(
+        sparse_synthetic, monkeypatch, side_info):
+    ratings, scale = sparse_synthetic
+    completer, users, items = _many_block_completer(ratings, scale, side_info)
+    encoded = _spy_on_encodes(monkeypatch)
+    completer.predict_many(users, items)
+    rated = np.bincount(ratings.items, minlength=ratings.n_items) > 0
+    wanted = np.unique(items[rated[items]])
+    assert sum(ids.size for ids in encoded) == wanted.size
+    np.testing.assert_array_equal(np.sort(np.concatenate(encoded)), wanted)
+    assert max(ids.size for ids in encoded) == MatrixCompleter._CHUNK
+    encoded.clear()
+    completer.predict(int(users[0]), int(wanted[0]))
+    assert [ids.tolist() for ids in encoded] == [[wanted[0]]]
+
+
+def test_entities_without_training_ratings_are_never_encoded(
+        sparse_synthetic, monkeypatch):
+    ratings, scale = sparse_synthetic
+    completer, users, items = _many_block_completer(ratings, scale, "both")
+    rated = np.bincount(ratings.items, minlength=ratings.n_items) > 0
+    unrated = ~rated[items]
+    assert unrated.any() and not unrated.all()
+    encoded = _spy_on_encodes(monkeypatch)
+    preds = completer.predict_many(users, items)
+    assert not np.isin(np.concatenate(encoded), items[unrated]).any()
+    # their predictions are the bias table's, the clamped global mean
+    baseline = BiasPredictor(completer.bias, scale)
+    np.testing.assert_array_equal(
+        preds[unrated], baseline.predict_many(users[unrated], items[unrated]))
+    encoded.clear()
+    assert completer.predict(int(users[unrated][0]),
+                             int(items[unrated][0])) == preds[unrated][0]
+    assert encoded == []
 
 
 @pytest.mark.parametrize("side_info", SIDE_MODES)
