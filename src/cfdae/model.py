@@ -318,7 +318,7 @@ def _csc_batch(data: np.ndarray, row: np.ndarray, col: np.ndarray, m: int,
 
 
 class LazyDecay:
-    """In-place minibatch SGD that keeps the L2 decay out of the weights.
+    """Scalar half of in-place SGD that keeps the L2 decay out of the weights.
 
     While it steps, params.W1 and params.W2 hold matrices V with W = s*V,
     so the decay W <- (1 - 2*lr*l2) W multiplies the scalar s and touches
@@ -326,19 +326,19 @@ class LazyDecay:
     Descent Tricks", 2012).  sq_norms tracks ||V||^2 from the rank-m
     inner products of each step, so the L2 loss term needs no pass over
     the weights either.  fold() multiplies the scales back in; after it
-    the arrays hold the true weights.  Both matrices must be C-contiguous,
-    so that a step writes into them and not into a copy.  pool, if given,
-    runs a step's parts beside the calling thread.
+    the arrays hold the true weights.  It keeps the scales and squared
+    norms only: batch_loss_gradients updates V and the biases in place.
+    Both matrices must be C-contiguous, so that a step writes into them
+    and not into a copy.
     """
 
-    def __init__(self, params: AutoencoderParams, lr: float, pool=None):
+    def __init__(self, params: AutoencoderParams, lr: float):
         for name in ("W1", "W2"):
             if not getattr(params, name).flags.c_contiguous:
                 raise ValueError(f"{name} must be C-contiguous to step in "
                                  f"place")
         self.params = params
         self.lr = lr
-        self.pool = pool
         self.scales = [1.0, 1.0]
         self.sq_norms = [0.0, 0.0]
         self.fold()
@@ -353,52 +353,34 @@ class LazyDecay:
         self.scales[k] = 1.0
         self.sq_norms[k] = float(np.vdot(w, w))
 
-    def step(self, l2: float, losses: np.ndarray, factors, bias_grads,
-             parts: int) -> bool:
-        """Apply one SGD step in place; False, with nothing changed, if the
-        losses or the step are not finite.
-
-        factors holds (a, b, ip, gg) per weight matrix: the data gradient
-        is g = a @ b, a a sparse (rows x m) CSR array and b dense, so it is
-        zero on the rows where a has no entry and only a's rows move: the
-        decay of the rest lives in the scale.  ip is <V, g> and gg is
-        ||g||^2, both computed without reading V (see batch_loss_gradients).
-        Each of the parts updates its row range of both matrices.
-        bias_grads holds the gradients of b1 and b2.
-        """
-        ips = [ip for _, _, ip, _ in factors]
-        ggs = [gg for _, _, _, gg in factors]
+    def step(self, l2: float, losses: np.ndarray, ips, ggs) -> list | None:
+        """Decay the scales and update sq_norms for one SGD step, and
+        return each weight matrix's step factor, which batch_loss_gradients
+        multiplies into its data gradient g and adds to V in place; None,
+        with nothing changed, if the losses, ips (<V, g>) or ggs (||g||^2)
+        are not finite.  A scale that leaves [1/_RESCALE, _RESCALE] is
+        folded into its matrix first."""
         if not (np.all(np.isfinite(losses))
-                and all(map(math.isfinite, ips + ggs))):
-            return False
-        params = self.params
-        matrices = (params.W1, params.W2)
+                and all(map(math.isfinite, (*ips, *ggs)))):
+            return None
         rate = self.lr / losses.size
         decay = 1.0 - 2.0 * l2 * self.lr
-        steps = []
-        for k, (v, (_, b, _, _)) in enumerate(zip(matrices, factors)):
-            scale = self.scales[k] * decay
+        factors = []
+        for k, v in enumerate((self.params.W1, self.params.W2)):
+            scale, ip = self.scales[k] * decay, ips[k]
             if not 1.0 / _RESCALE <= abs(scale) <= _RESCALE:
                 self._fold(k, v, scale)
-                ips[k] *= scale
+                ip *= scale
                 scale = 1.0
             step = rate / scale
-            steps.append(-step * b)
+            factors.append(-step)
             self.scales[k] = scale
-            self.sq_norms[k] += step * (step * ggs[k] - 2.0 * ips[k])
-
-        def update(part):
-            for v, (a, _, _, _), b in zip(matrices, factors, steps):
-                _add_product(v, a, b, *_part_rows(v.shape[0], parts, part))
-
-        _each_part(update, parts, self.pool)
-        params.b1 -= rate * bias_grads[0]
-        params.b2 -= rate * bias_grads[1]
-        return True
+            self.sq_norms[k] += step * (step * ggs[k] - 2.0 * ip)
+        return factors
 
 
 def batch_loss_gradients(params, x, hit, weights, side=None, *,
-                         sgd: LazyDecay | None = None):
+                         sgd: LazyDecay | None = None, pool=None):
     """Per-sample losses and, as an AutoencoderParams, the gradient summed
     over the batch.
 
@@ -418,16 +400,17 @@ def batch_loss_gradients(params, x, hit, weights, side=None, *,
     parts, contiguous row ranges of W1 and of W2, else in one.  Each part
     computes its share of the encoder product, whose partial sums are
     added in part order, and the decoder, output deltas and backprop of
-    its coordinates; the parts of sgd's step write their own rows.  With
-    sgd's pool, the parts run on its threads beside the calling one.
+    its coordinates; the parts of an SGD step write their own rows.  With
+    a pool, the parts run on its threads beside the calling one.
 
     With ``sgd``, params holds sgd's scaled matrices and the kernel takes
-    the SGD step itself, in place, at rate sgd.lr / batch size: it returns
-    (losses, None).  If the losses or the step are not finite it takes no
-    step, folds sgd, and returns the gradient at the true weights instead.
+    the SGD step itself, in place: sgd.step decays the scales and gives
+    the step factors, the parts add their rows' updates, and then both
+    biases move at rate sgd.lr / batch size.  It returns (losses, None).
+    If the losses or the step are not finite it takes no step, folds sgd,
+    and returns the gradient at the true weights instead.
     """
     s1, s2 = (1.0, 1.0) if sgd is None else sgd.scales
-    pool = None if sgd is None else sgd.pool
     m, n, width = x.shape[0], params.n, params.W1.shape[0]
     # the entries listed by coordinate: the intact ones make the encoder
     # input, and the entries of each part's coordinates are one slice
@@ -501,11 +484,23 @@ def batch_loss_gradients(params, x, hit, weights, side=None, *,
         # <V, g> is sum(delta * z) for the layer's delta and pre-activation
         # z, and ||a @ b||^2 is sum((a.T a) * (b b.T)), from dense grams
         gram1 = sum(xxs) + (side @ side.T if params.p_in else 0.0)
-        factors = ((a1, delta1, float(np.vdot(delta1, z1)),
-                    float(np.vdot(gram1, delta1 @ delta1.T))),
-                   (a2, hin, sum(ip2s),
-                    float(np.vdot(sum(dds), hin @ hin.T))))
-        if sgd.step(weights.l2, losses, factors, bias_grads, parts):
+        ips = (float(np.vdot(delta1, z1)), sum(ip2s))
+        ggs = (float(np.vdot(gram1, delta1 @ delta1.T)),
+               float(np.vdot(sum(dds), hin @ hin.T)))
+        factors = sgd.step(weights.l2, losses, ips, ggs)
+        if factors is not None:
+            # only the rows where a has entries move; scales decay the rest
+            steps = ((params.W1, a1, factors[0] * delta1),
+                     (params.W2, a2, factors[1] * hin))
+
+            def update(k):
+                for v, a, b in steps:
+                    _add_product(v, a, b, *_part_rows(v.shape[0], parts, k))
+
+            _each_part(update, parts, pool)
+            rate = sgd.lr / m
+            params.b1 -= rate * bias_grads[0]
+            params.b2 -= rate * bias_grads[1]
             return losses, None
         sgd.fold()
 

@@ -246,8 +246,8 @@ def train(train_data: RatingMatrix, cfg: TrainConfig, bias: BiasTable,
     vectors, features, (p_in, p_hidden) = _training_vectors(
         train_data, cfg, bias, scaler, side)
     n = vectors.shape[1]
-    pool = np.flatnonzero(np.diff(vectors.indptr))
-    if pool.size == 0:
+    rated = np.flatnonzero(np.diff(vectors.indptr))
+    if rated.size == 0:
         raise ValueError("no training vectors with known entries")
 
     params = init_params(n, cfg.hidden, p_in, p_hidden, seed=cfg.seed)
@@ -257,9 +257,9 @@ def train(train_data: RatingMatrix, cfg: TrainConfig, bias: BiasTable,
     with _step_threads() as step_pool:
         for epoch in range(cfg.epochs):
             rng = np.random.default_rng([cfg.seed, epoch])
-            order = rng.permutation(pool)
+            order = rng.permutation(rated)
             lr = learning_rate(cfg, epoch)
-            sgd = LazyDecay(params, lr, step_pool)
+            sgd = LazyDecay(params, lr)
             loss_sum, seen = 0.0, 0
             last_loss = state.history[-1].mean_loss if state.history else None
             for batch, start in enumerate(range(0, order.size,
@@ -267,8 +267,9 @@ def train(train_data: RatingMatrix, cfg: TrainConfig, bias: BiasTable,
                 sel = order[start:start + cfg.batch_size]
                 x, hit = corrupted_batch(vectors, sel, cfg.mask_ratio, rng)
                 batch_side = features[sel] if features is not None else None
-                losses, grads = batch_loss_gradients(params, x, hit, weights,
-                                                     batch_side, sgd=sgd)
+                losses, grads = batch_loss_gradients(
+                    params, x, hit, weights, batch_side, sgd=sgd,
+                    pool=step_pool)
                 if grads is not None:
                     grad_max = max(float(np.max(np.abs(g))) for g in
                                    (grads.W1, grads.b1, grads.W2, grads.b2))

@@ -349,14 +349,21 @@ PLANTED_CONFIG = {"hidden": 200, "epochs": 10}
 
 
 @pytest.fixture(scope="module")
-def planted_corpus():
-    """2000 x 1000 ratings with 150k entries from the benchmark generator's
-    planted rank-5 model, which is the one copy of it."""
+def planted_world():
+    """The benchmark generator, the one copy of the planted rank-5 model,
+    and its world of 2000 users and 1000 items."""
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(BENCHMARKS))
         gen = importlib.import_module("gen")
-    world = gen.make_world(n_users=2000, n_items=1000, user_zipf=0.8,
-                           item_zipf=0.8, user_offset=30.0, item_offset=30.0)
+    return gen, gen.make_world(n_users=2000, n_items=1000, user_zipf=0.8,
+                               item_zipf=0.8, user_offset=30.0,
+                               item_offset=30.0)
+
+
+@pytest.fixture(scope="module")
+def planted_corpus(planted_world):
+    """2000 x 1000 ratings with 150k entries drawn from the planted world."""
+    gen, world = planted_world
     rng = np.random.default_rng(0)
     users, items = gen.sample_pairs(rng, world, 150_000, 20)
     ratings = gen.planted_ratings(rng, world, users, items)
@@ -364,16 +371,33 @@ def planted_corpus():
             infer_scale(ratings), None)
 
 
-def test_criterion_06_planted_twin(planted_corpus):
-    """Training beats each orientation's bias means by at least 0.2."""
+def _oracle_rmse(world, test_m) -> float:
+    """RMSE of the noise-free oracle clip(3.6 + u.v + user_bias +
+    item_bias, 1, 5) on test_m: gen.planted_ratings without its noise and
+    rounding, so no model of the ratings can be expected to beat it."""
+    u, i = test_m.users, test_m.items
+    score = (np.einsum("ij,ij->i", world["u"][u], world["v"][i])
+             + world["user_bias"][u] + world["item_bias"][i])
+    pred = np.clip(3.6 + score, 1.0, 5.0)
+    return math.sqrt(np.mean((pred - test_m.ratings) ** 2))
+
+
+def test_criterion_06_planted_twin(planted_corpus, planted_world):
+    """Training beats each orientation's bias means by at least 0.2, and
+    the item-oriented model comes within 0.25 of the noise-free oracle on
+    the same test half."""
     item = _trained_run(planted_corpus, "item", 0, **PLANTED_CONFIG)
     user = _trained_run(planted_corpus, "user", 0, **PLANTED_CONFIG)
+    _train_m, test_m = split(planted_corpus[0], SplitSpec(0.9, 0))
+    gap = item["rmse"] - _oracle_rmse(planted_world[1], test_m)
     assert item["baseline"] - item["rmse"] >= 0.2
     assert user["baseline"] - user["rmse"] >= 0.2
+    assert gap <= 0.25
     print(f"criterion 06 planted twin: PASS (item-oriented "
           f"{item['rmse']:.4f} vs bias {item['baseline']:.4f}, "
           f"user-oriented {user['rmse']:.4f} vs bias "
-          f"{user['baseline']:.4f}; margins >= 0.2)")
+          f"{user['baseline']:.4f}; margins >= 0.2; item-oriented minus "
+          f"noise-free oracle {gap:.4f} <= 0.25)")
 
 
 def test_criterion_07_planted_twin(planted_corpus):

@@ -557,7 +557,7 @@ def _check_sgd_steps(lr, l2, folded, order, pool):
     ref = _in_order(params.copy(), order)
     arrays = [getattr(params, f) for f in PARAM_FIELDS]
     weights = LossWeights(1.0, 0.5, l2)
-    sgd = LazyDecay(params, lr=lr, pool=pool)
+    sgd = LazyDecay(params, lr=lr)
     for _ in range(3):
         vectors = [(np.sort(rng.choice(n, k, replace=False)),
                     rng.uniform(-1, 1, k)) for k in rng.integers(1, 6, m)]
@@ -565,7 +565,8 @@ def _check_sgd_steps(lr, l2, folded, order, pool):
         assert 0 < hit.sum() < hit.size and np.unique(x.indices).size < n
         args = (x, hit, weights, rng.uniform(-1, 1, (m, p)))
         want, grads = batch_loss_gradients(ref, *args)
-        got, stepped = batch_loss_gradients(params, *args, sgd=sgd)
+        got, stepped = batch_loss_gradients(params, *args, sgd=sgd,
+                                            pool=pool)
         assert stepped is None
         np.testing.assert_allclose(got, want, rtol=1e-9)
         for f in PARAM_FIELDS:
@@ -592,6 +593,56 @@ def test_lazy_decay_refuses_non_c_contiguous_weights(name):
     with pytest.raises(ValueError, match=f"{name} must be C-contiguous"):
         LazyDecay(params, lr=0.1)
     np.testing.assert_array_equal(getattr(params, name), before)
+
+
+# <V, g> and ||g||^2 of the two weight matrices, for steps called directly
+STEP_IPS, STEP_GGS = (0.5, -0.25), (2.0, 3.0)
+
+
+@pytest.mark.parametrize("l2,folded", [pytest.param(0.02, False, id="decay"),
+                                       pytest.param(2.0, True,
+                                                    id="decay-to-zero")])
+def test_lazy_decay_step_returns_the_step_factors(l2, folded):
+    # an accepted step decays both scales and returns -lr/m / scale per
+    # matrix; at lr 0.25 and l2 2 the decay is exactly 0, so each scale
+    # folds (the weights become 0) and the step runs at scale 1
+    params = init_params(9, 4, p_in=2, p_hidden=2, seed=3)
+    before = [params.W1.copy(), params.W2.copy()]
+    lr, m = 0.25, 4
+    sgd = LazyDecay(params, lr=lr)
+    sq_norms = list(sgd.sq_norms)
+    factors = sgd.step(l2, np.ones(m), STEP_IPS, STEP_GGS)
+    rate, decay = lr / m, 1.0 - 2.0 * l2 * lr
+    scale = 1.0 if folded else decay
+    assert factors == [-rate / scale, -rate / scale]
+    assert sgd.scales == [scale, scale]
+    for k, (v, w) in enumerate(zip((params.W1, params.W2), before)):
+        ip = STEP_IPS[k] * (decay if folded else 1.0)
+        step = rate / scale
+        want = ((0.0 if folded else sq_norms[k])
+                + step * (step * STEP_GGS[k] - 2.0 * ip))
+        assert sgd.sq_norms[k] == want
+        np.testing.assert_array_equal(v, w * decay if folded else w)
+
+
+@pytest.mark.parametrize("losses,ips,ggs", [
+    pytest.param([1.0, np.nan, 1.0, 1.0], STEP_IPS, STEP_GGS, id="nan-loss"),
+    pytest.param([1.0] * 4, STEP_IPS, (2.0, np.inf), id="inf-gg"),
+    pytest.param([1.0] * 4, (np.nan, -0.25), STEP_GGS, id="nan-ip"),
+])
+def test_refused_step_changes_nothing(losses, ips, ggs):
+    # a step whose losses, <V, g> or ||g||^2 are not finite returns None and
+    # leaves the scales, the squared norms and the weights' bytes as they
+    # were; the first step moves the scales off 1, and the refused one
+    # would fold them (decay exactly 0) and zero the weights if taken
+    params = init_params(9, 4, p_in=2, p_hidden=2, seed=3)
+    sgd = LazyDecay(params, lr=0.25)
+    assert sgd.step(0.02, np.ones(4), STEP_IPS, STEP_GGS) is not None
+    scales, sq_norms = list(sgd.scales), list(sgd.sq_norms)
+    w1, w2 = params.W1.tobytes(), params.W2.tobytes()
+    assert sgd.step(2.0, np.array(losses), ips, ggs) is None
+    assert sgd.scales == scales and sgd.sq_norms == sq_norms
+    assert params.W1.tobytes() == w1 and params.W2.tobytes() == w2
 
 
 @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
