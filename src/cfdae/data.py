@@ -26,6 +26,7 @@ TAG_FORMATS = {"movielens_tags": "item", "genre_flags": "item",
                "adjacency_csv": "user"}
 
 SNAPSHOT_VERSION = 1
+_HASH_CHUNK = 1 << 16  # indices widened to int64 this many at a time
 
 
 class DataError(ValueError):
@@ -190,6 +191,9 @@ class RatingMatrix:
             raise DataError("entry arrays must have equal length")
         if n_users < 0 or n_items < 0:
             raise DataError("matrix dimensions must be nonnegative")
+        if max(n_users, n_items, ratings.size) >= 2**31:
+            raise DataError(f"a {n_users} x {n_items} matrix with "
+                            f"{ratings.size} entries overflows int32 indices")
         if users.size:
             if users.min() < 0 or users.max() >= n_users:
                 raise DataError("user index out of range")
@@ -198,24 +202,25 @@ class RatingMatrix:
         if not np.all(np.isfinite(ratings)):
             raise DataError("ratings must be finite")
 
-        if int(n_users) * int(n_items) > np.iinfo(np.int64).max:
-            raise DataError(f"{n_users} x {n_items} cells overflow int64 keys")
-
-        # One key per cell in (user, item) order.  Strictly increasing keys
-        # prove the entries sorted and distinct, so only unsorted input is
-        # sorted; sorted input is copied to keep the stored arrays private.
+        # One int64 key per cell in (user, item) order.  Strictly
+        # increasing keys prove the entries sorted and distinct, so only
+        # unsorted input is sorted.  The stored arrays are private copies,
+        # the indices as int32, made once the key is gone.
         key = users * np.int64(n_items) + items
         if np.all(key[1:] > key[:-1]):
-            users, items, ratings = users.copy(), items.copy(), ratings.copy()
+            order = slice(None)
         else:
             order = np.argsort(key)
             key = key[order]
-            users, items, ratings = users[order], items[order], ratings[order]
             dup = np.flatnonzero(key[1:] == key[:-1])
             if dup.size:
-                k = int(dup[0]) + 1
+                k = order[int(dup[0]) + 1]
                 raise DataError(
                     f"duplicate rating for user {users[k]}, item {items[k]}")
+        del key
+        users = users[order].astype(np.int32)
+        items = items[order].astype(np.int32)
+        ratings = ratings[order].copy()
         self._own(n_users, n_items, users, items, ratings)
 
     @classmethod
@@ -258,7 +263,7 @@ class RatingMatrix:
         return self._tables[by]
 
     def _table(self, by: str):
-        row_ptr = np.zeros(self.n_users + 1, dtype=np.int64)
+        row_ptr = np.zeros(self.n_users + 1, dtype=np.int32)
         np.cumsum(np.bincount(self.users, minlength=self.n_users),
                   out=row_ptr[1:])
         if by == "user":
@@ -267,8 +272,7 @@ class RatingMatrix:
             # CSR -> CSC is a counting sort: users stay ascending per item
             cols = sp.csr_array((self.ratings, self.items, row_ptr),
                                 shape=(self.n_users, self.n_items)).tocsc()
-            table = (cols.indptr.astype(np.int64, copy=False),
-                     cols.indices.astype(np.int64, copy=False), cols.data)
+            table = (cols.indptr, cols.indices, cols.data)
         for arr in table:
             arr.setflags(write=False)
         return table
@@ -295,12 +299,14 @@ class RatingMatrix:
         return np.diff(self.vectors("item")[0])
 
     def fingerprint(self) -> str:
-        """Content hash of dimensions and all entries."""
+        """Content hash of the dimensions and all entries, the indices in
+        their int64 form, as snapshots store them."""
         h = hashlib.sha256()
-        h.update(np.int64([self.n_users, self.n_items]).tobytes())
-        h.update(self.users.tobytes())
-        h.update(self.items.tobytes())
-        h.update(self.ratings.tobytes())
+        h.update(np.int64([self.n_users, self.n_items]))
+        for index in (self.users, self.items):
+            for start in range(0, index.size, _HASH_CHUNK):
+                h.update(index[start:start + _HASH_CHUNK].astype(np.int64))
+        h.update(self.ratings)
         return h.hexdigest()
 
     def __eq__(self, other):
@@ -567,20 +573,20 @@ def split(ratings: RatingMatrix, spec: SplitSpec):
         raise DataError("cannot split an empty rating matrix")
     perm = np.random.default_rng(spec.seed).permutation(n)
     n_train = int(round(spec.train_fraction * n))
-    # a mask yields each side's indices in ascending order without sorting,
+    # a mask takes each side's entries in ascending order without sorting,
     # so both halves stay in (user, item) order
     in_train = np.zeros(n, dtype=bool)
     in_train[perm[:n_train]] = True
-    return (_take(ratings, np.flatnonzero(in_train)),
-            _take(ratings, np.flatnonzero(~in_train)))
+    del perm
+    return _take(ratings, in_train), _take(ratings, ~in_train)
 
 
-def _take(ratings: RatingMatrix, idx: np.ndarray) -> RatingMatrix:
-    """The entries at ascending positions idx, a subset of a valid matrix
-    and so valid and sorted; fancy indexing already copied them."""
+def _take(ratings: RatingMatrix, mask: np.ndarray) -> RatingMatrix:
+    """The entries where mask is set, a subset of a valid matrix and so
+    valid and sorted; boolean indexing already copied them."""
     return RatingMatrix._adopt(ratings.n_users, ratings.n_items,
-                               ratings.users[idx], ratings.items[idx],
-                               ratings.ratings[idx])
+                               ratings.users[mask], ratings.items[mask],
+                               ratings.ratings[mask])
 
 
 def save_snapshot(path, ratings: RatingMatrix, scale: RatingScale, ids: IdMaps):
@@ -588,8 +594,8 @@ def save_snapshot(path, ratings: RatingMatrix, scale: RatingScale, ids: IdMaps):
     write_versioned_npz(path, SNAPSHOT_VERSION,
                         n_users=ratings.n_users,
                         n_items=ratings.n_items,
-                        users=ratings.users,
-                        items=ratings.items,
+                        users=ratings.users.astype(np.int64),
+                        items=ratings.items.astype(np.int64),
                         values=ratings.ratings,
                         scale=scale.to_array(),
                         user_ids=np.asarray(ids.user_ids),

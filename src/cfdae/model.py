@@ -429,13 +429,19 @@ def batch_loss_gradients(params, x, hit, weights, side=None, *,
     outs = [_part_rows(n, parts, k) for k in range(parts)]
     at = np.searchsorted(cols, [lo for lo, _ in outs] + [n])
 
+    # each part's decoder rows, in buffers made here and not in a pool
+    # thread's malloc arena; mode="raise" would copy out (cols are valid)
+    w2s = [np.empty((at[k + 1] - at[k], params.W2.shape[1]))
+           for k in range(parts)]
+
     def encode(k):
         z = np.zeros((m, params.hidden))
         _add_product(z, xin, params.W1, *_part_rows(width, parts, k))
-        return z, params.W2[cols[at[k]:at[k + 1]]]
+        np.take(params.W2, cols[at[k]:at[k + 1]], axis=0, out=w2s[k],
+                mode="clip")
+        return z
 
-    z1s, w2s = zip(*_each_part(encode, parts, pool))
-    z1 = sum(z1s)
+    z1 = sum(_each_part(encode, parts, pool))
     h = np.tanh(s1 * z1 + params.b1)
     hin = np.hstack([h, side]) if params.p_hidden else h
     two_w = (2.0 * weights.prediction, 2.0 * weights.reconstruction)

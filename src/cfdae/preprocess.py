@@ -49,9 +49,15 @@ class Scaler:
         if not self.centered_low < self.centered_high:
             raise ValueError("centered_low must be strictly below centered_high")
 
-    def to_unit(self, centered):
+    def to_unit(self, centered, out=None):
+        """centered mapped onto [-1, 1], in one buffer: out if given."""
         span = self.centered_high - self.centered_low
-        return 2.0 * (np.asarray(centered, dtype=np.float64) - self.centered_low) / span - 1.0
+        unit = np.subtract(centered, self.centered_low, out=out,
+                           dtype=np.float64)
+        unit *= 2.0
+        unit /= span
+        unit -= 1.0
+        return unit
 
     def from_unit(self, unit):
         span = self.centered_high - self.centered_low
@@ -95,7 +101,11 @@ def transform(r, entity, bias: BiasTable, scaler: Scaler):
     r = np.asarray(r, dtype=np.float64)
     if not np.all(np.isfinite(r)):
         raise ValueError("cannot transform non-finite ratings")
-    out = scaler.to_unit(r - bias.means[entity])
+    # the means gathered per rating are centered and scaled in place; one
+    # entity's mean broadcast over its ratings takes a new array instead
+    out = np.asarray(bias.means[entity])
+    out = np.subtract(r, out, out=out if out.shape == r.shape else None)
+    scaler.to_unit(out, out=out)
     return out if out.ndim else float(out)
 
 

@@ -224,7 +224,7 @@ def _training_vectors(train_data: RatingMatrix, cfg: TrainConfig,
     ptr, idx, raw = train_data.vectors(cfg.orientation)
     n_entities = ptr.size - 1
     widths = _side_widths(cfg, bias, side, n_entities)
-    entities = np.repeat(np.arange(n_entities), np.diff(ptr))
+    entities = np.repeat(np.arange(n_entities, dtype=np.int32), np.diff(ptr))
     n = by_entity(cfg.orientation, train_data.n_items, train_data.n_users)
     vectors = csr_array((transform(raw, entities, bias, scaler), idx, ptr),
                         shape=(n_entities, n))

@@ -1,5 +1,6 @@
 """Loaders, the sparse rating store, splits, and snapshots."""
 
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -99,9 +100,9 @@ def test_matrix_entry_order_against_lexsort_oracles(n_users, n_items, share,
     arrays = (*m.vectors("user"), *m.vectors("item"), m.users)
     for arr in arrays:
         assert not arr.flags.writeable
-    assert [arr.dtype for arr in arrays] == [np.int64, np.int64, np.float64,
-                                             np.int64, np.int64, np.float64,
-                                             np.int64]
+    assert [arr.dtype for arr in arrays] == [np.int32, np.int32, np.float64,
+                                             np.int32, np.int32, np.float64,
+                                             np.int32]
     presorted = RatingMatrix(n_users, n_items, users[by_user],
                              items[by_user], ratings[by_user])
     assert presorted.fingerprint() == m.fingerprint()
@@ -192,6 +193,46 @@ def test_fingerprint_tracks_content(toy_ratings):
     changed = RatingMatrix(4, 5, toy_ratings.users, toy_ratings.items,
                            toy_ratings.ratings + 1.0)
     assert changed.fingerprint() != toy_ratings.fingerprint()
+
+
+def test_fingerprint_hashes_int64_indices_without_copies():
+    # snapshots and checkpoints hold these digests, which hash the indices
+    # as int64; the second matrix's indices take several chunks, and the
+    # third has more than 2**31 cells
+    flat = np.arange(150_000) * 7 % 200_000
+    big = RatingMatrix(500, 400, flat // 400, flat % 400, 1.0 + flat % 9 / 2)
+    cases = [
+        (RatingMatrix(3, 4, [2, 0, 0], [0, 3, 1], [1.0, 2.5, 4.0]),
+         "c6aa6cfb80cefc02aef9c313861603aa1894754da72d7042f0ff07fb116adecb"),
+        (big,
+         "e8aee2637ef5ce0bbb98ec07bee4dcc0ec47bbe2a9b81dc44f6fe47ba774c81a"),
+        (RatingMatrix(70_000, 40_000, [69_999, 0, 35_000, 0],
+                      [39_999, 0, 20_000, 39_999], [5.0, 1.0, 3.5, 2.0]),
+         "479b440b0d585aaf4419a5efa2e946249469982e5043aba29711996112336c80"),
+    ]
+    for matrix, want in cases:
+        assert matrix.fingerprint() == want
+    tracemalloc.start()
+    try:
+        big.fingerprint()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < big.ratings.nbytes / 2  # 1.2 MB of ratings, no copy
+
+
+def test_matrix_with_2_31_users_or_items_raises_before_allocating():
+    tracemalloc.start()
+    try:
+        for shape in ((2**31, 1), (1, 2**31)):
+            with pytest.raises(DataError, match="overflows int32 indices"):
+                RatingMatrix(*shape, [], [], [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    edge = RatingMatrix(2**31 - 1, 2**31 - 1, [2**31 - 2], [0], [3.0])
+    assert (edge.users.dtype, edge.users[0]) == (np.int32, 2**31 - 2)
 
 
 # ----------------------------------------------------------- load_ratings

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -19,12 +20,13 @@ import pytest
 import scipy.sparse as sp
 
 from cfdae import (BiasPredictor, BiasTable, CorruptionMask, DataError,
-                   LossWeights, RatingMatrix, RatingScale, SideInfoTable,
-                   SparseVector, SplitSpec, TagMatrix, TrainConfig, TrainState,
-                   TrainingDiverged, build_side_info, complete_matrix,
-                   fit_bias, fit_scaler, forward, init_params,
-                   inverse_transform, learning_rate, load_checkpoint, loss,
-                   save_checkpoint, split, svd_embed, train, transform)
+                   IdMaps, LossWeights, RatingMatrix, RatingScale,
+                   SideInfoTable, SparseVector, SplitSpec, TagMatrix,
+                   TrainConfig, TrainState, TrainingDiverged,
+                   build_side_info, complete_matrix, fit_bias, fit_scaler,
+                   forward, init_params, inverse_transform, learning_rate,
+                   load_checkpoint, load_snapshot, loss, save_checkpoint,
+                   save_snapshot, split, svd_embed, train, transform)
 from cfdae import cli
 from cfdae.model import batch_loss_gradients, corrupted_batch
 from cfdae.train import SIDE_MODES, EpochRecord, MatrixCompleter
@@ -932,6 +934,93 @@ def test_completer_predictions_do_not_depend_on_the_query(
         np.testing.assert_array_equal(batch, singles)
         flipped = completer.predict_many(users[::-1], items[::-1])
         np.testing.assert_array_equal(batch, flipped[::-1])
+
+
+def test_more_than_2_31_cells_build_split_and_predict():
+    # 70,000 x 40,000 cells overflow int32 cell keys, though each index
+    # fits: both tables, the split and the completer keep every entry
+    n_users, n_items = 70_000, 40_000
+    rng = np.random.default_rng(5)
+    corners = [0, n_items - 1, (n_users - 1) * n_items, n_users * n_items - 1]
+    keys = np.unique(np.concatenate(
+        [rng.integers(0, n_users * n_items, 400), corners]))
+    users, items = keys // n_items, keys % n_items
+    values = rng.integers(1, 6, keys.size).astype(np.float64)
+    ratings = RatingMatrix(n_users, n_items, users, items, values)
+    np.testing.assert_array_equal(ratings.users, users)
+    for by, (entity, other) in (("user", (users, items)),
+                                ("item", (items, users))):
+        ptr, idx, vals = ratings.vectors(by)
+        order = np.lexsort((other, entity))
+        np.testing.assert_array_equal(
+            ptr, np.concatenate([[0], np.cumsum(np.bincount(
+                entity, minlength=ptr.size - 1))]))
+        np.testing.assert_array_equal(idx, other[order])
+        np.testing.assert_array_equal(vals, values[order])
+    train_m, test_m = split(ratings, SplitSpec(0.8, 0))
+    assert train_m.n_entries + test_m.n_entries == ratings.n_entries
+    assert (test_m.n_users, test_m.n_items) == (n_users, n_items)
+    scale = RatingScale(1.0, 5.0, True, 1.0)
+    for orientation in ("user", "item"):
+        cfg = small_config(orientation=orientation, hidden=4, epochs=1)
+        bias, scaler = fitted(train_m, scale, cfg)
+        state = train(train_m, cfg, bias, scaler)
+        completer = complete_matrix(train_m, state, bias, scaler)
+        got = completer.predict_many(test_m.users, test_m.items)
+        by_user = orientation == "user"
+        pull = train_m.row if by_user else train_m.col
+        for k, (u, i) in enumerate(zip(test_m.users, test_m.items)):
+            entity, other = (u, i) if by_user else (i, u)
+            idx, raw = pull(entity)
+            unit = 0.0
+            if idx.size:
+                x = SparseVector(n_items if by_user else n_users, idx,
+                                 np.atleast_1d(transform(raw, entity, bias,
+                                                         scaler)))
+                unit = float(forward(state.params, x)[other])
+            want = inverse_transform(unit, entity, bias, scaler)
+            assert got[k] == pytest.approx(want, abs=1e-12)
+
+
+def test_read_path_peak_memory(tmp_path):
+    # load_snapshot, split, fit_bias, complete_matrix and predict_many on
+    # 200k entries must hold, at their end, 50 bytes an entry of arrays:
+    # the matrix and its halves at 16 (int32 user and item, float64
+    # rating), and for the 90% train half, its by-item table at 12 (int32
+    # user, float64 rating) and the completer's scaled values at 8.  The
+    # bound allows 16 bytes an entry more, one int64 index and one float64
+    # value, for the temporaries of any one step.
+    n_users, n_items, n = 2000, 1000, 200_000
+    cfg = small_config()
+    scale = RatingScale(1.0, 5.0, True, 1.0)
+    params = init_params(n_users, cfg.hidden, 0, 0, seed=0)
+
+    def read_path(path):
+        ratings, scale, _ids = load_snapshot(path)
+        train_m, test_m = split(ratings, SPLIT)
+        bias = fit_bias(train_m, cfg.orientation)
+        completer = complete_matrix(train_m, TrainState(params, cfg, []),
+                                    bias, fit_scaler(scale, bias))
+        return completer.predict_many(test_m.users, test_m.items)
+
+    rng = np.random.default_rng(0)
+    for size in (1000, n):  # the first run imports what the path uses
+        keys = rng.choice(n_users * n_items, size, replace=False)
+        ratings = RatingMatrix(n_users, n_items, keys // n_items,
+                               keys % n_items,
+                               rng.integers(1, 6, size).astype(np.float64))
+        ids = IdMaps(tuple(map(str, range(n_users))),
+                     tuple(map(str, range(n_items))))
+        path = tmp_path / f"ratings_{size}.npz"
+        save_snapshot(path, ratings, scale, ids)
+        del ratings
+        tracemalloc.start()
+        try:
+            read_path(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= (50 + 16) * n, f"peak {peak} bytes for {n} entries"
 
 
 def _many_block_completer(ratings, scale, side_info, side=None, seed=0):
