@@ -15,6 +15,7 @@ import hashlib
 import logging
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -89,13 +90,25 @@ def _sha256_file(path) -> str:
         return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
+def _hash_inputs(args, paths):
+    """Start the sha256 of each of paths, a command's inputs, on main's
+    one-thread pool, which main closes however the command ends.
+    _write_manifest takes the digests and raises any error they met; a
+    command that fails before then reports its own error alone."""
+    args.digests = args.hashing.submit(
+        lambda: {str(p): _sha256_file(p) for p in paths})
+    # the thread ends once the digests are done: alive, it would keep its
+    # malloc arena from the prediction threads, which then grow their own
+    args.hashing.shutdown(wait=False)
+
+
 def _write_manifest(out_dir: Path, command: str, args, config: dict,
-                    inputs, outputs, started: str):
+                    outputs, started: str):
     manifest = {
         "command": command,
         "argv": list(args.raw_argv),
         "config": config,
-        "inputs": {str(p): _sha256_file(p) for p in inputs},
+        "inputs": args.digests.result(),
         "outputs": [str(p) for p in outputs],
         "started": started,
         "finished": _now(),
@@ -164,8 +177,8 @@ def _set_up_run(args):
 
 def cmd_ingest(args) -> int:
     started = _now()
+    _hash_inputs(args, [args.ratings] + ([args.tags] if args.tags else []))
     ratings, scale, ids = load_ratings(args.ratings, args.format)
-    inputs = [args.ratings]
 
     stats = {
         "n_users": ratings.n_users,
@@ -179,7 +192,6 @@ def cmd_ingest(args) -> int:
     if args.tags:
         entity = args.tag_entity or TAG_FORMATS[args.tag_format]
         tags = load_tags(args.tags, args.tag_format, ids, entity)
-        inputs.append(args.tags)
         stats["tags"] = {"entity": entity, "n_tags": tags.n_tags,
                          "nnz": int(tags.counts.nnz)}
 
@@ -195,7 +207,7 @@ def cmd_ingest(args) -> int:
     _write_manifest(out, "ingest", args,
                     {"format": args.format, "tag_format": args.tag_format,
                      "tag_entity": args.tag_entity},
-                    inputs, outputs, started)
+                    outputs, started)
     print(f"ingested {ratings.n_entries} ratings: {ratings.n_users} users x "
           f"{ratings.n_items} items, density {ratings.density:.4%}")
     return 0
@@ -205,6 +217,7 @@ def cmd_train(args) -> int:
     started = _now()
     split_spec = SplitSpec(args.train_fraction, args.split_seed)
     cfg, ratings, scale, side, inputs = _set_up_run(args)
+    _hash_inputs(args, inputs)
 
     train_m, test_m = split(ratings, split_spec)
     bias = fit_bias(train_m, cfg.orientation)
@@ -246,7 +259,7 @@ def cmd_train(args) -> int:
                                "seed": split_spec.seed},
                      "side_svd_dim": args.side_svd_dim,
                      "side_binary": args.side_binary},
-                    inputs, outputs, started)
+                    outputs, started)
     last = state.history[-1]
     tail = "" if last.rmse is None else f", test rmse {last.rmse:.4f}"
     print(f"trained {state.epoch} epochs ({cfg.orientation}-oriented); "
@@ -259,7 +272,7 @@ def _load_model(args):
     """The checkpoint under --model, the snapshot under --data that it was
     trained on, and that snapshot split as the checkpoint records.
 
-    Returns (ckpt, scale, ids, train, test, [checkpoint path, ratings path]).
+    Returns (ckpt, scale, ids, train, test).
     """
     ckpt_path = Path(args.model) / "checkpoint.npz"
     if not ckpt_path.exists():
@@ -270,12 +283,14 @@ def _load_model(args):
         raise DataError(f"{ckpt_path} was trained on different data than "
                         f"{ratings_path}")
     train_m, test_m = split(ratings, ckpt.split)
-    return ckpt, scale, ids, train_m, test_m, [ckpt_path, ratings_path]
+    return ckpt, scale, ids, train_m, test_m
 
 
 def cmd_evaluate(args) -> int:
     started = _now()
-    ckpt, scale, _ids, train_m, test_m, inputs = _load_model(args)
+    _hash_inputs(args, [Path(args.model) / "checkpoint.npz",
+                        Path(args.data) / "ratings.npz"])
+    ckpt, scale, _ids, train_m, test_m = _load_model(args)
     cfg = ckpt.state.config
     completer = complete_matrix(train_m, ckpt.state, ckpt.bias, ckpt.scaler,
                                 ckpt.side)
@@ -302,7 +317,7 @@ def cmd_evaluate(args) -> int:
     _write_manifest(out, "evaluate", args,
                     {"train": dataclasses.asdict(cfg), "clusters_by": by,
                      "n_clusters": args.n_clusters},
-                    inputs, [report_path, clusters_path], started)
+                    [report_path, clusters_path], started)
 
     print(f"test rmse {report.rmse:.4f} on {report.n_test} entries "
           f"(bias baseline {base_rmse:.4f})")
@@ -314,7 +329,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    ckpt, scale, ids, train_m, _test_m, _inputs = _load_model(args)
+    ckpt, scale, ids, train_m, _test_m = _load_model(args)
     u = ids.user_index.get(args.user)
     i = ids.item_index.get(args.item)
     if u is None or i is None:
@@ -355,6 +370,8 @@ def cmd_sweep(args) -> int:
                          grid["mask_ratios"], cfg, split_spec, side=side,
                          jobs=args.jobs)
         tables = {"sweep_dae.csv": rows}
+    # started once the workers' pool has closed, so nothing forks beside it
+    _hash_inputs(args, inputs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = [write_csv(out / name, table) for name, table in tables.items()]
@@ -366,7 +383,7 @@ def cmd_sweep(args) -> int:
     _write_manifest(out, "sweep", args,
                     {"kind": args.kind, "train": dataclasses.asdict(cfg),
                      **grid, **parallel},
-                    inputs, outputs, started)
+                    outputs, started)
     print(f"swept {len(rows)} cells -> {outputs[0]}")
     return 0
 
@@ -491,7 +508,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.raw_argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        with ThreadPoolExecutor(1) as args.hashing:  # see _hash_inputs
+            return args.func(args)
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -182,46 +182,9 @@ class RatingMatrix:
     __slots__ = ("n_users", "n_items", "users", "items", "ratings", "_tables")
 
     def __init__(self, n_users, n_items, users, items, ratings):
-        users = np.ascontiguousarray(users, dtype=np.int64)
-        items = np.ascontiguousarray(items, dtype=np.int64)
-        ratings = np.ascontiguousarray(ratings, dtype=np.float64)
-        if not (users.ndim == items.ndim == ratings.ndim == 1):
-            raise DataError("entry arrays must be one-dimensional")
-        if not (users.size == items.size == ratings.size):
-            raise DataError("entry arrays must have equal length")
-        if n_users < 0 or n_items < 0:
-            raise DataError("matrix dimensions must be nonnegative")
-        if max(n_users, n_items, ratings.size) >= 2**31:
-            raise DataError(f"a {n_users} x {n_items} matrix with "
-                            f"{ratings.size} entries overflows int32 indices")
-        if users.size:
-            if users.min() < 0 or users.max() >= n_users:
-                raise DataError("user index out of range")
-            if items.min() < 0 or items.max() >= n_items:
-                raise DataError("item index out of range")
-        if not np.all(np.isfinite(ratings)):
-            raise DataError("ratings must be finite")
-
-        # One int64 key per cell in (user, item) order.  Strictly
-        # increasing keys prove the entries sorted and distinct, so only
-        # unsorted input is sorted.  The stored arrays are private copies,
-        # the indices as int32, made once the key is gone.
-        key = users * np.int64(n_items) + items
-        if np.all(key[1:] > key[:-1]):
-            order = slice(None)
-        else:
-            order = np.argsort(key)
-            key = key[order]
-            dup = np.flatnonzero(key[1:] == key[:-1])
-            if dup.size:
-                k = order[int(dup[0]) + 1]
-                raise DataError(
-                    f"duplicate rating for user {users[k]}, item {items[k]}")
-        del key
-        users = users[order].astype(np.int32)
-        items = items[order].astype(np.int32)
-        ratings = ratings[order].copy()
-        self._own(n_users, n_items, users, items, ratings)
+        arrays = {"users": users, "items": items, "values": ratings}
+        self._own(n_users, n_items, *_checked_entries(
+            n_users, n_items, arrays.__getitem__, copy=True))
 
     @classmethod
     def _adopt(cls, n_users, n_items, users, items, ratings) -> "RatingMatrix":
@@ -321,6 +284,56 @@ class RatingMatrix:
     def __repr__(self):
         return (f"RatingMatrix({self.n_users} users x {self.n_items} items, "
                 f"{self.n_entries} entries)")
+
+
+def _checked_entries(n_users, n_items, load, copy: bool):
+    """(users, items, ratings) of an n_users x n_items matrix, checked,
+    sorted by (user, item) and distinct, the indices as int32, from
+    load("users"), load("items") and load("values").  An index array is
+    narrowed, and the sort key gone, before the next array loads, so a
+    load from a file holds one int64 array at a time.  The ratings are
+    copied only with copy; the indices are always new arrays."""
+    if n_users < 0 or n_items < 0:
+        raise DataError("matrix dimensions must be nonnegative")
+    index = []
+    for name, bound in (("users", n_users), ("items", n_items)):
+        ids = np.ascontiguousarray(load(name), dtype=np.int64)
+        if ids.ndim != 1:
+            raise DataError("entry arrays must be one-dimensional")
+        if index and ids.size != index[0].size:
+            raise DataError("entry arrays must have equal length")
+        if max(n_users, n_items, ids.size) >= 2**31:
+            raise DataError(f"a {n_users} x {n_items} matrix with "
+                            f"{ids.size} entries overflows int32 indices")
+        if ids.size and (ids.min() < 0 or ids.max() >= bound):
+            raise DataError(f"{name[:-1]} index out of range")
+        index.append(ids.astype(np.int32))
+        del ids
+    users, items = index
+    # One int64 key per cell in (user, item) order.  Strictly increasing
+    # keys prove the entries sorted and distinct, so only unsorted input is
+    # sorted.
+    key = users.astype(np.int64)
+    key *= n_items
+    key += items
+    order = slice(None)
+    if not np.all(key[1:] > key[:-1]):
+        order = np.argsort(key)
+        dup = np.flatnonzero(np.diff(key[order]) == 0)
+        if dup.size:
+            k = order[int(dup[0]) + 1]
+            raise DataError(
+                f"duplicate rating for user {users[k]}, item {items[k]}")
+    del key
+    ratings = np.array(load("values"), dtype=np.float64, order="C",
+                       copy=copy or None)
+    if ratings.ndim != 1:
+        raise DataError("entry arrays must be one-dimensional")
+    if ratings.size != users.size:
+        raise DataError("entry arrays must have equal length")
+    if not np.all(np.isfinite(ratings)):
+        raise DataError("ratings must be finite")
+    return users[order], items[order], ratings[order]
 
 
 @dataclass(frozen=True)
@@ -605,11 +618,12 @@ def save_snapshot(path, ratings: RatingMatrix, scale: RatingScale, ids: IdMaps):
 def load_snapshot(path):
     """Inverse of save_snapshot; round-trips bit-exactly."""
     with open_versioned_npz(path, SNAPSHOT_VERSION, "snapshot") as z:
-        matrix = RatingMatrix(int(z["n_users"]), int(z["n_items"]),
-                              z["users"], z["items"], z["values"])
+        n_users, n_items = int(z["n_users"]), int(z["n_items"])
+        matrix = RatingMatrix._adopt(n_users, n_items, *_checked_entries(
+            n_users, n_items, z.__getitem__, copy=False))
         scale = RatingScale.from_array(z["scale"])
-        ids = IdMaps(tuple(str(s) for s in z["user_ids"]),
-                     tuple(str(s) for s in z["item_ids"]))
+        ids = IdMaps(tuple(z["user_ids"].tolist()),
+                     tuple(z["item_ids"].tolist()))
         if (len(ids.user_ids), len(ids.item_ids)) != (matrix.n_users,
                                                       matrix.n_items):
             raise DataError(

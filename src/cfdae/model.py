@@ -10,9 +10,14 @@ hidden layer, or to both.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import threading
 from concurrent.futures import wait
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -153,29 +158,43 @@ def _check_side(params: AutoencoderParams, side) -> np.ndarray | None:
     return side
 
 
-def encode_batch(params: AutoencoderParams, xin,
+def encode_batch(params: AutoencoderParams, x,
                  side: np.ndarray | None = None) -> np.ndarray:
     """Hidden codes of a batch of inputs, with the side columns the
-    decoder reads appended.  xin, a dense array or a scipy sparse array,
-    holds each input over all n + p_in coordinates, the side inputs last,
-    as the training kernel's CSC input and the completer's chunks do."""
-    width = params.W1.shape[0]
-    if xin.shape[1] != width:
-        raise ValueError(f"input dim {xin.shape[1]} != network input dim "
-                         f"{width}")
-    h = np.tanh(xin @ params.W1 + params.b1)
-    return np.hstack([h, side]) if params.p_hidden else h
+    decoder reads appended.  x, a CSR _Compressed, holds the inputs' rating
+    parts over the n counterpart coordinates, and side their side features.
+    The rating part is one product of x in CSC form (scipy's linear-time
+    transpose) with W1's first n rows, reading each row once per batch; the
+    side inputs add one gemv per input, so no code depends on its batch."""
+    n, k, (m, width), nnz = params.n, params.hidden, x.shape, x.data.size
+    if width != n:
+        raise ValueError(f"input dim {width} != network input dim {n}")
+    csc = _Compressed("csc", x.shape, np.empty(n + 1, dtype=np.int64),
+                      np.empty(nnz, dtype=np.int64), np.empty(nnz))
+    _sparsetools.csr_tocsc(m, n, x.indptr, x.indices, x.data, *csc[2:])
+    z = np.zeros((m, k))
+    _add_product(z, csc, params.W1)
+    if params.p_in:
+        z += np.matmul(side[:, None, :], params.W1[n:])[:, 0]
+    hin = np.empty((m, k + params.p_hidden))
+    np.tanh(np.add(z, params.b1, out=hin[:, :k]), out=hin[:, :k])
+    if params.p_hidden:
+        hin[:, k:] = side
+    return hin
+
+
+def _one_row(x: SparseVector) -> "_Compressed":
+    """x as a one-row CSR array, the batch of one that the kernels take."""
+    return _Compressed("csr", (1, x.dim), np.array([0, x.n_known]),
+                       x.indices, x.values)
 
 
 def forward(params: AutoencoderParams, x: SparseVector,
             side_info=None) -> np.ndarray:
     """Dense output vector for one incomplete input vector."""
     side = _check_side(params, side_info)
-    batch_side = side[None, :] if side is not None else None
-    xin = x.to_dense()[None, :]
-    if params.p_in:
-        xin = np.hstack([xin, batch_side])
-    hin = encode_batch(params, xin, batch_side)
+    hin = encode_batch(params, _one_row(x),
+                       side[None, :] if side is not None else None)
     return np.tanh(hin @ params.W2.T + params.b2)[0]
 
 
@@ -216,21 +235,26 @@ class _Compressed(NamedTuple):
                            self.data)
 
 
+def _csr_rows(vectors, ids: np.ndarray) -> _Compressed:
+    """Rows ids of the scipy CSR array vectors as an (ids.size, n) CSR
+    _Compressed: a flat gather on the CSR arrays, where scipy's
+    vectors[ids] takes up to 4x as long on a 32-row batch."""
+    ptr = vectors.indptr
+    counts = ptr[ids + 1] - ptr[ids]
+    starts = np.zeros(ids.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    at = np.arange(starts[-1]) + np.repeat(ptr[ids] - starts[:-1], counts)
+    return _Compressed("csr", (ids.size, vectors.shape[1]), starts,
+                       vectors.indices[at], vectors.data[at])
+
+
 def corrupted_batch(vectors, ids: np.ndarray, mask_ratio: float,
                     rng: np.random.Generator):
     """(x, hit), the batch that batch_loss_gradients takes: x rows ids of
     the scipy CSR array vectors as an (ids.size, n) CSR _Compressed, and
     hit the corrupted_flags(counts, mask_ratio, rng) of their entries."""
-    ptr = vectors.indptr
-    # a flat gather on the CSR arrays: scipy's vectors[ids] takes up to 4x
-    # as long on a 32-row batch
-    counts = ptr[ids + 1] - ptr[ids]
-    starts = np.zeros(ids.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    at = np.arange(starts[-1]) + np.repeat(ptr[ids] - starts[:-1], counts)
-    x = _Compressed("csr", (ids.size, vectors.shape[1]), starts,
-                    vectors.indices[at], vectors.data[at])
-    return x, corrupted_flags(counts, mask_ratio, rng)
+    x = _csr_rows(vectors, ids)
+    return x, corrupted_flags(np.diff(x.indptr), mask_ratio, rng)
 
 
 def corrupt(x: SparseVector, mask_ratio: float, rng: np.random.Generator):
@@ -253,6 +277,53 @@ _RESCALE = 1e32
 # batch alone and never on the machine.
 _PARTS = 2
 _PART_WORK = 20_000_000
+
+
+# the BLAS thread count that the first active _blas_held found, once per
+# active holder
+_blas_before: list[int] = []
+_blas_lock = threading.Lock()
+
+
+@functools.cache
+def _numpy_blas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, through
+    ctypes, or None where numpy bundles no such library or it lacks either
+    symbol."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    found = sorted(libs.glob("libscipy_openblas64_-*.so"))
+    if not found:
+        return None
+    lib = ctypes.CDLL(str(found[0]))
+    try:
+        get = lib.scipy_openblas_get_num_threads64_
+        set_to = lib.scipy_openblas_set_num_threads64_
+    except AttributeError:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_to.argtypes, set_to.restype = [ctypes.c_int], None
+    return get, set_to
+
+
+@contextlib.contextmanager
+def _blas_held(blas):
+    """Hold the BLAS of blas, a _numpy_blas_threads() pair, at one thread
+    while any holder, in any thread, is inside; the last to leave restores
+    the count the first found.  With blas None nothing is held."""
+    if blas is None:
+        yield
+        return
+    get, set_to = blas
+    with _blas_lock:
+        _blas_before.append(_blas_before[0] if _blas_before else get())
+        set_to(1)
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            before = _blas_before.pop()
+            if not _blas_before:
+                set_to(before)
 
 
 def _part_rows(rows: int, parts: int, k: int) -> tuple[int, int]:
@@ -305,7 +376,7 @@ def _csc_batch(data: np.ndarray, row: np.ndarray, col: np.ndarray, m: int,
                width: int, side: np.ndarray | None = None) -> _Compressed:
     """(m, width) CSC array of the entries (row, col) of data, listed by
     coordinate, each coordinate's in row order; side's columns, if given,
-    are the last coordinates (as the completer's encoder input has them)."""
+    are the last coordinates."""
     counts = np.bincount(col, minlength=width)
     if side is not None:
         p = side.shape[1]
@@ -535,11 +606,10 @@ def _single_vector(params: AutoencoderParams, x: SparseVector,
     intact[mask.indices] = 0.0
     if not np.array_equal(x_tilde.to_dense(), intact):
         raise ValueError("x_tilde must be x with the mask's entries zeroed")
-    batch = _Compressed("csr", (1, x.dim), np.array([0, x.n_known]),
-                        x.indices, x.values)
     hit = np.isin(x.indices, mask.indices)
     batch_side = side[None, :] if side is not None else None
-    return batch_loss_gradients(params, batch, hit, weights, batch_side)
+    return batch_loss_gradients(params, _one_row(x), hit, weights,
+                                batch_side)
 
 
 def loss(params: AutoencoderParams, x: SparseVector, x_tilde: SparseVector,
@@ -570,7 +640,7 @@ def decompose(params: AutoencoderParams, x: SparseVector):
     """
     if params.p_in or params.p_hidden:
         raise ValueError("decompose requires a network without side columns")
-    h = encode_batch(params, x.to_dense()[None, :])[0]
+    h = encode_batch(params, _one_row(x))[0]
     u = np.concatenate([h, params.b2])
     v = np.hstack([params.W2, np.eye(params.n)])
     return u, v

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import RatingMatrix, RatingScale, TagMatrix, by_entity
+from .model import _blas_held, _numpy_blas_threads
 
 log = logging.getLogger(__name__)
 
@@ -167,9 +168,12 @@ def svd_embed(tags: TagMatrix, k_prime: int) -> SideInfoTable:
     else:
         # imported here, as only this branch needs it and it is slow to load
         from scipy.sparse.linalg import svds
-        # a fixed start vector, so ARPACK's result is reproducible
+        # a fixed start vector, so ARPACK's result is reproducible; BLAS at
+        # one thread, as in training: at two, its many small products were
+        # seen to stall a fresh process for up to 0.7 s on a shared machine
         v0 = np.random.default_rng(0).standard_normal(limit)
-        u, s_asc, _ = svds(counts, k=k_prime, v0=v0)
+        with _blas_held(_numpy_blas_threads()):
+            u, s_asc, _ = svds(counts, k=k_prime, v0=v0)
         desc = np.argsort(s_asc)[::-1]
         p, s = u[:, desc], s_asc[desc]
 

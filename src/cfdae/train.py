@@ -10,28 +10,24 @@ depends on how earlier epochs consumed randomness.
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import dataclasses
-import functools
 import json
 import logging
 import math
 import multiprocessing
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_array, hstack
+from scipy.sparse import csr_array
 
 from .data import (RatingMatrix, RatingScale, SplitSpec, aligned_query,
                    by_entity, open_versioned_npz, write_versioned_npz)
 from .model import (_PARTS, AutoencoderParams, LazyDecay, LossWeights,
-                    _each_part, batch_loss_gradients, corrupted_batch,
-                    corrupted_flags, encode_batch, first_nonfinite,
-                    init_params)
+                    _blas_held, _csr_rows, _each_part, _numpy_blas_threads,
+                    batch_loss_gradients, corrupted_batch, corrupted_flags,
+                    encode_batch, first_nonfinite, init_params)
 from .preprocess import (BiasTable, Scaler, SideInfoTable, inverse_transform,
                          transform)
 
@@ -39,9 +35,6 @@ log = logging.getLogger(__name__)
 
 SIDE_MODES = ("none", "input_only", "hidden_only", "both")
 CHECKPOINT_VERSION = 1
-# numpy's BLAS thread count before the first active train(), once per run
-_blas_before: list[int] = []
-_blas_lock = threading.Lock()
 
 
 def _config_type(annotation: str) -> tuple[type, bool]:
@@ -240,8 +233,8 @@ def train(train_data: RatingMatrix, cfg: TrainConfig, bias: BiasTable,
     called with the state after each epoch and may return an RMSE to
     record on that epoch's curve point.  It is the one per-epoch hook, so
     a caller that keeps per-epoch checkpoints writes them from it.  The
-    run holds numpy's BLAS at one thread and runs each step's parts on
-    _step_threads' pool (see batch_loss_gradients).
+    run holds numpy's BLAS at one thread (_blas_held) and runs each step's
+    parts on a pool of its own (see batch_loss_gradients).
     """
     vectors, features, (p_in, p_hidden) = _training_vectors(
         train_data, cfg, bias, scaler, side)
@@ -254,7 +247,12 @@ def train(train_data: RatingMatrix, cfg: TrainConfig, bias: BiasTable,
     weights = cfg.loss_weights(n + p_in)
     state = TrainState(params, cfg, [])
 
-    with _step_threads() as step_pool:
+    # min(_cpu_count(), _PARTS) threads run the parts, or one where BLAS
+    # threads, which would contend with a pool, cannot be held
+    blas = _numpy_blas_threads()
+    threads = min(_cpu_count(), _PARTS) if blas is not None else 1
+    with _blas_held(blas), (ThreadPoolExecutor(threads - 1) if threads > 1
+                            else contextlib.nullcontext()) as step_pool:
         for epoch in range(cfg.epochs):
             rng = np.random.default_rng([cfg.seed, epoch])
             order = rng.permutation(rated)
@@ -294,54 +292,6 @@ def train(train_data: RatingMatrix, cfg: TrainConfig, bias: BiasTable,
     return state
 
 
-@functools.cache
-def _numpy_blas_threads():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, through
-    ctypes, or None where numpy bundles no such library or it lacks either
-    symbol."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    found = sorted(libs.glob("libscipy_openblas64_-*.so"))
-    if not found:
-        return None
-    lib = ctypes.CDLL(str(found[0]))
-    try:
-        get = lib.scipy_openblas_get_num_threads64_
-        set_to = lib.scipy_openblas_set_num_threads64_
-    except AttributeError:
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_to.argtypes, set_to.restype = [ctypes.c_int], None
-    return get, set_to
-
-
-@contextlib.contextmanager
-def _step_threads():
-    """Hold numpy's OpenBLAS at one thread while any train() runs, the last
-    to end restoring its count, and yield the pool that runs a step's parts
-    beside the calling thread: min(_cpu_count(), _PARTS) threads in all, as
-    predict_many sizes its own.  Where the thread count cannot be set nothing
-    is, and the yield is None: every part runs on the calling thread, because
-    a BLAS thread pool would contend with the pool's threads."""
-    blas = _numpy_blas_threads()
-    if blas is None:
-        yield None
-        return
-    get, set_to = blas
-    with _blas_lock:
-        _blas_before.append(_blas_before[0] if _blas_before else get())
-        set_to(1)
-    threads = min(_cpu_count(), _PARTS)
-    try:
-        with (ThreadPoolExecutor(threads - 1) if threads > 1
-              else contextlib.nullcontext()) as pool:
-            yield pool
-    finally:
-        with _blas_lock:
-            before = _blas_before.pop()
-            if not _blas_before:
-                set_to(before)
-
-
 def _cpu_count() -> int:
     """CPUs this process may run on: the most threads predict_many or a
     training run uses.
@@ -370,15 +320,10 @@ class MatrixCompleter:
     def __init__(self, train_data: RatingMatrix, params: AutoencoderParams,
                  cfg: TrainConfig, bias: BiasTable, scaler: Scaler,
                  side: SideInfoTable | None = None):
-        vectors, features, (p_in, p_hidden) = _training_vectors(
+        self._vectors, self._side, _ = _training_vectors(
             train_data, cfg, bias, scaler, side)
-        _check_network(params, cfg, bias, side, vectors.shape[1])
-        self._counts = np.diff(vectors.indptr)
-        # the side inputs as coordinates n..n+p_in-1, so that a chunk
-        # encodes in one sparse product with all of W1
-        self._vectors = (hstack([vectors, csr_array(features)], format="csr")
-                         if p_in else vectors)
-        self._side = features if p_hidden else None
+        _check_network(params, cfg, bias, side, self._vectors.shape[1])
+        self._counts = np.diff(self._vectors.indptr)
         self.params = params
         self.bias = bias
         self.scaler = scaler
@@ -405,10 +350,11 @@ class MatrixCompleter:
 
         # A chunk encodes up to _CHUNK of the distinct queried entities
         # with training ratings; the others keep unit 0, the bias fallback.
-        # An encoder row sums in column order whatever the other rows, and
-        # each output is its own row-wise dot product, so a prediction
-        # depends neither on the rest of the query nor on the thread that
-        # runs its chunk.  Each chunk writes only its own queries' slots.
+        # A code's rating part sums in column order whatever the other
+        # rows, its side part is a product of its own, and each output is
+        # its own row-wise dot product, so a prediction depends neither on
+        # the rest of the query nor on the thread that runs its chunk.
+        # Each chunk writes only its own queries' slots.
         unit = np.zeros(entities.size)
         order = np.argsort(entities, kind="stable")
         order = order[self._counts[entities[order]] > 0]
@@ -425,9 +371,10 @@ class MatrixCompleter:
                 self._predict_block(queries, entities, counterparts, unit)
 
         if threads > 1:
-            # Pool threads call no BLAS (an idle BLAS helper thread spins
-            # against them) and nothing outside this class, so every other
-            # call stays on the calling thread.
+            # Pool threads call BLAS only for the side inputs, one small
+            # gemv per entity (an idle BLAS helper thread spins against
+            # them), and nothing outside this class, so every other call
+            # stays on the calling thread.
             with ThreadPoolExecutor(threads - 1) as pool:
                 _each_part(lambda _: run(), threads, pool)
         else:
@@ -449,12 +396,10 @@ class MatrixCompleter:
 
     def _encode_block(self, ids: np.ndarray) -> np.ndarray:
         """Hidden codes (side columns appended) of the entities ids, sorted
-        and distinct, encoded from their rows of the CSR training vectors,
-        side inputs included.  The product runs on the gathered rows in CSC
-        form, which reads each encoder row once per chunk, not once per
-        known entry, and sums each row in the same column order."""
+        and distinct, encoded from their rows of the CSR training vectors
+        and of the side features."""
         side = self._side[ids] if self._side is not None else None
-        return encode_batch(self.params, self._vectors[ids].tocsc(), side)
+        return encode_batch(self.params, _csr_rows(self._vectors, ids), side)
 
 
 def complete_matrix(train_data: RatingMatrix, state: TrainState,

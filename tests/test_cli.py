@@ -9,6 +9,7 @@ import math
 import os
 import re
 import shutil
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from cfdae.cli import _merged_config, build_parser, main
 
 # cfdae re-exports the function train(), which hides the submodule attribute
 train_module = importlib.import_module("cfdae.train")
+cli_module = importlib.import_module("cfdae.cli")
 
 GENRES = ("Action", "Comedy", "Drama", "Horror", "Romance")
 
@@ -498,6 +500,57 @@ def test_evaluate_artifacts(workspace, tmp_path):
         rows = list(csv.DictReader(fh))
     assert [r["cluster"] for r in rows[:2]] == ["0-20%", "20-40%"]
     assert (out / "manifest_evaluate.json").exists()
+
+
+@pytest.fixture
+def thread_errors(monkeypatch):
+    """Every exception that escapes a thread while the test runs."""
+    raised = []
+    monkeypatch.setattr(threading, "excepthook", raised.append)
+    return raised
+
+
+def test_evaluate_hashes_its_inputs_on_a_thread_it_joins(workspace, tmp_path,
+                                                         thread_errors):
+    before = threading.active_count()
+    out = tmp_path / "report"
+    assert main(["evaluate", "--model", str(workspace["model"]), "--data",
+                 str(workspace["data"]), "--out", str(out)]) == 0
+    assert threading.active_count() == before
+    manifest = json.loads((out / "manifest_evaluate.json").read_text())
+    assert list(manifest) == ["command", "argv", "config", "inputs",
+                              "outputs", "started", "finished"]
+    inputs = [workspace["model"] / "checkpoint.npz",
+              workspace["data"] / "ratings.npz"]
+    assert manifest["inputs"] == {
+        str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs}
+    assert thread_errors == []
+
+
+def test_evaluate_missing_checkpoint_exits_2_without_a_thread_error(
+        workspace, tmp_path, capsys, thread_errors):
+    # the digest thread fails on the missing file too, but only the
+    # command's own error is reported
+    before = threading.active_count()
+    assert main(["evaluate", "--model", str(tmp_path), "--data",
+                 str(workspace["data"])]) == 2
+    assert "not found" in capsys.readouterr().err
+    assert threading.active_count() == before
+    assert thread_errors == []
+
+
+def test_an_input_the_digest_thread_cannot_read_exits_2(
+        workspace, tmp_path, monkeypatch, capsys, thread_errors):
+    def unreadable(path):
+        raise PermissionError(f"{path}: permission denied")
+
+    monkeypatch.setattr(cli_module, "_sha256_file", unreadable)
+    out = tmp_path / "report"
+    assert main(["evaluate", "--model", str(workspace["model"]), "--data",
+                 str(workspace["data"]), "--out", str(out)]) == 2
+    assert "checkpoint.npz: permission denied" in capsys.readouterr().err
+    assert not (out / "manifest_evaluate.json").exists()
+    assert thread_errors == []
 
 
 def test_evaluate_prints_summary(workspace, capsys):

@@ -596,6 +596,30 @@ def test_snapshot_round_trip(tmp_path, toy_ratings):
     assert back == toy_ratings and scale2 == scale and ids2 == ids
 
 
+def test_load_snapshot_narrows_one_index_array_at_a_time(tmp_path):
+    # the file's int64 indices are narrowed to int32 one array at a time,
+    # and the sort key is gone before the ratings load: about 17 bytes an
+    # entry at the peak and 16 kept, where holding the three loaded arrays
+    # while copying them took 40
+    n = 500_000
+    rng = np.random.default_rng(0)
+    cells = np.sort(rng.choice(2000 * 1000, n, replace=False))
+    matrix = RatingMatrix(2000, 1000, cells // 1000, cells % 1000,
+                          rng.integers(1, 6, n).astype(float))
+    ids = IdMaps(tuple(map(str, range(2000))), tuple(map(str, range(1000))))
+    path = tmp_path / "snap.npz"
+    save_snapshot(path, matrix, RatingScale(1.0, 5.0, True, 1.0), ids)
+    tracemalloc.start()
+    try:
+        loaded, _, loaded_ids = load_snapshot(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == matrix and loaded_ids == ids
+    assert loaded.fingerprint() == matrix.fingerprint()
+    assert peak < 20 * n
+
+
 def test_tag_snapshot_round_trip(tmp_path):
     src = tmp_path / "movies.dat"
     src.write_text("1::A::Action|Drama\n2::B::Drama\n")

@@ -1,5 +1,6 @@
 """Centering/rescaling and side-information feature construction."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -196,6 +197,40 @@ def test_svd_sparse_path_matches_dense_oracle():
     singular = np.linalg.svd(counts.toarray(), compute_uv=False)[:4]
     np.testing.assert_allclose(np.diag(gram), singular, rtol=1e-8)
     assert np.all(np.diff(np.diag(gram)) <= 1e-9)
+
+
+_BLAS = importlib.import_module("cfdae.model")._numpy_blas_threads()
+
+
+@pytest.mark.skipif(_BLAS is None,
+                    reason="numpy bundles no OpenBLAS with thread symbols")
+def test_svd_sparse_path_holds_blas_at_one_thread(monkeypatch):
+    # ARPACK's products run at one BLAS thread whatever the count around
+    # them, so the embedding has the same bits at one thread or two, and
+    # the count is back when svd_embed returns
+    from scipy.sparse import linalg
+    counts = sp.random_array((900, 450), density=0.01, format="csr",
+                             rng=np.random.default_rng(3))
+    get, set_to = _BLAS
+    svds = linalg.svds
+    during = []
+
+    def spy(*args, **kwargs):
+        during.append(get())
+        return svds(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "svds", spy)
+    was = get()
+    tables = []
+    try:
+        for threads in (2, 1):
+            set_to(threads)
+            tables.append(svd_embed(TagMatrix(counts), k_prime=20).features)
+            assert get() == threads
+    finally:
+        set_to(was)
+    assert during == [1, 1]
+    assert tables[0].tobytes() == tables[1].tobytes()
 
 
 def test_importing_the_package_leaves_the_sparse_solvers_unloaded():

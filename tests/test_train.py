@@ -1159,8 +1159,9 @@ def test_pool_thread_error_reaches_the_caller(sparse_synthetic, monkeypatch):
 @pytest.mark.parametrize("binary", [False, True], ids=["svd", "svd+binary"])
 def test_predictions_match_forward_with_side_features(sparse_synthetic,
                                                       monkeypatch, binary):
-    # the completer sums the side inputs inside its sparse product and
-    # forward in a dense one, so the two agree to rounding, not bit for bit
+    # the two encode alike, but the completer decodes each prediction as a
+    # dot product of its own and forward every output in one BLAS product,
+    # so they agree to rounding, not bit for bit
     ratings, scale = sparse_synthetic
     rng = np.random.default_rng(4)
     tags = TagMatrix(sp.random_array((ratings.n_items, 30), density=0.1,
@@ -1182,6 +1183,53 @@ def test_predictions_match_forward_with_side_features(sparse_synthetic,
             unit = forward(completer.params, x, side.features[item])[user]
         want = inverse_transform(unit, item, completer.bias, completer.scaler)
         assert abs(got[k] - want) <= 1e-12
+
+
+@needs_blas_control
+@pytest.mark.parametrize("side_info", ["input_only", "both"])
+def test_side_input_predictions_do_not_depend_on_their_chunk(
+        sparse_synthetic, monkeypatch, side_info):
+    # the side inputs enter each code as one product of its own, so an
+    # entity predicts the same bits alone and inside a full chunk, on one
+    # thread or a pool, at one BLAS thread or two; a GEMM over the chunk's
+    # side rows would not
+    ratings, scale = sparse_synthetic
+    cfg = small_config(orientation="item", side_info=side_info, hidden=300)
+    bias, scaler = fitted(ratings, scale, cfg)
+    side = side_table(ratings.n_items, 40, seed=3)
+    params = init_params(ratings.n_users, cfg.hidden, 40,
+                         40 if side_info == "both" else 0, seed=5)
+    completer = MatrixCompleter(ratings, params, cfg, bias, scaler, side)
+    rng = np.random.default_rng(5)
+    users = rng.integers(0, ratings.n_users, 1000)
+    items = rng.integers(0, ratings.n_items, 1000)
+    encoded = _spy_on_encodes(monkeypatch)
+    get, set_to = _BLAS
+    was = get()
+    runs = []
+    try:
+        for blas_threads in (1, 2):
+            set_to(blas_threads)
+            for cpus in (1, 4):
+                monkeypatch.setattr(train_module, "_cpu_count",
+                                    lambda: cpus)
+                runs.append(completer.predict_many(users, items))
+            alone = [completer.predict(int(u), int(i))
+                     for u, i in zip(users[:40], items[:40])]
+            assert np.array(alone).tobytes() == runs[0][:40].tobytes()
+    finally:
+        set_to(was)
+    assert max(ids.size for ids in encoded) == MatrixCompleter._CHUNK
+    assert all(run.tobytes() == runs[0].tobytes() for run in runs)
+    for k, (user, item) in enumerate(zip(users[:200], items[:200])):
+        idx, raw = ratings.col(item)
+        unit = 0.0
+        if idx.size:
+            x = SparseVector(ratings.n_users, idx,
+                             transform(raw, item, bias, scaler))
+            unit = forward(params, x, side.features[item])[user]
+        want = inverse_transform(unit, item, bias, scaler)
+        assert abs(runs[0][k] - want) <= 1e-12
 
 
 # ------------------------------------------------------------- checkpoint
