@@ -226,9 +226,9 @@ class RatingMatrix:
         return self._tables[by]
 
     def _table(self, by: str):
-        row_ptr = np.zeros(self.n_users + 1, dtype=np.int32)
-        np.cumsum(np.bincount(self.users, minlength=self.n_users),
-                  out=row_ptr[1:])
+        # int32 keys, so that numpy makes no int64 copy of the users
+        row_ptr = np.searchsorted(self.users, np.arange(
+            self.n_users + 1, dtype=np.int32)).astype(np.int32)
         if by == "user":
             table = (row_ptr, self.items, self.ratings)
         else:

@@ -143,29 +143,37 @@ def init_params(n: int, hidden: int, p_in: int = 0, p_hidden: int = 0,
     )
 
 
-def _check_side(params: AutoencoderParams, side) -> np.ndarray | None:
-    needs = params.p_in > 0 or params.p_hidden > 0
-    if not needs:
+def _check_side(params: AutoencoderParams, side) -> np.ndarray:
+    """side_info as the finite (p,) vector the network reads, p = 0 for a
+    network without side columns; None stands for no side_info."""
+    if not (params.p_in or params.p_hidden):
         if side is not None:
             raise ValueError("side_info given but the network has no side columns")
-        return None
+        return np.zeros(0)
     if side is None:
         raise ValueError("network expects side_info")
     side = np.asarray(side, dtype=np.float64)
-    p = side.shape[-1]
+    if side.ndim != 1 or not np.all(np.isfinite(side)):
+        raise ValueError("side_info must be a finite 1-D vector")
+    p = side.size
     if params.p_in not in (0, p) or params.p_hidden not in (0, p):
         raise ValueError(f"side_info dim {p} does not match the network widths")
     return side
 
 
+def _side_term(params: AutoencoderParams, side: np.ndarray) -> np.ndarray:
+    """The (m, p) side block's encoder pre-activation term, a gemv a row."""
+    return np.matmul(side[:, None, :params.p_in], params.W1[params.n:])[:, 0]
+
+
 def encode_batch(params: AutoencoderParams, x,
-                 side: np.ndarray | None = None) -> np.ndarray:
+                 side: np.ndarray) -> np.ndarray:
     """Hidden codes of a batch of inputs, with the side columns the
     decoder reads appended.  x, a CSR _Compressed, holds the inputs' rating
-    parts over the n counterpart coordinates, and side their side features.
-    The rating part is one product of x in CSC form (scipy's linear-time
-    transpose) with W1's first n rows, reading each row once per batch; the
-    side inputs add one gemv per input, so no code depends on its batch."""
+    parts over the n counterpart coordinates, and side, (m, p), their side
+    features.  The rating part is one product of x in CSC form (scipy's
+    linear-time transpose) with W1's first n rows, reading each row once
+    per batch, and _side_term adds the side part."""
     n, k, (m, width), nnz = params.n, params.hidden, x.shape, x.data.size
     if width != n:
         raise ValueError(f"input dim {width} != network input dim {n}")
@@ -174,12 +182,10 @@ def encode_batch(params: AutoencoderParams, x,
     _sparsetools.csr_tocsc(m, n, x.indptr, x.indices, x.data, *csc[2:])
     z = np.zeros((m, k))
     _add_product(z, csc, params.W1)
-    if params.p_in:
-        z += np.matmul(side[:, None, :], params.W1[n:])[:, 0]
+    z += _side_term(params, side)
     hin = np.empty((m, k + params.p_hidden))
     np.tanh(np.add(z, params.b1, out=hin[:, :k]), out=hin[:, :k])
-    if params.p_hidden:
-        hin[:, k:] = side
+    hin[:, k:] = side[:, :params.p_hidden]
     return hin
 
 
@@ -193,8 +199,7 @@ def forward(params: AutoencoderParams, x: SparseVector,
             side_info=None) -> np.ndarray:
     """Dense output vector for one incomplete input vector."""
     side = _check_side(params, side_info)
-    hin = encode_batch(params, _one_row(x),
-                       side[None, :] if side is not None else None)
+    hin = encode_batch(params, _one_row(x), side[None, :])
     return np.tanh(hin @ params.W2.T + params.b2)[0]
 
 
@@ -373,18 +378,11 @@ def _by_coordinate(x, hit: np.ndarray):
 
 
 def _csc_batch(data: np.ndarray, row: np.ndarray, col: np.ndarray, m: int,
-               width: int, side: np.ndarray | None = None) -> _Compressed:
+               width: int) -> _Compressed:
     """(m, width) CSC array of the entries (row, col) of data, listed by
-    coordinate, each coordinate's in row order; side's columns, if given,
-    are the last coordinates."""
-    counts = np.bincount(col, minlength=width)
-    if side is not None:
-        p = side.shape[1]
-        counts[width - p:] = m
-        data = np.concatenate([data, side.T.ravel()])
-        row = np.concatenate([row, np.tile(np.arange(m), p)])
+    coordinate, each coordinate's in row order."""
     ptr = np.zeros(width + 1, dtype=np.int64)
-    np.cumsum(counts, out=ptr[1:])
+    np.cumsum(np.bincount(col, minlength=width), out=ptr[1:])
     return _Compressed("csc", (m, width), ptr, row, data)
 
 
@@ -450,25 +448,25 @@ class LazyDecay:
         return factors
 
 
-def batch_loss_gradients(params, x, hit, weights, side=None, *,
+def batch_loss_gradients(params, x, hit, weights, side, *,
                          sgd: LazyDecay | None = None, pool=None):
     """Per-sample losses and, as an AutoencoderParams, the gradient summed
     over the batch.
 
     x holds the batch's known values as an (m, n) CSR array and hit flags
     each entry of x.data corrupted (True) or intact (False), as
-    corrupted_batch returns them; the input is x on its intact entries.
-    The passes read only the weights of the batch's active coordinates
-    cols, the sorted union of x's indices, since missing inputs are zero
-    and missing outputs carry no error.  The encoder multiplies the input,
-    sparse over its intact entries and the side inputs, with W1 in place;
-    the decoder reads a gathered copy of W2's rows of cols.  The two
-    squared-error sums (over corrupted and over intact known entries) are
-    accumulated separately and only then weighted, so the loss is exactly
-    linear in the two weights.
+    corrupted_batch returns them; the input is x on its intact entries
+    and the (m, p) side features side.  The passes read only the weights
+    of the batch's active coordinates cols, the sorted union of x's
+    indices, since missing inputs are zero and missing outputs carry no
+    error.  The encoder multiplies x's intact entries with W1 in place and
+    adds _side_term, as encode_batch does; the decoder reads a gathered
+    copy of W2's rows of cols.  The two squared-error sums (over corrupted
+    and over intact known entries) are accumulated separately and only
+    then weighted, so the loss is exactly linear in the two weights.
 
     A step with at least _PART_WORK decoder multiply-adds runs in _PARTS
-    parts, contiguous row ranges of W1 and of W2, else in one.  Each part
+    parts, contiguous ranges of the n coordinates, else in one.  Each part
     computes its share of the encoder product, whose partial sums are
     added in part order, and the decoder, output deltas and backprop of
     its coordinates; the parts of an SGD step write their own rows.  With
@@ -482,7 +480,8 @@ def batch_loss_gradients(params, x, hit, weights, side=None, *,
     and returns the gradient at the true weights instead.
     """
     s1, s2 = (1.0, 1.0) if sgd is None else sgd.scales
-    m, n, width = x.shape[0], params.n, params.W1.shape[0]
+    m, n = x.shape[0], params.n
+    side_in = side[:, :params.p_in]
     # the entries listed by coordinate: the intact ones make the encoder
     # input, and the entries of each part's coordinates are one slice
     row, col, val, hit = _by_coordinate(x, hit)
@@ -492,8 +491,7 @@ def batch_loss_gradients(params, x, hit, weights, side=None, *,
     counts = np.diff(ptr)
     cols = np.flatnonzero(counts)
     pos = np.repeat(np.arange(cols.size), counts[cols])  # places in cols
-    xin = _csc_batch(val[kept], row[kept], col[kept], m, width,
-                     side if params.p_in else None)
+    xin = _csc_batch(val[kept], row[kept], col[kept], m, n)
 
     parts = (_PARTS if m * cols.size * params.W2.shape[1] >= _PART_WORK
              else 1)
@@ -507,14 +505,14 @@ def batch_loss_gradients(params, x, hit, weights, side=None, *,
 
     def encode(k):
         z = np.zeros((m, params.hidden))
-        _add_product(z, xin, params.W1, *_part_rows(width, parts, k))
+        _add_product(z, xin, params.W1, *_part_rows(n, parts, k))
         np.take(params.W2, cols[at[k]:at[k + 1]], axis=0, out=w2s[k],
                 mode="clip")
         return z
 
-    z1 = sum(_each_part(encode, parts, pool))
+    z1 = sum(_each_part(encode, parts, pool)) + _side_term(params, side)
     h = np.tanh(s1 * z1 + params.b1)
-    hin = np.hstack([h, side]) if params.p_hidden else h
+    hin = np.hstack([h, side[:, :params.p_hidden]])
     two_w = (2.0 * weights.prediction, 2.0 * weights.reconstruction)
 
     def decode(k):
@@ -552,15 +550,16 @@ def batch_loss_gradients(params, x, hit, weights, side=None, *,
             sq_w = s1 * s1 * sgd.sq_norms[0] + s2 * s2 * sgd.sq_norms[1]
         losses = losses + weights.l2 * sq_w
     # the weight gradients are a1 @ delta1 and a2 @ hin, with a1 the input
-    # and a2 delta2 on the known entries, both transposed to CSR; the bias
-    # gradients are delta1's sums over the batch and a2's over its columns
+    # and a2 delta2 on the known entries, both transposed to CSR, and
+    # side_in.T @ delta1 in W1's side rows; the bias gradients are delta1's
+    # sums over the batch and a2's over its columns
     d2 = np.concatenate(d2s)
     a1, a2 = xin.T, _Compressed("csr", (n, m), ptr, row, d2)
     bias_grads = delta1.sum(axis=0), np.bincount(col, d2, minlength=n)
     if sgd is not None:
         # <V, g> is sum(delta * z) for the layer's delta and pre-activation
         # z, and ||a @ b||^2 is sum((a.T a) * (b b.T)), from dense grams
-        gram1 = sum(xxs) + (side @ side.T if params.p_in else 0.0)
+        gram1 = sum(xxs) + side_in @ side_in.T
         ips = (float(np.vdot(delta1, z1)), sum(ip2s))
         ggs = (float(np.vdot(gram1, delta1 @ delta1.T)),
                float(np.vdot(sum(dds), hin @ hin.T)))
@@ -572,9 +571,10 @@ def batch_loss_gradients(params, x, hit, weights, side=None, *,
 
             def update(k):
                 for v, a, b in steps:
-                    _add_product(v, a, b, *_part_rows(v.shape[0], parts, k))
+                    _add_product(v, a, b, *_part_rows(n, parts, k))
 
             _each_part(update, parts, pool)
+            params.W1[n:] += factors[0] * (side_in.T @ delta1)
             rate = sgd.lr / m
             params.b1 -= rate * bias_grads[0]
             params.b2 -= rate * bias_grads[1]
@@ -584,6 +584,7 @@ def batch_loss_gradients(params, x, hit, weights, side=None, *,
     grads = AutoencoderParams(np.zeros(params.W1.shape), bias_grads[0],
                               np.zeros(params.W2.shape), bias_grads[1])
     _add_product(grads.W1, a1, delta1)
+    grads.W1[n:] = side_in.T @ delta1
     _add_product(grads.W2, a2, hin)
     if weights.l2:
         grads.W1 += (2.0 * weights.l2 * m) * params.W1
@@ -607,9 +608,8 @@ def _single_vector(params: AutoencoderParams, x: SparseVector,
     if not np.array_equal(x_tilde.to_dense(), intact):
         raise ValueError("x_tilde must be x with the mask's entries zeroed")
     hit = np.isin(x.indices, mask.indices)
-    batch_side = side[None, :] if side is not None else None
     return batch_loss_gradients(params, _one_row(x), hit, weights,
-                                batch_side)
+                                side[None, :])
 
 
 def loss(params: AutoencoderParams, x: SparseVector, x_tilde: SparseVector,
@@ -640,7 +640,7 @@ def decompose(params: AutoencoderParams, x: SparseVector):
     """
     if params.p_in or params.p_hidden:
         raise ValueError("decompose requires a network without side columns")
-    h = encode_batch(params, _one_row(x))[0]
+    h = encode_batch(params, _one_row(x), np.zeros((1, 0)))[0]
     u = np.concatenate([h, params.b2])
     v = np.hstack([params.W2, np.eye(params.n)])
     return u, v

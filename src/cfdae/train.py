@@ -212,8 +212,8 @@ def _training_vectors(train_data: RatingMatrix, cfg: TrainConfig,
                       bias: BiasTable, scaler: Scaler,
                       side: SideInfoTable | None):
     """Every entity's training vector, centered and rescaled, as one
-    (entities x counterparts) CSR array; the side features; and the
-    (p_in, p_hidden) widths."""
+    (entities x counterparts) CSR array; the (entities, p) side features,
+    p = 0 without a side table; and the (p_in, p_hidden) widths."""
     ptr, idx, raw = train_data.vectors(cfg.orientation)
     n_entities = ptr.size - 1
     widths = _side_widths(cfg, bias, side, n_entities)
@@ -221,7 +221,8 @@ def _training_vectors(train_data: RatingMatrix, cfg: TrainConfig,
     n = by_entity(cfg.orientation, train_data.n_items, train_data.n_users)
     vectors = csr_array((transform(raw, entities, bias, scaler), idx, ptr),
                         shape=(n_entities, n))
-    return vectors, None if side is None else side.features, widths
+    features = np.zeros((n_entities, 0)) if side is None else side.features
+    return vectors, features, widths
 
 
 def train(train_data: RatingMatrix, cfg: TrainConfig, bias: BiasTable,
@@ -264,9 +265,8 @@ def train(train_data: RatingMatrix, cfg: TrainConfig, bias: BiasTable,
                                                 cfg.batch_size)):
                 sel = order[start:start + cfg.batch_size]
                 x, hit = corrupted_batch(vectors, sel, cfg.mask_ratio, rng)
-                batch_side = features[sel] if features is not None else None
                 losses, grads = batch_loss_gradients(
-                    params, x, hit, weights, batch_side, sgd=sgd,
+                    params, x, hit, weights, features[sel], sgd=sgd,
                     pool=step_pool)
                 if grads is not None:
                     grad_max = max(float(np.max(np.abs(g))) for g in
@@ -398,8 +398,8 @@ class MatrixCompleter:
         """Hidden codes (side columns appended) of the entities ids, sorted
         and distinct, encoded from their rows of the CSR training vectors
         and of the side features."""
-        side = self._side[ids] if self._side is not None else None
-        return encode_batch(self.params, _csr_rows(self._vectors, ids), side)
+        return encode_batch(self.params, _csr_rows(self._vectors, ids),
+                            self._side[ids])
 
 
 def complete_matrix(train_data: RatingMatrix, state: TrainState,

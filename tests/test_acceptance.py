@@ -74,6 +74,7 @@ def test_criterion_01_gradient_check(monkeypatch):
     worst = 0.0
     n_cases = 0
     n_corrupted = 0
+    modes = set()  # (p_in > 0, p_hidden > 0) of each network checked
     for seed in range(25):
         for with_side in (False, True):
             for with_corruption in (False, True):
@@ -82,6 +83,7 @@ def test_criterion_01_gradient_check(monkeypatch):
                 if with_corruption:
                     assert mask.indices.size >= 1
                     n_corrupted += 1
+                modes.add((params.p_in > 0, params.p_hidden > 0))
                 for work in (model._PART_WORK, 0):
                     monkeypatch.setattr(model, "_PART_WORK", work)
                     analytic = loss_gradients(params, x, x_tilde, mask,
@@ -92,6 +94,9 @@ def test_criterion_01_gradient_check(monkeypatch):
                                                           floor=1e-4))
                 n_cases += 1
     assert n_cases >= 100 and n_corrupted == 50
+    # no side, and side inputs at the input, at the hidden layer and both
+    assert modes == {(False, False), (True, False), (False, True),
+                     (True, True)}
     assert worst < 1e-5
     print(f"criterion 01 gradient check: PASS "
           f"({n_cases} configurations, max relative error {worst:.3e})")

@@ -207,6 +207,26 @@ def test_forward_side_requirements():
         forward(augmented, x, np.ones(2))
 
 
+@pytest.mark.parametrize("side_info", [
+    pytest.param([np.nan, 1.0], id="nan"),
+    pytest.param([np.inf, 0.0], id="inf"),
+    pytest.param([[0.5, 1.0]], id="one-row-block"),
+])
+def test_side_info_must_be_a_finite_vector(side_info):
+    # forward, loss and loss_gradients refuse a side vector that is not
+    # finite or not 1-D, instead of returning NaN outputs or a loss that
+    # ignores it, or failing inside numpy
+    params = init_params(4, 2, p_in=2, p_hidden=2, seed=0)
+    x = SparseVector(4, [1, 3], [0.5, -0.25])
+    x_tilde, mask = SparseVector(4, [3], [-0.25]), CorruptionMask([1])
+    weights = LossWeights(1.0, 0.5)
+    with pytest.raises(ValueError, match="side_info"):
+        forward(params, x, side_info)
+    for fn in (loss, loss_gradients):
+        with pytest.raises(ValueError, match="side_info"):
+            fn(params, x, x_tilde, mask, weights, side_info)
+
+
 def test_forward_dimension_mismatch():
     params = init_params(4, 2, seed=0)
     with pytest.raises(ValueError):
@@ -485,26 +505,20 @@ def _csr(vectors, n):
                      shape=(len(vectors), n))
 
 
-@pytest.mark.parametrize("with_side", [False, True], ids=["no-side", "side"])
-def test_csc_batch_lists_each_coordinate_in_row_order(with_side):
+def test_csc_batch_lists_each_coordinate_in_row_order():
     # the kernel's one coordinate sort and the builder of its CSC input
-    # list each coordinate's entries in row order, the side columns last,
-    # exactly as scipy's conversion of the same entries does: that order
-    # fixes the bits of the encoder product and of both updates
+    # list each coordinate's entries in row order, exactly as scipy's
+    # conversion of the same entries does: that order fixes the bits of
+    # the encoder product and of both updates
     rng = np.random.default_rng(12)
-    n, m, p = 11, 6, 3
+    n, m = 11, 6
     x = _csr([(np.sort(rng.choice(n, k, replace=False)),
                rng.uniform(-1, 1, k)) for k in rng.integers(0, 6, m)], n)
     row, col, data, hit = model._by_coordinate(x, x.data > 0)
     np.testing.assert_array_equal(hit, data > 0)  # each flag with its entry
-    side = rng.uniform(-1, 1, (m, p)) if with_side else None
-    width = n + p if with_side else n
-    got = model._csc_batch(data, row, col, m, width, side)
-    full = x.toarray()
-    if with_side:
-        full = np.hstack([full, side])
-    want = csr_array(full).tocsc()
-    assert got.format == "csc" and got.shape == (m, width)
+    got = model._csc_batch(data, row, col, m, n)
+    want = csr_array(x.toarray()).tocsc()
+    assert got.format == "csc" and got.shape == (m, n)
     np.testing.assert_array_equal(got.indptr, want.indptr)
     np.testing.assert_array_equal(got.indices, want.indices)
     np.testing.assert_array_equal(got.data, want.data)
@@ -543,17 +557,19 @@ def test_sgd_step_matches_explicit_update(lr, l2, folded, order, monkeypatch):
     # the gradient read from a reference model held in the given order;
     # each batch knows a few of the n coordinates, so the step moves only
     # those rows and decays the rest through the scale.  The steps run as
-    # one part, then, with no work threshold, in two parts on a pool
+    # one part, then, with no work threshold, in two parts on a pool, on
+    # networks with side inputs at the input, at the hidden layer and both
     for work in (model._PART_WORK, 0):
         monkeypatch.setattr(model, "_PART_WORK", work)
         with ThreadPoolExecutor(1) as pool:
-            _check_sgd_steps(lr, l2, folded, order, pool)
+            for p_in, p_hidden in ((2, 0), (0, 2), (2, 2)):
+                _check_sgd_steps(lr, l2, folded, order, pool, p_in, p_hidden)
 
 
-def _check_sgd_steps(lr, l2, folded, order, pool):
+def _check_sgd_steps(lr, l2, folded, order, pool, p_in, p_hidden):
     rng = np.random.default_rng(5)
     n, hidden, p, m = 30, 4, 2, 5
-    params = init_params(n, hidden, p_in=p, p_hidden=p, seed=3)
+    params = init_params(n, hidden, p_in=p_in, p_hidden=p_hidden, seed=3)
     ref = _in_order(params.copy(), order)
     arrays = [getattr(params, f) for f in PARAM_FIELDS]
     weights = LossWeights(1.0, 0.5, l2)
@@ -646,23 +662,21 @@ def test_refused_step_changes_nothing(losses, ips, ggs):
 
 
 @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
-@pytest.mark.parametrize("case", ["no-entries", "entries", "side-rows"])
+@pytest.mark.parametrize("case", ["no-entries", "entries"])
 def test_add_product_adds_in_place(case, index_dtype):
     # the SGD step's one update kernel, a private scipy routine, against a
     # dense product: v += a @ b lands in v itself, and rows of v where a
     # has no entry keep their bits
     rng = np.random.default_rng(11)
-    n, m, k, p = 8, 3, 4, 2
+    n, m, k = 8, 3, 4
     keep = rng.random((m, n)) < (0.0 if case == "no-entries" else 0.5)
-    side = rng.uniform(-1, 1, (m, p)) if case == "side-rows" else None
     col, row = np.nonzero(keep.T)  # listed by coordinate
-    a = model._csc_batch(rng.uniform(-1, 1, row.size), row, col, m, n + p,
-                         side).T
-    assert a.format == "csr" and a.shape == (n + p, m)
+    a = model._csc_batch(rng.uniform(-1, 1, row.size), row, col, m, n).T
+    assert a.format == "csr" and a.shape == (n, m)
     assert a.indices.dtype in (np.int32, np.int64)  # what the step passes
     a = a._replace(indptr=a.indptr.astype(index_dtype),
                    indices=a.indices.astype(index_dtype))
-    v = rng.uniform(-1, 1, (n + p, k))
+    v = rng.uniform(-1, 1, (n, k))
     b = rng.uniform(-1, 1, (m, k))
     before = v.copy()
     dense = csr_array((a.data, a.indices, a.indptr), shape=a.shape).toarray()
@@ -671,7 +685,6 @@ def test_add_product_adds_in_place(case, index_dtype):
     np.testing.assert_allclose(v, want, rtol=1e-14, atol=1e-15)
     empty = np.diff(a.indptr) == 0
     assert empty.all() == (case == "no-entries")
-    assert (~empty[n:]).all() == (case == "side-rows")
     np.testing.assert_array_equal(v[empty], before[empty])
     with pytest.raises(ValueError):  # no silent copy of another layout
         model._add_product(np.asfortranarray(v), a, b)
