@@ -166,27 +166,48 @@ def _side_term(params: AutoencoderParams, side: np.ndarray) -> np.ndarray:
     return np.matmul(side[:, None, :params.p_in], params.W1[params.n:])[:, 0]
 
 
-def encode_batch(params: AutoencoderParams, x,
-                 side: np.ndarray) -> np.ndarray:
-    """Hidden codes of a batch of inputs, with the side columns the
-    decoder reads appended.  x, a CSR _Compressed, holds the inputs' rating
-    parts over the n counterpart coordinates, and side, (m, p), their side
-    features.  The rating part is one product of x in CSC form (scipy's
-    linear-time transpose) with W1's first n rows, reading each row once
-    per batch, and _side_term adds the side part."""
-    n, k, (m, width), nnz = params.n, params.hidden, x.shape, x.data.size
+def _csc(x, data: np.ndarray) -> "_Compressed":
+    """The CSR array x in CSC form with data in place of x.data, by
+    scipy's linear-time transpose, which lists each column's entries in
+    row order; a payload np.arange(nnz) gives the permutation of x.data."""
+    (m, n), nnz = x.shape, data.size
+    csc = _Compressed("csc", x.shape, np.empty(n + 1, dtype=np.int64),
+                      np.empty(nnz, dtype=np.int64), np.empty_like(data))
+    _sparsetools.csr_tocsc(m, n, x.indptr, x.indices, data, *csc[2:])
+    return csc
+
+
+def _encode(params: AutoencoderParams, xin, side: np.ndarray,
+            scale: float = 1.0, parts: int = 1, pool=None):
+    """(z, hin): z the pre-activations of the rating part xin, (m, n) CSC,
+    and the side features side, (m, p), and hin tanh(scale * z + b1) with
+    the side columns the decoder reads appended.  xin @ W1[:n] runs in
+    parts row ranges on pool, summed in part order, plus _side_term."""
+    n, k, (m, width) = params.n, params.hidden, xin.shape
     if width != n:
         raise ValueError(f"input dim {width} != network input dim {n}")
-    csc = _Compressed("csc", x.shape, np.empty(n + 1, dtype=np.int64),
-                      np.empty(nnz, dtype=np.int64), np.empty(nnz))
-    _sparsetools.csr_tocsc(m, n, x.indptr, x.indices, x.data, *csc[2:])
-    z = np.zeros((m, k))
-    _add_product(z, csc, params.W1)
+
+    def product(j):
+        z = np.zeros((m, k))
+        _add_product(z, xin, params.W1, *_part_rows(n, parts, j))
+        return z
+
+    z, *rest = _each_part(product, parts, pool)
+    z = sum(rest, z)
     z += _side_term(params, side)
     hin = np.empty((m, k + params.p_hidden))
-    np.tanh(np.add(z, params.b1, out=hin[:, :k]), out=hin[:, :k])
+    # scaling by 1.0 changes no bit, so only the SGD step pays for it
+    scaled = z if scale == 1.0 else scale * z
+    np.tanh(np.add(scaled, params.b1, out=hin[:, :k]), out=hin[:, :k])
     hin[:, k:] = side[:, :params.p_hidden]
-    return hin
+    return z, hin
+
+
+def encode_batch(params: AutoencoderParams, x,
+                 side: np.ndarray) -> np.ndarray:
+    """Hidden codes, side columns appended, of the rating parts x, a CSR
+    _Compressed over n coordinates, and side features side, (m, p)."""
+    return _encode(params, _csc(x, x.data), side)[1]
 
 
 def _one_row(x: SparseVector) -> "_Compressed":
@@ -369,23 +390,6 @@ def _add_product(v: np.ndarray, a, b: np.ndarray, lo: int = 0,
         np.ravel(b), np.reshape(v, -1, copy=False))
 
 
-def _by_coordinate(x, hit: np.ndarray):
-    """(row, col, value, hit) of each entry of the CSR array x, listed by
-    coordinate, each coordinate's in row order: one stable sort."""
-    order = np.argsort(x.indices, kind="stable")
-    row = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
-    return row[order], x.indices[order], x.data[order], hit[order]
-
-
-def _csc_batch(data: np.ndarray, row: np.ndarray, col: np.ndarray, m: int,
-               width: int) -> _Compressed:
-    """(m, width) CSC array of the entries (row, col) of data, listed by
-    coordinate, each coordinate's in row order."""
-    ptr = np.zeros(width + 1, dtype=np.int64)
-    np.cumsum(np.bincount(col, minlength=width), out=ptr[1:])
-    return _Compressed("csc", (m, width), ptr, row, data)
-
-
 class LazyDecay:
     """Scalar half of in-place SGD that keeps the L2 decay out of the weights.
 
@@ -459,11 +463,11 @@ def batch_loss_gradients(params, x, hit, weights, side, *,
     and the (m, p) side features side.  The passes read only the weights
     of the batch's active coordinates cols, the sorted union of x's
     indices, since missing inputs are zero and missing outputs carry no
-    error.  The encoder multiplies x's intact entries with W1 in place and
-    adds _side_term, as encode_batch does; the decoder reads a gathered
-    copy of W2's rows of cols.  The two squared-error sums (over corrupted
-    and over intact known entries) are accumulated separately and only
-    then weighted, so the loss is exactly linear in the two weights.
+    error.  x's intact entries go through encode_batch's encoder; the
+    decoder reads a gathered copy of W2's rows of cols.  The two
+    squared-error sums (over corrupted and over intact known entries) are
+    accumulated separately and only then weighted, so the loss is exactly
+    linear in the two weights.
 
     A step with at least _PART_WORK decoder multiply-adds runs in _PARTS
     parts, contiguous ranges of the n coordinates, else in one.  Each part
@@ -482,16 +486,16 @@ def batch_loss_gradients(params, x, hit, weights, side, *,
     s1, s2 = (1.0, 1.0) if sgd is None else sgd.scales
     m, n = x.shape[0], params.n
     side_in = side[:, :params.p_in]
-    # the entries listed by coordinate: the intact ones make the encoder
-    # input, and the entries of each part's coordinates are one slice
-    row, col, val, hit = _by_coordinate(x, hit)
+    # x in CSC form, the permutation of its entries as payload: the intact
+    # entries make the encoder input, and each part's entries are one slice
+    _, _, ptr, row, order = _csc(x, np.arange(x.data.size))
+    val, hit = x.data[order], hit[order]
     kept = ~hit
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(col, minlength=n), out=ptr[1:])
     counts = np.diff(ptr)
     cols = np.flatnonzero(counts)
     pos = np.repeat(np.arange(cols.size), counts[cols])  # places in cols
-    xin = _csc_batch(val[kept], row[kept], col[kept], m, n)
+    xin = _Compressed("csc", x.shape, np.r_[0, np.cumsum(kept)][ptr],
+                      row[kept], val[kept])
 
     parts = (_PARTS if m * cols.size * params.W2.shape[1] >= _PART_WORK
              else 1)
@@ -499,25 +503,18 @@ def batch_loss_gradients(params, x, hit, weights, side, *,
     at = np.searchsorted(cols, [lo for lo, _ in outs] + [n])
 
     # each part's decoder rows, in buffers made here and not in a pool
-    # thread's malloc arena; mode="raise" would copy out (cols are valid)
+    # thread's malloc arena
     w2s = [np.empty((at[k + 1] - at[k], params.W2.shape[1]))
            for k in range(parts)]
-
-    def encode(k):
-        z = np.zeros((m, params.hidden))
-        _add_product(z, xin, params.W1, *_part_rows(n, parts, k))
-        np.take(params.W2, cols[at[k]:at[k + 1]], axis=0, out=w2s[k],
-                mode="clip")
-        return z
-
-    z1 = sum(_each_part(encode, parts, pool)) + _side_term(params, side)
-    h = np.tanh(s1 * z1 + params.b1)
-    hin = np.hstack([h, side[:, :params.p_hidden]])
+    z1, hin = _encode(params, xin, side, s1, parts, pool)
     two_w = (2.0 * weights.prediction, 2.0 * weights.reconstruction)
 
     def decode(k):
         e = slice(ptr[outs[k][0]], ptr[outs[k][1]])
-        r, p, w2 = row[e], pos[e] - at[k], w2s[k]
+        r, p = row[e], pos[e] - at[k]
+        # mode="raise" would copy out (cols are valid)
+        w2 = np.take(params.W2, cols[at[k]:at[k + 1]], axis=0, out=w2s[k],
+                     mode="clip")
         z2 = hin @ w2.T
         out = s2 * z2
         out += params.b2[cols[at[k]:at[k + 1]]]
@@ -541,7 +538,7 @@ def batch_loss_gradients(params, x, hit, weights, side, *,
     pred_sum = np.bincount(row[hit], sq[hit], minlength=m)
     recon_sum = np.bincount(row[kept], sq[kept], minlength=m)
     losses = weights.prediction * pred_sum + weights.reconstruction * recon_sum
-    delta1 = s2 * sum(dhs) * (1.0 - h ** 2)
+    delta1 = s2 * sum(dhs) * (1.0 - hin[:, :params.hidden] ** 2)
 
     if weights.l2:
         if sgd is None:
@@ -555,7 +552,7 @@ def batch_loss_gradients(params, x, hit, weights, side, *,
     # sums over the batch and a2's over its columns
     d2 = np.concatenate(d2s)
     a1, a2 = xin.T, _Compressed("csr", (n, m), ptr, row, d2)
-    bias_grads = delta1.sum(axis=0), np.bincount(col, d2, minlength=n)
+    bias_grads = delta1.sum(axis=0), np.bincount(cols[pos], d2, minlength=n)
     if sgd is not None:
         # <V, g> is sum(delta * z) for the layer's delta and pre-activation
         # z, and ||a @ b||^2 is sum((a.T a) * (b b.T)), from dense grams

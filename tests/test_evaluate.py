@@ -6,6 +6,7 @@ import importlib
 import json
 import math
 import multiprocessing
+import multiprocessing.resource_tracker
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -374,11 +375,13 @@ def test_dae_sweep_requires_unit_prediction_weight(synthetic):
 
 @pytest.fixture(params=["fork", "spawn"])
 def start_method(request):
-    """Worker processes started by the given method; the process's
-    previous method comes back afterwards."""
+    """Worker processes started by the given method; afterwards the
+    resource tracker process that spawn starts is stopped, so that it does
+    not outlive the tests, and the process's previous method comes back."""
     before = multiprocessing.get_start_method(allow_none=True)
     multiprocessing.set_start_method(request.param, force=True)
     yield request.param
+    multiprocessing.resource_tracker._resource_tracker._stop()
     multiprocessing.set_start_method(before, force=True)
 
 

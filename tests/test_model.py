@@ -233,6 +233,25 @@ def test_forward_dimension_mismatch():
         forward(params, SparseVector(5, [0], [0.1]))
 
 
+@pytest.mark.parametrize("dim,indices", [(4, [0, 3]), (7, [1, 4]),
+                                         (7, [2, 6])])
+@pytest.mark.parametrize("entry", ["forward", "loss", "loss_gradients"])
+def test_every_entry_point_refuses_a_wrong_input_dim(entry, dim, indices):
+    # the shared encoder checks the width, so the loss and its gradients
+    # refuse what forward refuses, with the same message, whether the
+    # indices fit the network or not
+    params = init_params(5, 3, seed=0)
+    x = SparseVector(dim, indices, [0.5, -0.25])
+    weights = LossWeights(prediction=1.0, reconstruction=0.5)
+    calls = {"forward": lambda: forward(params, x),
+             "loss": lambda: loss(params, x, x, CorruptionMask([]), weights),
+             "loss_gradients": lambda: loss_gradients(
+                 params, x, x, CorruptionMask([]), weights)}
+    with pytest.raises(ValueError,
+                       match=f"input dim {dim} != network input dim 5"):
+        calls[entry]()
+
+
 def test_forward_is_pure():
     params, x, side, _rng = _random_instance(21)
     before = {f: getattr(params, f).copy() for f in PARAM_FIELDS}
@@ -505,23 +524,28 @@ def _csr(vectors, n):
                      shape=(len(vectors), n))
 
 
-def test_csc_batch_lists_each_coordinate_in_row_order():
-    # the kernel's one coordinate sort and the builder of its CSC input
-    # list each coordinate's entries in row order, exactly as scipy's
-    # conversion of the same entries does: that order fixes the bits of
-    # the encoder product and of both updates
+def test_csc_lists_each_coordinate_in_row_order():
+    # the one transpose of the encoders and the SGD step lists each
+    # coordinate's entries in row order, exactly as scipy's conversion of
+    # the same entries does: that order fixes the bits of the encoder
+    # product and of both updates
     rng = np.random.default_rng(12)
     n, m = 11, 6
     x = _csr([(np.sort(rng.choice(n, k, replace=False)),
                rng.uniform(-1, 1, k)) for k in rng.integers(0, 6, m)], n)
-    row, col, data, hit = model._by_coordinate(x, x.data > 0)
-    np.testing.assert_array_equal(hit, data > 0)  # each flag with its entry
-    got = model._csc_batch(data, row, col, m, n)
+    got = model._csc(x, x.data)
     want = csr_array(x.toarray()).tocsc()
     assert got.format == "csc" and got.shape == (m, n)
     np.testing.assert_array_equal(got.indptr, want.indptr)
     np.testing.assert_array_equal(got.indices, want.indices)
     np.testing.assert_array_equal(got.data, want.data)
+    # an arange payload is the permutation of x's entries: it carries each
+    # hit flag with its entry, and the payload keeps its dtype
+    hit = x.data > 0
+    order = model._csc(x, np.arange(x.data.size)).data
+    assert order.dtype == np.int64
+    np.testing.assert_array_equal(x.data[order], want.data)
+    np.testing.assert_array_equal(hit[order], want.data > 0)
 
 
 def test_package_exports_resolve():
@@ -670,8 +694,8 @@ def test_add_product_adds_in_place(case, index_dtype):
     rng = np.random.default_rng(11)
     n, m, k = 8, 3, 4
     keep = rng.random((m, n)) < (0.0 if case == "no-entries" else 0.5)
-    col, row = np.nonzero(keep.T)  # listed by coordinate
-    a = model._csc_batch(rng.uniform(-1, 1, row.size), row, col, m, n).T
+    x = csr_array(np.where(keep, rng.uniform(-1, 1, (m, n)), 0.0))
+    a = model._csc(x, x.data).T
     assert a.format == "csr" and a.shape == (n, m)
     assert a.indices.dtype in (np.int32, np.int64)  # what the step passes
     a = a._replace(indptr=a.indptr.astype(index_dtype),
